@@ -165,12 +165,7 @@ class Gauge:
 
 
 def _sup_norm(x):
-    best = None
-    for v in x:
-        a = abs(v)
-        if best is None or a > best:
-            best = a
-    return best
+    return max(abs(v) for v in x)
 
 
 @dataclass(frozen=True)

@@ -89,35 +89,15 @@ class WeylElement:
             rows[0][n - 1] = Fraction(-1)
         return cls(Mat.from_rows(rows))
 
-    @classmethod
-    def from_perm(cls, perm) -> "WeylElement":
-        """Plain representative of a 1-based permutation, det fixed on e_1."""
-        n = len(perm)
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        for k, img in enumerate(perm):
-            rows[img - 1][k] = Fraction(1)
-        m = Mat.from_rows(rows)
-        if m.det() != 1:
-            rows[perm[0] - 1][0] = Fraction(-1)
-            m = Mat.from_rows(rows)
-        return cls(m)
-
     def compose(self, other: "WeylElement") -> "WeylElement":
         return WeylElement(self.rep * other.rep)
 
     def inverse(self) -> "WeylElement":
         return WeylElement(self.rep.transpose())
 
-    def apply_index(self, k: int) -> int:
-        return self.perm[k - 1]
-
     def apply_set(self, idx) -> tuple:
         p = self.perm
         return tuple(sorted(p[i - 1] for i in idx))
-
-    def inversions(self) -> int:
-        p = self.perm
-        return sum(1 for a in range(len(p)) for b in range(a + 1, len(p)) if p[a] > p[b])
 
     def to_json(self):
         return {"perm": list(self.perm), "signs": list(self.signs)}

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
-from .bordered import BorderedSet, Functional, Gauge, epsilon_bound
+from .bordered import BorderedSet, Functional, Gauge, _sup_norm, epsilon_bound
 from .chars import Character, GridSpec, SubgroupSpec, ambient_independent
 from .errors import PreconditionError
 from .loglin import LogLin
@@ -33,10 +33,6 @@ from .radicals import (
     weight_components,
 )
 from .scalars import frac, frac_str
-
-
-def _sup_norm(x) -> Fraction:
-    return max(abs(Fraction(v)) for v in x)
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,10 @@ from .scalars import QuadScalar, frac_str
 
 
 def _is_zero(x) -> bool:
-    if isinstance(x, QuadScalar):
-        return x.is_zero()
-    return x == 0
+    """Exact zero test; QuadScalar and LogLin values decide it themselves."""
+    if isinstance(x, (int, Fraction)):
+        return x == 0
+    return x.is_zero()
 
 
 def _zero_like(x):
@@ -157,82 +158,16 @@ class Mat:
     def det(self):
         if not self.is_square():
             raise PreconditionError("determinant of non-square matrix")
-        n = self.nrows
-        a = [list(r) for r in self.rows]
-        det = _one_like(a[0][0])
-        sign = 1
-        for k in range(n):
-            piv = None
-            for i in range(k, n):
-                if not _is_zero(a[i][k]):
-                    piv = i
-                    break
-            if piv is None:
-                return _zero_like(a[0][0])
-            if piv != k:
-                a[k], a[piv] = a[piv], a[k]
-                sign = -sign
-            det = det * a[k][k]
-            inv = _one_like(a[k][k]) / a[k][k]
-            for i in range(k + 1, n):
-                if _is_zero(a[i][k]):
-                    continue
-                m = a[i][k] * inv
-                for j in range(k, n):
-                    a[i][j] = a[i][j] - m * a[k][j]
-        return det * sign if sign == 1 else -det
+        return _gauss_jordan([list(r) for r in self.rows], self.ncols)[1]
 
     def rank(self) -> int:
-        a = [list(r) for r in self.rows]
-        m, n = self.nrows, self.ncols
-        r = 0
-        for c in range(n):
-            piv = None
-            for i in range(r, m):
-                if not _is_zero(a[i][c]):
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            a[r], a[piv] = a[piv], a[r]
-            inv = _one_like(a[r][c]) / a[r][c]
-            for i in range(r + 1, m):
-                if _is_zero(a[i][c]):
-                    continue
-                f = a[i][c] * inv
-                for j in range(c, n):
-                    a[i][j] = a[i][j] - f * a[r][j]
-            r += 1
-            if r == m:
-                break
-        return r
+        return len(_gauss_jordan([list(r) for r in self.rows], self.ncols)[0])
 
     def rref(self) -> tuple["Mat", tuple[int, ...]]:
         """Reduced row echelon form and the pivot column indices."""
         a = [list(r) for r in self.rows]
-        m, n = self.nrows, self.ncols
-        pivots = []
-        r = 0
-        for c in range(n):
-            piv = None
-            for i in range(r, m):
-                if not _is_zero(a[i][c]):
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            a[r], a[piv] = a[piv], a[r]
-            inv = _one_like(a[r][c]) / a[r][c]
-            a[r] = [x * inv for x in a[r]]
-            for i in range(m):
-                if i != r and not _is_zero(a[i][c]):
-                    f = a[i][c]
-                    a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-            pivots.append(c)
-            r += 1
-            if r == m:
-                break
-        return Mat(a), tuple(pivots)
+        pivots, _ = _gauss_jordan(a, self.ncols)
+        return Mat(a), pivots
 
     def kernel_basis(self) -> list[tuple]:
         """Basis of the right kernel {x : A x = 0} over the entry field."""
@@ -254,24 +189,9 @@ class Mat:
         if not self.is_square():
             raise PreconditionError("inverse of non-square matrix")
         n = self.nrows
-        one = _one_like(self.rows[0][0])
-        zero = _zero_like(self.rows[0][0])
-        a = [list(r) + [one if i == j else zero for j in range(n)] for i, r in enumerate(self.rows)]
-        for c in range(n):
-            piv = None
-            for i in range(c, n):
-                if not _is_zero(a[i][c]):
-                    piv = i
-                    break
-            if piv is None:
-                raise PreconditionError("singular matrix")
-            a[c], a[piv] = a[piv], a[c]
-            inv = one / a[c][c]
-            a[c] = [x * inv for x in a[c]]
-            for i in range(n):
-                if i != c and not _is_zero(a[i][c]):
-                    f = a[i][c]
-                    a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+        a = [list(r) + list(e) for r, e in zip(self.rows, Mat.identity(n, self.rows[0][0]).rows)]
+        if len(_gauss_jordan(a, n)[0]) < n:
+            raise PreconditionError("singular matrix")
         return Mat([r[n:] for r in a])
 
     def solve(self, rhs: Sequence):
@@ -284,39 +204,13 @@ class Mat:
         m, n = self.nrows, self.ncols
         if len(rhs) != m:
             raise PreconditionError("rhs length mismatch")
-        a = [list(r) for r in self.rows]
-        b = list(rhs)
-        pivots = []
-        r = 0
-        for c in range(n):
-            piv = None
-            for i in range(r, m):
-                if not _is_zero(a[i][c]):
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            a[r], a[piv] = a[piv], a[r]
-            b[r], b[piv] = b[piv], b[r]
-            inv = _one_like(a[r][c]) / a[r][c]
-            a[r] = [x * inv for x in a[r]]
-            b[r] = b[r] * inv if not isinstance(b[r], (int, Fraction)) else inv * b[r]
-            for i in range(m):
-                if i != r and not _is_zero(a[i][c]):
-                    f = a[i][c]
-                    a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-                    b[i] = b[i] - f * b[r]
-            pivots.append(c)
-            r += 1
-        for i in range(r, m):
-            if not _all_zero_value(b[i]):
-                raise PreconditionError("inconsistent linear system")
+        a = [list(r) + [b] for r, b in zip(self.rows, rhs)]
+        pivots, _ = _gauss_jordan(a, n)
+        if any(not _is_zero(r[n]) for r in a[len(pivots):]):
+            raise PreconditionError("inconsistent linear system")
         if len(pivots) < n:
             raise PreconditionError("underdetermined linear system")
-        x = [None] * n
-        for i, c in enumerate(pivots):
-            x[c] = b[i]
-        return tuple(x)
+        return tuple(r[n] for r in a[:n])
 
     # -- serialization ----------------------------------------------------------
 
@@ -355,10 +249,43 @@ def _dot(r, c):
     return acc
 
 
-def _all_zero_value(x) -> bool:
-    if isinstance(x, QuadScalar):
-        return x.is_zero()
-    if isinstance(x, (int, Fraction)):
-        return x == 0
-    # duck-typed scalars (LogLin) expose sign()
-    return x.sign() == 0
+def _gauss_jordan(a: list, ncols: int) -> tuple[tuple[int, ...], object]:
+    """Reduce the augmented rows a in place to reduced row echelon form.
+
+    Pivots are taken in the first ncols columns only, each the first nonzero
+    entry of its column at or below the current row. The remaining columns
+    are carried along: they are multiplied by matrix entries and their
+    inverses but never divided into, so they may hold LogLin values.
+    Returns the pivot columns and the determinant of the leading ncols
+    columns (the product of the pivots with the sign of the row swaps, and
+    zero when a column has no pivot).
+    """
+    m = len(a)
+    det = _one_like(a[0][0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, m) if not _is_zero(a[i][c])), None)
+        if piv is None:
+            det = _zero_like(a[0][0])
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            det = -det
+        p = a[r][c]
+        det = det * p
+        one, zero = _one_like(p), _zero_like(p)
+        inv = one / p
+        # rows r and below are zero left of column c, so only columns from
+        # c on change; the pivot becomes one and the rest of its column zero
+        tail = [x * inv for x in a[r][c + 1:]]
+        a[r][c:] = [one] + tail
+        for i in range(m):
+            f = a[i][c]
+            if i != r and not _is_zero(f):
+                a[i][c:] = [zero] + [x - f * y for x, y in zip(a[i][c + 1:], tail)]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return tuple(pivots), det

@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from .chars import Character, SubgroupSpec
+from .chars import Character, SubgroupSpec, subset_weight
 from .errors import DependentInput, PreconditionError
 from .lattice import int_kernel, primitive_int_vector, saturation_pair, lll_reduce
 from .loglin import LogLin
@@ -31,13 +31,6 @@ from .wedge import WedgeVector, apply_wedge_matrix, plucker, wedge_of_vectors
 
 def sl_dim(n: int) -> int:
     return n * n - 1
-
-
-def sl_index(n: int) -> list:
-    """Ordered labels of the trace-zero basis."""
-    out = [("E", a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b]
-    out += [("H", i) for i in range(1, n)]
-    return out
 
 
 def sl_weights(n: int) -> list:
@@ -114,14 +107,6 @@ def wedge_index_weight(idx, n: int) -> Character:
     return Character(tuple(c))
 
 
-def std_index_weight(idx, n: int) -> Character:
-    """Summed diagonal weight of a multi-index over the coordinate basis."""
-    c = [0] * n
-    for pos in idx:
-        c[pos - 1] += 1
-    return Character(tuple(c))
-
-
 def _bucket_norms(pairs) -> list:
     buckets: dict = {}
     for ch, a in pairs:
@@ -141,7 +126,7 @@ def weight_components(w: WedgeVector, n: int) -> list:
 def std_weight_components(w: WedgeVector, n: int) -> list:
     """Per-weight sup norms of a wedge over the coordinate basis."""
     return _bucket_norms(
-        (std_index_weight(idx, n), abs(c)) for idx, c in w.coeffs.items()
+        (subset_weight(idx, n), abs(c)) for idx, c in w.coeffs.items()
     )
 
 

@@ -27,42 +27,6 @@ def k_subsets(m: int, k: int) -> list[tuple[int, ...]]:
     return [tuple(c) for c in combinations(range(1, m + 1), k)]
 
 
-def _det_small(rows) -> Fraction:
-    """Determinant of a small list-of-lists Fraction matrix."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    if n == 3:
-        a, b, c = rows[0]
-        d, e, f = rows[1]
-        g, h, i = rows[2]
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    # fraction-free-ish Gaussian elimination for n >= 4
-    a = [list(r) for r in rows]
-    det = Fraction(1)
-    for k_ in range(n):
-        piv = None
-        for r in range(k_, n):
-            if a[r][k_] != 0:
-                piv = r
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != k_:
-            a[k_], a[piv] = a[piv], a[k_]
-            det = -det
-        det *= a[k_][k_]
-        inv = 1 / a[k_][k_]
-        for r in range(k_ + 1, n):
-            if a[r][k_]:
-                f = a[r][k_] * inv
-                for c in range(k_, n):
-                    a[r][c] -= f * a[k_][c]
-    return det
-
-
 class WedgeVector:
     """Sparse exact element of Lambda^k Q^m."""
 
@@ -73,7 +37,7 @@ class WedgeVector:
             raise PreconditionError(f"degree {k} out of range for ambient dimension {m}")
         clean = {}
         for idx, c in coeffs.items():
-            c = Fraction(c)
+            c = c if isinstance(c, Fraction) else Fraction(c)
             if c == 0:
                 continue
             idx = tuple(idx)
@@ -164,11 +128,6 @@ class WedgeVector:
             s = -s
         return self.scale(s)
 
-    def is_primitive(self) -> bool:
-        if not self.coeffs:
-            return False
-        return self == self.primitive()
-
     def wedge(self, other: "WedgeVector") -> "WedgeVector":
         """Exterior product, with the usual shuffle sign."""
         if self.m != other.m:
@@ -176,16 +135,16 @@ class WedgeVector:
         m = self.m
         kk = self.k + other.k
         if kk > m:
-            return WedgeVector(m, min(kk, m), {}) if kk <= m else WedgeVector(m, m, {})
+            raise PreconditionError(f"degree {kk} out of range for ambient dimension {m}")
         out: dict[tuple[int, ...], Fraction] = {}
         for i1, c1 in self.coeffs.items():
             s1 = set(i1)
             for i2, c2 in other.coeffs.items():
-                if s1 & set(i2):
+                if not s1.isdisjoint(i2):
                     continue
                 merged = tuple(sorted(i1 + i2))
-                sign = _merge_sign(i1, i2)
-                out[merged] = out.get(merged, Fraction(0)) + sign * c1 * c2
+                term = c1 * c2 if _merge_sign(i1, i2) > 0 else -c1 * c2
+                out[merged] = out[merged] + term if merged in out else term
         return WedgeVector(m, kk, out)
 
     def to_json(self) -> dict:
@@ -218,15 +177,12 @@ def wedge_of_vectors(vectors, m: int) -> WedgeVector:
     per increasing column tuple. No normalization is applied.
     """
     vs = [list(map(Fraction, v)) for v in vectors]
-    k = len(vs)
     if any(len(v) != m for v in vs):
         raise PreconditionError("vector length mismatch")
-    coeffs = {}
-    for cols in combinations(range(m), k):
-        minor = _det_small([[v[c] for c in cols] for v in vs])
-        if minor != 0:
-            coeffs[tuple(c + 1 for c in cols)] = minor
-    return WedgeVector(m, k, coeffs)
+    w = WedgeVector(m, 0, {(): 1})
+    for v in vs:
+        w = w.wedge(WedgeVector(m, 1, {(i + 1,): c for i, c in enumerate(v)}))
+    return w
 
 
 def plucker(vectors, m: int | None = None) -> WedgeVector:
@@ -257,14 +213,9 @@ def wedge_power(mat: Mat, k: int) -> Mat:
         raise PreconditionError("wedge_power expects a square matrix")
     if not (1 <= k <= n):
         raise PreconditionError(f"degree {k} out of range")
-    subs = list(combinations(range(n), k))
-    rows = []
-    for I in subs:
-        row = []
-        for J in subs:
-            row.append(_det_small([[mat.rows[i][j] for j in J] for i in I]))
-        rows.append(row)
-    return Mat(rows)
+    subs = k_subsets(n, k)
+    cols = [wedge_of_vectors([mat.col(j - 1) for j in J], n) for J in subs]
+    return Mat([[w.coeff(I) for w in cols] for I in subs])
 
 
 def apply_wedge_matrix(mat: Mat, w: WedgeVector) -> WedgeVector:
@@ -277,15 +228,11 @@ def apply_wedge_matrix(mat: Mat, w: WedgeVector) -> WedgeVector:
     if mat.ncols != w.m:
         raise PreconditionError("ambient dimension mismatch")
     out: dict[tuple[int, ...], Fraction] = {}
-    k = w.k
     for J, cJ in w.coeffs.items():
-        cols = [[mat.rows[r][j - 1] for r in range(mat.nrows)] for j in J]
-        for I in combinations(range(mat.nrows), k):
-            minor = _det_small([[cols[t][i] for t in range(k)] for i in I])
-            if minor:
-                key = tuple(i + 1 for i in I)
-                out[key] = out.get(key, Fraction(0)) + cJ * minor
-    return WedgeVector(mat.nrows, k, out)
+        image = wedge_of_vectors([mat.col(j - 1) for j in J], mat.nrows)
+        for I, minor in image.coeffs.items():
+            out[I] = out.get(I, Fraction(0)) + cJ * minor
+    return WedgeVector(mat.nrows, w.k, out)
 
 
 def componentwise_le(a: tuple[int, ...], b: tuple[int, ...]) -> bool:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cuspwatch.errors import PreconditionError
+from cuspwatch.loglin import LogLin
 from cuspwatch.matrix import Mat
 from cuspwatch.scalars import QuadScalar
 
@@ -52,6 +53,17 @@ def test_solve_exact():
     m = Mat.rationalize([[2, 0], [1, 3]])
     x = m.solve([F(4), F(5)])
     assert x == (F(2), F(1))
+    # LogLin right-hand sides, as in the positive-alternative projection:
+    # rhs entries are only ever multiplied by matrix entries
+    log2, log3 = LogLin.log(2), LogLin.log(3)
+    x = m.solve([log2 * 4 - 2, log3 + 1])
+    assert x == (log2 * 2 - 1, (log3 - log2 * 2 + 2) / 3)
+    tall = Mat.rationalize([[1, 1], [1, -1], [2, 0]])
+    assert tall.solve([log2 + log3, log2 - log3, log2 * 2]) == (log2, log3)
+    with pytest.raises(PreconditionError, match="inconsistent"):
+        tall.solve([log2, log3, F(0)])
+    with pytest.raises(PreconditionError, match="underdetermined"):
+        Mat.rationalize([[1, 2], [2, 4]]).solve([log2, log2 * 2])
 
 
 def test_quadratic_entries():
@@ -60,6 +72,16 @@ def test_quadratic_entries():
     m = Mat([[u, s(0, 0, 3)], [s(0, 0, 3), u.inverse()]])
     assert m.det() == QuadScalar.rational(1, 3)
     assert m.inverse() * m == Mat.diagonal([s(1, 0, 3), s(1, 0, 3)])
+    assert m.rank() == 2
+    R, pivots = m.rref()
+    assert pivots == (0, 1) and R == Mat.diagonal([s(1, 0, 3), s(1, 0, 3)])
+    # rows proportional over Q(sqrt 3) but not over Q: rank 1
+    dep = Mat([[u, s(1, 0, 3), s(0, 1, 3)], [u * u, u, u * s(0, 1, 3)]])
+    assert dep.rank() == 1
+    R, pivots = dep.rref()
+    assert pivots == (0,)
+    assert R.rows[0] == (s(1, 0, 3), u.inverse(), u.inverse() * s(0, 1, 3))
+    assert all(x.is_zero() for x in R.rows[1])
 
 
 sl2_entries = st.integers(min_value=-6, max_value=6)

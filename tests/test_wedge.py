@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuspwatch.errors import DependentInput, NoUniqueLeadingTuple
+from cuspwatch.errors import DependentInput, NoUniqueLeadingTuple, PreconditionError
 from cuspwatch.matrix import Mat
 from cuspwatch.wedge import (
     WedgeVector,
@@ -92,19 +92,42 @@ def test_json_round_trip():
 
 
 small = st.integers(min_value=-4, max_value=4)
+rational = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_wedge_determinant_compatibility(data):
+    # minor identity: the coefficient at every k-subset, zeros included, is
+    # the k x k minor of the coefficient matrix on those columns
+    k = data.draw(st.integers(min_value=1, max_value=4))
+    m = data.draw(st.integers(min_value=k, max_value=6))
+    rows = data.draw(st.lists(st.lists(rational, min_size=m, max_size=m), min_size=k, max_size=k))
+    w = wedge_of_vectors(rows, m)
+    for cols in k_subsets(m, k):
+        assert w.coeff(cols) == Mat(rows).submatrix(range(k), [c - 1 for c in cols]).det()
 
 
 @settings(max_examples=40)
-@given(st.lists(st.lists(small, min_size=4, max_size=4), min_size=2, max_size=2))
-def test_wedge_determinant_compatibility(rows):
-    # minor identity: coefficients of the wedge are exactly the 2x2 minors
-    w = wedge_of_vectors(rows, 4)
-    for (i, j), coeff in w.coeffs.items():
-        minor = (
-            F(rows[0][i - 1]) * F(rows[1][j - 1])
-            - F(rows[0][j - 1]) * F(rows[1][i - 1])
-        )
-        assert coeff == minor
+@given(st.data())
+def test_wedge_graded_anticommutative(data):
+    m = data.draw(st.integers(min_value=2, max_value=6))
+    k = data.draw(st.integers(min_value=1, max_value=m - 1))
+    l = data.draw(st.integers(min_value=1, max_value=m - k))
+
+    def draw_wedge(d):
+        subs = k_subsets(m, d)
+        coeffs = data.draw(st.lists(rational, min_size=len(subs), max_size=len(subs)))
+        return WedgeVector(m, d, dict(zip(subs, coeffs)))
+
+    a, b = draw_wedge(k), draw_wedge(l)
+    assert a.wedge(b) == b.wedge(a).scale((-1) ** (k * l))
+    with pytest.raises(PreconditionError):
+        a.wedge(WedgeVector.basis_element(m, tuple(range(1, m - k + 2))))
+    with pytest.raises(PreconditionError):
+        wedge_of_vectors([[1] * m] * (m + 1), m)
+    with pytest.raises(PreconditionError):
+        plucker([[1] * m] * (m + 1), m)
 
 
 @settings(max_examples=30)
