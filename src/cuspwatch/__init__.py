@@ -67,7 +67,7 @@ from .sl4q import (
     sl4_divergence_demo,
     DemoResult,
 )
-from .errors import PreconditionError, DependentInput, GaugeTooSteep
+from .errors import PreconditionError, DependentInput, GaugeTooSteep, InternalError
 
 __all__ = [
     "QuadScalar", "frac", "frac_str", "parse_frac", "Mat",
@@ -85,5 +85,5 @@ __all__ = [
     "check_certificate", "build_certificate", "ray_profile", "search_witnesses",
     "Quaternion", "iota", "iota2", "in_gamma", "verify_periodicity",
     "gr_plus", "x_membership", "v_g_check", "sl4_divergence_demo", "DemoResult",
-    "PreconditionError", "DependentInput", "GaugeTooSteep",
+    "PreconditionError", "DependentInput", "GaugeTooSteep", "InternalError",
 ]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import GaugeTooSteep, PreconditionError
+from .errors import GaugeTooSteep, InternalError, PreconditionError
 from .lattice import positive_primitive
 from .loglin import LogLin
 from .lp import lp_feasible, solve_lp
@@ -283,7 +283,8 @@ def positively_nontrivial(phi_list):
     )
     if res.status == "optimal":
         v = _positive_primitive(res.x)
-        assert all(_sgn(f(v)) > 0 for f in fs)
+        if not all(_sgn(f(v)) > 0 for f in fs):
+            raise InternalError("Gordan point is not strictly positive")
         return True, v
     # infeasible: the dual cone certificate exists
     eq_rows = [[fs[i].coeffs[d] for i in range(m)] for d in range(l)]
@@ -295,11 +296,14 @@ def positively_nontrivial(phi_list):
         A_eq=eq_rows,
         b_eq=[Fraction(0)] * l + [Fraction(1)],
     )
-    assert dual.status == "optimal"
+    if dual.status != "optimal":
+        raise InternalError("Gordan dual system is %s" % dual.status)
     lam = _positive_primitive(dual.x)
-    assert all(v >= 0 for v in lam) and any(v > 0 for v in lam)
+    if not (all(v >= 0 for v in lam) and any(v > 0 for v in lam)):
+        raise InternalError("Gordan multipliers are not nonnegative and nonzero")
     for d in range(l):
-        assert sum(lam[i] * fs[i].coeffs[d] for i in range(m)) == 0
+        if sum(lam[i] * fs[i].coeffs[d] for i in range(m)) != 0:
+            raise InternalError("Gordan multipliers do not cancel")
     return False, lam
 
 
@@ -384,12 +388,15 @@ def epsilon_bound(phi_list) -> Fraction:
                     val = _face_lp(rows, d, sign, l)
                     if val is not None and (M is None or val > M):
                         M = val
-            assert M is not None, "cone always meets the unit sphere"
+            if M is None:
+                raise InternalError("cone missed the unit sphere")
             eps_sub = -M
-            assert eps_sub > 0, "independent subsets separate from the cone"
+            if eps_sub <= 0:
+                raise InternalError("independent subset does not separate from the cone")
             if best is None or eps_sub < best:
                 best = eps_sub
-    assert best is not None
+    if best is None:
+        raise InternalError("no independent subset of the functionals")
     _EPS_CACHE[key] = best / 2
     return best / 2
 
@@ -542,7 +549,7 @@ def _projection_onto_polyhedron(p, rows, rhs):
                 for r, b in zip(rows, rhs)
             ):
                 return tuple(x)
-    raise AssertionError("projection onto a nonempty polyhedron always exists")
+    raise InternalError("projection onto a nonempty polyhedron always exists")
 
 
 def _lex_inf_min(rows, rhs, l: int):
@@ -567,7 +574,8 @@ def _lex_inf_min(rows, rhs, l: int):
     obj = [Fraction(0)] * nv
     obj[0] = Fraction(-1)
     res = solve_lp(obj, A_ub=A_ub, b_ub=b_ub)
-    assert res.status == "optimal"
+    if res.status != "optimal":
+        raise InternalError("least sup norm LP is %s" % res.status)
     rstar = -res.value
 
     A_ub2, b_ub2 = [], []
@@ -586,7 +594,8 @@ def _lex_inf_min(rows, rhs, l: int):
         obj = [Fraction(0)] * l
         obj[d] = Fraction(-1)
         res = solve_lp(obj, A_ub=A_ub2, b_ub=b_ub2, A_eq=A_eq, b_eq=b_eq)
-        assert res.status == "optimal"
+        if res.status != "optimal":
+            raise InternalError("lexicographic coordinate LP is %s" % res.status)
         xd = -res.value
         row = [Fraction(0)] * l
         row[d] = Fraction(1)
@@ -607,7 +616,8 @@ def _depth_polytope(U: BorderedSet):
         A_ub.append([Fraction(1)] + [-v for v in r])
         b_ub.append(-c)
     res = solve_lp(obj, A_ub=A_ub, b_ub=b_ub)
-    assert res.status == "optimal", "a bounded system has a finite peak depth"
+    if res.status != "optimal":
+        raise InternalError("a bounded system has a finite peak depth, LP is %s" % res.status)
     M = res.value
     return M, rows, [c + M for c in consts]
 
@@ -666,7 +676,8 @@ def intersect_nonempty(sets, relaxation: str = "zero-gauge"):
     b_ub.append(Fraction(1))
     obj = [Fraction(1)] + [Fraction(0)] * l
     res = solve_lp(obj, A_ub=A_ub, b_ub=b_ub)
-    assert res.status == "optimal"
+    if res.status != "optimal":
+        raise InternalError("capped intersection LP is %s" % res.status)
     if _sgn(res.value) > 0:
         return True, tuple(res.x[1:])
     return False, None

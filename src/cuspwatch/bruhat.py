@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .errors import PreconditionError
+from .errors import InternalError, PreconditionError
 from .matrix import Mat
 from .wedge import WedgeVector, apply_wedge_matrix
 
@@ -186,7 +186,7 @@ def bruhat_factor(g: Mat) -> BruhatFactorization:
 
     fac = BruhatFactorization(w=w, n=n_mat, b=b, bound=_off_diag_bound(n_mat))
     if fac.reconstruct() != g:
-        raise AssertionError("factorization failed to reconstruct input")
+        raise InternalError("factorization failed to reconstruct input")
     return fac
 
 
@@ -264,7 +264,7 @@ def rank_profile_cell(g: Mat) -> tuple:
                 out.append(i)
                 break
         else:
-            raise AssertionError("rank profile did not locate a pivot")
+            raise InternalError("rank profile did not locate a pivot")
     return tuple(out)
 
 

@@ -7,14 +7,16 @@ certifies divergence when those open shrink cones jointly cover the unit
 sphere of the subgroup. Coverage is decided exactly on the sign-pattern
 fan of the arrangement cut out by all the restricted characters: every
 realizable sign pattern, lower-dimensional faces included, must admit a
-witness whose characters are all strictly negative on it.
+witness whose characters are all strictly negative on it. The patterns are
+assigned depth first, one hyperplane at a time, and a prefix that no point
+realizes is pruned with its whole subtree; the cells come out in the same
+order as a run over all 3^h patterns would give.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .bordered import Functional
 from .chars import Character, SubgroupSpec
@@ -206,8 +208,10 @@ def _witness_faces(g: Mat, A: SubgroupSpec, witnesses):
     return ws, hyps, demands
 
 
-def _face_direction(hyps, pattern, l):
-    """A point with the given sign pattern, or None; signs enforced as >= 1."""
+def _sign_point(hyps, pattern):
+    """A point with the given signs on the first len(pattern) hyperplanes,
+    or None; nonzero signs are enforced as >= 1, and a pattern without one
+    is realized by the origin."""
     A_ub, b_ub, A_eq, b_eq = [], [], [], []
     for h, s in zip(hyps, pattern):
         row = [Fraction(x) for x in h]
@@ -218,11 +222,47 @@ def _face_direction(hyps, pattern, l):
             A_ub.append([-s * x for x in row])
             b_ub.append(Fraction(-1))
     if not A_ub:
-        return None
+        return tuple(Fraction(0) for _ in hyps[0])
     ok, x = lp_feasible(A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq)
-    if not ok:
+    return x if ok else None
+
+
+def _face_direction(hyps, pattern):
+    """A primitive direction with the given full sign pattern, or None."""
+    x = _sign_point(hyps, pattern)
+    if x is None or not any(pattern):
         return None
-    return tuple(positive_primitive(x))
+    return positive_primitive(x)
+
+
+def _fan_faces(hyps):
+    """Each realizable nonzero sign pattern with its direction, in the order
+    of product((1, 0, -1), repeat=len(hyps)).
+
+    Depth first over sign prefixes, children in the order 1, 0, -1, so the
+    leaves come out in product order. A prefix is kept only when a point
+    realizes it; the parent's point already realizes the child carrying its
+    own sign on the next hyperplane, so that child needs no LP. Every leaf
+    solves its full-pattern LP, which fixes the cell's direction.
+    """
+    h = len(hyps)
+
+    def walk(prefix, x):
+        i = len(prefix)
+        if i + 1 == h:
+            for s in (1, 0, -1):
+                d = _face_direction(hyps, prefix + (s,))
+                if d is not None:
+                    yield prefix + (s,), d
+            return
+        v = sum(a * b for a, b in zip(hyps[i], x))
+        own = (v > 0) - (v < 0)
+        for s in (1, 0, -1):
+            y = x if s == own else _sign_point(hyps, prefix + (s,))
+            if y is not None:
+                yield from walk(prefix + (s,), y)
+
+    return walk((), _sign_point(hyps, ()))
 
 
 def _analyze(g: Mat, A: SubgroupSpec, witnesses):
@@ -235,12 +275,7 @@ def _analyze(g: Mat, A: SubgroupSpec, witnesses):
         kernel = Mat.rationalize([list(h) for h in hyps]).kernel_basis()[0]
         return False, tuple(positive_primitive(kernel)), None
     cells = []
-    for pattern in product((1, 0, -1), repeat=len(hyps)):
-        if all(s == 0 for s in pattern):
-            continue   # full-rank arrangement: only the origin, not a direction
-        d = _face_direction(hyps, pattern, l)
-        if d is None:
-            continue
+    for pattern, d in _fan_faces(hyps):
         owner = None
         for idx, need in enumerate(demands):
             if need is None:
@@ -300,8 +335,13 @@ def search_witnesses(g: Mat, A: SubgroupSpec, height: int) -> list:
     if height < 0:
         raise PreconditionError("height must be nonnegative")
     out = []
+    nonempty = {}   # many witnesses share a shrink cone: one LP per distinct cone
     for rw in enumerate_witnesses(g.nrows, height):
         w = WitnessVector.from_radical(g, rw)
-        if cone_nonempty(ray_shrink_set(g, w, A)):
+        fs = ray_shrink_set(g, w, A)
+        key = frozenset(f.coeffs for f in fs)
+        if key not in nonempty:
+            nonempty[key] = cone_nonempty(fs)
+        if nonempty[key]:
             out.append(w)
     return out

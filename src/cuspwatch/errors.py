@@ -2,7 +2,7 @@
 
 PreconditionError marks a violated documented precondition; the CLI maps it
 to exit code 2. Anything else escaping a command is an internal error
-(exit code 1).
+(exit code 1); InternalError names a broken invariant of the package itself.
 """
 
 
@@ -28,4 +28,11 @@ class PrecisionExhausted(RuntimeError):
     This cannot happen for comparisons between a rational and the log of a
     rational other than 1 (they are never equal), so seeing it indicates a
     bug rather than an unlucky input.
+    """
+
+
+class InternalError(RuntimeError):
+    """An invariant the package guarantees did not hold: a bug, not bad input.
+
+    Raised explicitly in place of assert, which python -O strips.
     """

@@ -214,9 +214,15 @@ def standard_radical(n: int, j: int) -> RadicalWitness:
 
 
 def conj_ad_wedge(g: Mat, witness: RadicalWitness) -> WedgeVector:
-    """Wedge of the conjugated integral basis; the norm carrier."""
-    gi = g.inverse()
-    vecs = [sl_coords(g * u * gi) for u in witness.u_basis]
+    """Wedge of the conjugated integral basis; the norm carrier.
+
+    Each basis element is an outer product b f^T (see radical_from_subspace),
+    so its conjugate g b f^T g^-1 is the outer product of g b and f^T g^-1.
+    """
+    gi_t = g.inverse().transpose()
+    gbs = [g.apply([Fraction(v) for v in b]) for b in witness.rows]
+    fgs = [gi_t.apply([Fraction(v) for v in f]) for f in witness.ann_rows]
+    vecs = [sl_coords(Mat([[x * y for y in fg] for x in gb])) for gb in gbs for fg in fgs]
     return wedge_of_vectors(vecs, sl_dim(witness.n))
 
 

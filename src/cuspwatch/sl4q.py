@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .chars import SubgroupSpec
 from .divergence import DivergenceCertificate, WitnessVector, _analyze
-from .errors import PreconditionError
+from .errors import InternalError, PreconditionError
 from .matrix import Mat
 from .radicals import conj_ad_wedge, radical_from_subspace, standard_radical
 from .scalars import QuadScalar, frac, frac_str
@@ -261,7 +261,8 @@ def gr_plus(alpha):
         if all(q[0] <= p[0] and q[1] <= p[1] for q in pairs):
             top = p
             break
-    assert top is not None, "the pair set always has a componentwise maximum"
+    if top is None:
+        raise InternalError("the pair set always has a componentwise maximum")
     return top, top[0] + top[1] - 3
 
 

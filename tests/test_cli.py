@@ -2,7 +2,12 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from cuspwatch import bordered
 from cuspwatch.cli import main
+from cuspwatch.errors import InternalError
+from cuspwatch.lp import LPResult
 
 I2 = '[["1","0"],["0","1"]]'
 DIAG2 = '[["2","0"],["0","1/2"]]'
@@ -192,6 +197,17 @@ def test_exit_codes(capsys):
     assert run(capsys, "bruhat", "factor", "--help")[0] == 0
     # argparse usage errors map to 2
     assert run(capsys, "bruhat", "unfactor")[0] == 2
+
+
+def test_broken_invariant_is_internal_error(capsys, monkeypatch):
+    # an LP that misreports its status breaks the Gordan alternative
+    monkeypatch.setattr(bordered, "solve_lp", lambda *a, **k: LPResult("unbounded", None, None))
+    with pytest.raises(InternalError):
+        bordered.positively_nontrivial([(1, 0), (-1, 0)])
+    code, out, err = run(capsys, "bordered", "check", "--what", "nontrivial",
+                         "--phi", "[[1,0],[-1,0]]")
+    assert code == 1 and out == ""
+    assert err.startswith("internal error: InternalError:")
 
 
 def test_module_entry_point():

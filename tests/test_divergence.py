@@ -1,11 +1,14 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cuspwatch.divergence as divergence
 from cuspwatch.chars import SubgroupSpec
 from cuspwatch.divergence import (
     DivergenceCertificate,
+    FanCell,
     WitnessVector,
     ad_matrix,
     build_certificate,
@@ -14,11 +17,15 @@ from cuspwatch.divergence import (
     ray_profile,
     ray_shrink_set,
     search_witnesses,
+    _analyze,
+    _face_direction,
+    _fan_faces,
+    _witness_faces,
 )
 from cuspwatch.errors import PreconditionError
 from cuspwatch.loglin import LogLin
 from cuspwatch.matrix import Mat
-from cuspwatch.radicals import radical_from_subspace, standard_radical
+from cuspwatch.radicals import enumerate_witnesses, radical_from_subspace, standard_radical
 from cuspwatch.wedge import WedgeVector
 
 F = Fraction
@@ -166,3 +173,85 @@ def test_fan_cells_really_shrink_their_witness(num, den):
         w = cert.witnesses[cell.witness_index]
         vals = ray_profile(w, A2, cell.direction, [abs(t), 2 * abs(t)])
         assert (vals[0] - vals[1]).sign() > 0
+
+
+# -- the depth-first fan against brute enumeration of all 3^h patterns ------
+
+A3 = SubgroupSpec.full_torus(3)
+I3 = Mat.identity(3)
+SL3_LINES = [WitnessVector.from_radical(I3, w) for w in enumerate_witnesses(3, 1) if w.j == 1]
+
+
+def _brute_faces(hyps):
+    return [
+        (pattern, d)
+        for pattern in product((1, 0, -1), repeat=len(hyps))
+        for d in [_face_direction(hyps, pattern)]
+        if d is not None
+    ]
+
+
+def _brute_analyze(g, A, witnesses):
+    """_analyze with one LP for every one of the 3^h sign patterns."""
+    ws, hyps, demands = _witness_faces(g, A, witnesses)
+    if not hyps or Mat.rationalize([list(h) for h in hyps]).rank() < A.dim:
+        return _analyze(g, A, witnesses)
+    cells = []
+    for pattern, d in _brute_faces(hyps):
+        owners = [
+            i for i, need in enumerate(demands)
+            if need is not None and all(pattern[k] == s for k, s in need.items())
+        ]
+        if not owners:
+            return False, d, None
+        cells.append(FanCell(pattern=pattern, direction=d, witness_index=owners[0]))
+    return True, None, DivergenceCertificate(A, tuple(ws), tuple(hyps), tuple(cells))
+
+
+@st.composite
+def arrangements(draw):
+    l = draw(st.sampled_from([2, 3]))
+    vec = st.tuples(*[st.integers(-3, 3)] * l).filter(any)
+    return draw(st.lists(vec, min_size=1, max_size=6))
+
+
+@settings(max_examples=20, deadline=None)
+@given(arrangements())
+def test_fan_faces_match_brute_enumeration(hyps):
+    # same realizable patterns, same directions, same order
+    assert list(_fan_faces(hyps)) == _brute_faces(hyps)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.lists(st.sampled_from(range(len(SL3_LINES))), max_size=6, unique=True))
+def test_fan_verdicts_match_brute_analysis(picks):
+    ws = [SL3_LINES[i] for i in picks]
+    ok, uncovered, cert = _brute_analyze(I3, A3, ws)
+    assert check_certificate(I3, A3, ws) == (ok, uncovered)
+    assert build_certificate(I3, A3, ws) == cert
+
+
+def test_fan_and_search_lp_count(monkeypatch):
+    # a certified SL3 problem at height 2: 98 search LPs and 728 per fan
+    # pass (1554 in all) when every cone and every sign pattern gets an LP
+    g = Mat.rationalize([[1, 0, 1], [0, 1, 0], [0, 0, 1]])
+    inner = divergence.lp_feasible
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(divergence, "lp_feasible", counted)
+    ws = search_witnesses(g, A3, 2)
+    cert = build_certificate(g, A3, ws)
+    assert check_certificate(g, A3, ws) == (True, None)
+    assert cert is not None and len(cert.fan) == 24
+    assert len(calls) <= 1554 // 2
+    # one LP per distinct shrink cone selects the witnesses one LP each would
+    per_witness = []
+    for rw in enumerate_witnesses(3, 2):
+        w = WitnessVector.from_radical(g, rw)
+        if cone_nonempty(ray_shrink_set(g, w, A3)):
+            per_witness.append(w.label)
+    assert [w.label for w in ws] == per_witness
