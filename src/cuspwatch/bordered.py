@@ -24,13 +24,7 @@ from .lattice import positive_primitive
 from .loglin import LogLin
 from .lp import lp_feasible, solve_lp
 from .matrix import Mat
-from .scalars import frac, frac_str
-
-
-def _sgn(v) -> int:
-    if isinstance(v, LogLin):
-        return v.sign()
-    return (v > 0) - (v < 0)
+from .scalars import frac, frac_str, sign
 
 
 def _coerce_scalar(v):
@@ -125,7 +119,7 @@ class Gauge:
         return best
 
     def __call__(self, t):
-        if _sgn(t) < 0:
+        if sign(t) < 0:
             raise PreconditionError("gauge argument must be a nonnegative norm value")
         if self.kind == "zero":
             return Fraction(0)
@@ -133,7 +127,7 @@ class Gauge:
             return self.slope * t
         pts = self.table
         for (t0, y0), (t1, y1) in zip(pts, pts[1:]):
-            if _sgn(t - t1) <= 0:
+            if sign(t - t1) <= 0:
                 return y0 + (y1 - y0) / (t1 - t0) * (t - t0)
         # beyond the last breakpoint: continue with the final segment slope
         if len(pts) == 1:
@@ -213,7 +207,7 @@ class BorderedSet:
     def contains(self, x, closed: bool = False) -> bool:
         if len(x) != self.l:
             raise PreconditionError("point dimension mismatch")
-        s = _sgn(self.rho(x))
+        s = sign(self.rho(x))
         return s >= 0 if closed else s > 0
 
     def zero_gauge(self) -> "BorderedSet":
@@ -283,7 +277,7 @@ def positively_nontrivial(phi_list):
     )
     if res.status == "optimal":
         v = _positive_primitive(res.x)
-        if not all(_sgn(f(v)) > 0 for f in fs):
+        if not all(sign(f(v)) > 0 for f in fs):
             raise InternalError("Gordan point is not strictly positive")
         return True, v
     # infeasible: the dual cone certificate exists
@@ -307,7 +301,7 @@ def positively_nontrivial(phi_list):
     return False, lam
 
 
-def _face_lp(vectors, fix_coord: int, sign: int, l: int):
+def _face_lp(vectors, fix_coord: int, side: int, l: int):
     """max over {x = -sum gamma_i v_i, gamma >= 0} on one sphere face of
     min_i <v_i, x>, as an LP value; None when the face misses the cone."""
     k = len(vectors)
@@ -326,7 +320,7 @@ def _face_lp(vectors, fix_coord: int, sign: int, l: int):
     fix = [Fraction(0)] * nv
     fix[1 + k + fix_coord] = Fraction(1)
     A_eq.append(fix)
-    b_eq.append(Fraction(sign))
+    b_eq.append(Fraction(side))
 
     A_ub, b_ub = [], []
     for v in vectors:
@@ -384,8 +378,8 @@ def epsilon_bound(phi_list) -> Fraction:
                 continue
             M = None
             for d in range(l):
-                for sign in (1, -1):
-                    val = _face_lp(rows, d, sign, l)
+                for side in (1, -1):
+                    val = _face_lp(rows, d, side, l)
                     if val is not None and (M is None or val > M):
                         M = val
             if M is None:
@@ -523,7 +517,7 @@ def _projection_onto_polyhedron(p, rows, rhs):
     """
     m = len(rows)
     satisfied = all(
-        _sgn(sum(r[d] * p[d] for d in range(len(p))) - b) >= 0
+        sign(sum(r[d] * p[d] for d in range(len(p))) - b) >= 0
         for r, b in zip(rows, rhs)
     )
     if satisfied:
@@ -541,11 +535,11 @@ def _projection_onto_polyhedron(p, rows, rhs):
             target = [rhs[combo[i]] - sum(B[i][d] * p[d] for d in range(l))
                       for i in range(size)]
             mu = gram.solve(target)
-            if any(_sgn(v) < 0 for v in mu):
+            if any(sign(v) < 0 for v in mu):
                 continue
             x = [p[d] + sum(mu[i] * B[i][d] for i in range(size)) for d in range(l)]
             if all(
-                _sgn(sum(r[d] * x[d] for d in range(l)) - b) >= 0
+                sign(sum(r[d] * x[d] for d in range(l)) - b) >= 0
                 for r, b in zip(rows, rhs)
             ):
                 return tuple(x)
@@ -649,22 +643,19 @@ def contract_step(U: BorderedSet, x, t):
     return tuple(av + s * (uv - av) for av, uv in zip(a, u))
 
 
-def intersect_nonempty(sets, relaxation: str = "zero-gauge"):
+def intersect_nonempty(sets):
     """Whether the zero-gauge relaxations of the sets meet, with witness.
 
     Decided by maximizing a common slack delta <= 1 under phi(x) >= C + delta
     pooled over all sets; the strict conjunction is nonempty iff the best
     slack is positive.
     """
-    if relaxation != "zero-gauge":
-        raise PreconditionError("only the zero-gauge relaxation is implemented")
     sets = list(sets)
     if not sets:
         raise PreconditionError("need at least one set")
     l = sets[0].l
     if any(s.l != l for s in sets):
         raise PreconditionError("dimension mismatch")
-    nv = 1 + l  # delta, x
     A_ub, b_ub = [], []
     for s in sets:
         for f, c in s.phi:
@@ -678,6 +669,6 @@ def intersect_nonempty(sets, relaxation: str = "zero-gauge"):
     res = solve_lp(obj, A_ub=A_ub, b_ub=b_ub)
     if res.status != "optimal":
         raise InternalError("capped intersection LP is %s" % res.status)
-    if _sgn(res.value) > 0:
+    if sign(res.value) > 0:
         return True, tuple(res.x[1:])
     return False, None

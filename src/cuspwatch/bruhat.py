@@ -20,13 +20,8 @@ from math import factorial
 
 from .errors import InternalError, PreconditionError
 from .matrix import Mat
+from .scalars import QuadScalar, one_like, sign, zero_like
 from .wedge import WedgeVector, apply_wedge_matrix
-
-
-def _sign_of(x) -> int:
-    if hasattr(x, "sign"):
-        return x.sign()
-    return 0 if x == 0 else (1 if x > 0 else -1)
 
 
 @dataclass(frozen=True)
@@ -71,7 +66,7 @@ class WeylElement:
             for i in range(self.n):
                 v = self.rep[i, j]
                 if v != 0:
-                    out.append(1 if Fraction(v) > 0 else -1)
+                    out.append(sign(v))
                     break
         return tuple(out)
 
@@ -141,8 +136,8 @@ def bruhat_factor(g: Mat) -> BruhatFactorization:
     if g.det() != 1:
         raise PreconditionError("need determinant exactly 1")
     n_dim = g.nrows
-    one = _one_of(g)
-    zero = one - one
+    one = one_like(g[0, 0])
+    zero = zero_like(one)
 
     M = [[g[i, j] for j in range(n_dim)] for i in range(n_dim)]
     order = []
@@ -175,11 +170,11 @@ def bruhat_factor(g: Mat) -> BruhatFactorization:
         [[one if j == order[k] else zero for j in range(n_dim)] for k in range(n_dim)]
     )
 
-    signs = [_sign_of(U[k, k]) for k in range(n_dim)]
+    signs = [sign(U[k, k]) for k in range(n_dim)]
     D = Mat.diagonal([one if s > 0 else -one for s in signs])
     b = D * U
     w0 = WeylElement.longest(n_dim)
-    w0_rep = _like_mat(w0.rep, one)
+    w0_rep = w0.rep.map(lambda v: sign(v) * one)
     n_mat = w0_rep * (D * L * D) * w0_rep.transpose()
     w_rep = P.transpose() * D * w0_rep.transpose()
     w = WeylElement(_rational_mat(w_rep))
@@ -190,32 +185,7 @@ def bruhat_factor(g: Mat) -> BruhatFactorization:
     return fac
 
 
-def _one_of(g: Mat):
-    x = g[0, 0]
-    if isinstance(x, Fraction):
-        return Fraction(1)
-    return x / x if x != 0 else _one_of_scan(g)
-
-
-def _one_of_scan(g: Mat):
-    for i in range(g.nrows):
-        for j in range(g.ncols):
-            if g[i, j] != 0:
-                x = g[i, j]
-                return x / x
-    raise PreconditionError("zero matrix")
-
-
-def _like_mat(m: Mat, one) -> Mat:
-    if isinstance(one, Fraction):
-        return m
-    zero = one - one
-    return m.map(lambda v: zero if v == 0 else (one if Fraction(v) > 0 else -one))
-
-
 def _rational_mat(m: Mat) -> Mat:
-    from .scalars import QuadScalar
-
     def conv(v):
         if isinstance(v, QuadScalar):
             if not v.is_rational():
@@ -231,7 +201,7 @@ def _off_diag_bound(n_mat: Mat):
     for i in range(n_mat.nrows):
         for j in range(i + 1, n_mat.ncols):
             v = abs(n_mat[i, j])
-            if _sign_of(v - best) > 0:
+            if sign(v - best) > 0:
                 best = v
     return best
 
@@ -304,7 +274,7 @@ def weight_bound_check(h: Mat, j: int, v: WedgeVector | None = None) -> WeightBo
     subset = w_prime.apply_set(range(1, j + 1))
     alt_subset = fac.w.apply_set(range(1, j + 1))
     beta = fac.bound
-    big = beta if _sign_of(beta - 1) > 0 else Fraction(1)
+    big = beta if sign(beta - 1) > 0 else Fraction(1)
     c = Fraction(factorial(j))
     for _ in range(j):
         c = c * big
@@ -318,7 +288,7 @@ def weight_bound_check(h: Mat, j: int, v: WedgeVector | None = None) -> WeightBo
         c=c,
         coeff_at_subset=lead,
         norm=norm,
-        holds=_sign_of(norm - c * lead) <= 0,
+        holds=sign(norm - c * lead) <= 0,
         alt_subset=alt_subset,
-        alt_holds=_sign_of(norm - c * alt_lead) <= 0,
+        alt_holds=sign(norm - c * alt_lead) <= 0,
     )

@@ -27,7 +27,7 @@ from .bordered import (
 from .bruhat import bruhat_factor
 from .chars import Character, GridSpec, SubgroupSpec
 from .cover import build_cover, enumerate_local, good_restrictions, verify_subcover
-from .divergence import build_certificate, check_certificate, search_witnesses
+from .divergence import _analyze, search_witnesses
 from .errors import PreconditionError
 from .matrix import Mat
 from .radicals import (
@@ -292,10 +292,9 @@ def _run_diverge(argv) -> object:
     if not args.subspace:
         raise PreconditionError("check needs at least one --subspace")
     ws = [radical_from_subspace(parse_vectors(t), g.nrows) for t in args.subspace]
-    ok, uncovered = check_certificate(g, A, ws)
+    ok, uncovered, cert = _analyze(g, A, ws)
     out = {"ok": ok}
     if ok:
-        cert = build_certificate(g, A, ws)
         out["certificate"] = cert.to_json()
     else:
         out["uncovered"] = [frac_str(x) for x in uncovered]

@@ -34,6 +34,7 @@ from .radicals import (
     sl_dim,
     weight_components,
 )
+from .scalars import sign
 from .wedge import WedgeVector, apply_wedge_matrix
 
 
@@ -255,8 +256,7 @@ def _fan_faces(hyps):
                 if d is not None:
                     yield prefix + (s,), d
             return
-        v = sum(a * b for a, b in zip(hyps[i], x))
-        own = (v > 0) - (v < 0)
+        own = sign(sum(a * b for a, b in zip(hyps[i], x)))
         for s in (1, 0, -1):
             y = x if s == own else _sign_point(hyps, prefix + (s,))
             if y is not None:

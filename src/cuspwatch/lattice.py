@@ -82,10 +82,8 @@ def int_kernel(rows: list[list[int]], n: int | None = None) -> list[list[int]]:
 
 def clear_denominators(row) -> list[int]:
     fr = [Fraction(x) for x in row]
-    den = 1
-    for x in fr:
-        den = lcm(den, x.denominator)
-    return [int(x * den) for x in fr]
+    den = lcm(*(x.denominator for x in fr))
+    return [x.numerator * (den // x.denominator) for x in fr]
 
 
 def saturation_pair(rows) -> tuple[list[list[int]], list[list[int]]]:
@@ -107,16 +105,10 @@ def saturation_pair(rows) -> tuple[list[list[int]], list[list[int]]]:
 
 def positive_primitive(seq) -> tuple[int, ...]:
     """Scale a nonzero rational vector by a positive rational to coprime ints."""
-    fr = [Fraction(x) for x in seq]
-    if all(x == 0 for x in fr):
+    ints = clear_denominators(seq)
+    g = gcd(*ints)
+    if g == 0:
         raise PreconditionError("zero vector has no primitive form")
-    den = 1
-    for x in fr:
-        den = lcm(den, x.denominator)
-    ints = [int(x * den) for x in fr]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
     return tuple(x // g for x in ints)
 
 

@@ -25,6 +25,7 @@ import mpmath
 from mpmath import iv, mp
 
 from .errors import PrecisionExhausted
+from .scalars import frac_str, sign
 
 _MAX_PREC = 1 << 22
 
@@ -161,8 +162,7 @@ class LogLin:
 
     def _compute_sign(self) -> int:
         if not self.logs:
-            q = self.rat
-            return 0 if q == 0 else (1 if q > 0 else -1)
+            return sign(self.rat)
         s = 1
         for _, e in self.logs:
             s = lcm(s, e.denominator)
@@ -170,8 +170,7 @@ class LogLin:
         for b, e in self.logs:
             P *= b ** int(e * s)
         if P == 1:
-            q = self.rat
-            return 0 if q == 0 else (1 if q > 0 else -1)
+            return sign(self.rat)
         if self.rat == 0:
             return 1 if P > 1 else -1
         return _interval_sign(self.rat, P, s)
@@ -254,8 +253,6 @@ class LogLin:
         return "LogLin(%s%s)" % (self.rat, terms)
 
     def to_json(self):
-        from .scalars import frac_str
-
         return {
             "rat": frac_str(self.rat),
             "logs": [[frac_str(b), frac_str(e)] for b, e in self.logs],

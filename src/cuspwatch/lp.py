@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .loglin import LogLin
+from .scalars import sign
 
 
 @dataclass(frozen=True)
@@ -24,18 +25,6 @@ class LPResult:
 
 def _frac_rows(rows):
     return [[Fraction(v) for v in row] for row in rows]
-
-
-def _is_neg(v) -> bool:
-    if isinstance(v, LogLin):
-        return v.sign() < 0
-    return v < 0
-
-
-def _is_pos(v) -> bool:
-    if isinstance(v, LogLin):
-        return v.sign() > 0
-    return v > 0
 
 
 class _Tableau:
@@ -91,9 +80,8 @@ class _Tableau:
                 a = self.rows[i][enter]
                 if a > 0:
                     ratio = self.rhs[i] / a
-                    if best is None or _is_pos(best - ratio) or (
-                        not _is_pos(ratio - best) and self.basis[i] < self.basis[leave]
-                    ):
+                    s = 1 if best is None else sign(best - ratio)
+                    if s > 0 or (s == 0 and self.basis[i] < self.basis[leave]):
                         best = ratio
                         leave = i
             if leave < 0:
@@ -122,7 +110,7 @@ def solve_lp(c, A_ub=(), b_ub=(), A_eq=(), b_eq=()) -> LPResult:
         body = [x for x in row] + [-x for x in row] + [Fraction(0)] * nslack
         body[2 * n + i] = Fraction(1)
         b = b_ub[i]
-        if _is_neg(b):
+        if sign(b) < 0:
             body = [-x for x in body]
             b = -b
             needs_art.append(True)
@@ -133,7 +121,7 @@ def solve_lp(c, A_ub=(), b_ub=(), A_eq=(), b_eq=()) -> LPResult:
     for i, row in enumerate(A_eq):
         body = [x for x in row] + [-x for x in row] + [Fraction(0)] * nslack
         b = b_eq[i]
-        if _is_neg(b):
+        if sign(b) < 0:
             body = [-x for x in body]
             b = -b
         rows.append(body)
@@ -162,7 +150,7 @@ def solve_lp(c, A_ub=(), b_ub=(), A_eq=(), b_eq=()) -> LPResult:
             phase1[col] = Fraction(-1)
         tab.run(phase1)  # bounded above by 0, cannot be unbounded
         val = tab.objective_value(phase1)
-        if _is_neg(val):
+        if sign(val) < 0:
             return LPResult("infeasible", None, None)
         # drive leftover artificials out of the basis, drop redundant rows
         art_set = set(art_cols.values())

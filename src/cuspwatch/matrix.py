@@ -2,7 +2,8 @@
 
 Immutable, row-major, no floating point. Elimination routines use exact
 division, so they work over any field-like scalar that supports
-+, -, *, / and an is-zero test (Fraction and QuadScalar both qualify).
++, -, *, / and an exact `scalars.sign` (Fraction and QuadScalar both
+qualify).
 
 Matrix indices are 0-based here; the 1-based tuples used elsewhere in the
 package are a property of wedge multi-indices, not of Mat.
@@ -14,26 +15,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .errors import PreconditionError
-from .scalars import QuadScalar, frac_str
-
-
-def _is_zero(x) -> bool:
-    """Exact zero test; QuadScalar and LogLin values decide it themselves."""
-    if isinstance(x, (int, Fraction)):
-        return x == 0
-    return x.is_zero()
-
-
-def _zero_like(x):
-    if isinstance(x, QuadScalar):
-        return QuadScalar.rational(0, x.d)
-    return Fraction(0)
-
-
-def _one_like(x):
-    if isinstance(x, QuadScalar):
-        return QuadScalar.rational(1, x.d)
-    return Fraction(1)
+from .scalars import QuadScalar, frac_str, one_like, sign, zero_like
 
 
 class Mat:
@@ -63,19 +45,19 @@ class Mat:
 
     @staticmethod
     def identity(n: int, like=Fraction(1)) -> "Mat":
-        one = _one_like(like)
-        zero = _zero_like(like)
+        one = one_like(like)
+        zero = zero_like(like)
         return Mat([[one if i == j else zero for j in range(n)] for i in range(n)])
 
     @staticmethod
     def zero(nrows: int, ncols: int, like=Fraction(0)) -> "Mat":
-        z = _zero_like(like)
+        z = zero_like(like)
         return Mat([[z] * ncols for _ in range(nrows)])
 
     @staticmethod
     def diagonal(entries: Sequence) -> "Mat":
         entries = list(entries)
-        z = _zero_like(entries[0])
+        z = zero_like(entries[0])
         n = len(entries)
         return Mat([[entries[i] if i == j else z for j in range(n)] for i in range(n)])
 
@@ -174,8 +156,8 @@ class Mat:
         R, pivots = self.rref()
         n = self.ncols
         free = [j for j in range(n) if j not in pivots]
-        one = _one_like(self.rows[0][0])
-        zero = _zero_like(self.rows[0][0])
+        one = one_like(self.rows[0][0])
+        zero = zero_like(self.rows[0][0])
         basis = []
         for f in free:
             v = [zero] * n
@@ -206,7 +188,7 @@ class Mat:
             raise PreconditionError("rhs length mismatch")
         a = [list(r) + [b] for r, b in zip(self.rows, rhs)]
         pivots, _ = _gauss_jordan(a, n)
-        if any(not _is_zero(r[n]) for r in a[len(pivots):]):
+        if any(sign(r[n]) for r in a[len(pivots):]):
             raise PreconditionError("inconsistent linear system")
         if len(pivots) < n:
             raise PreconditionError("underdetermined linear system")
@@ -261,20 +243,20 @@ def _gauss_jordan(a: list, ncols: int) -> tuple[tuple[int, ...], object]:
     zero when a column has no pivot).
     """
     m = len(a)
-    det = _one_like(a[0][0])
+    det = one_like(a[0][0])
     pivots = []
     r = 0
     for c in range(ncols):
-        piv = next((i for i in range(r, m) if not _is_zero(a[i][c])), None)
+        piv = next((i for i in range(r, m) if sign(a[i][c])), None)
         if piv is None:
-            det = _zero_like(a[0][0])
+            det = zero_like(a[0][0])
             continue
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
             det = -det
         p = a[r][c]
         det = det * p
-        one, zero = _one_like(p), _zero_like(p)
+        one, zero = one_like(p), zero_like(p)
         inv = one / p
         # rows r and below are zero left of column c, so only columns from
         # c on change; the pivot becomes one and the rest of its column zero
@@ -282,7 +264,7 @@ def _gauss_jordan(a: list, ncols: int) -> tuple[tuple[int, ...], object]:
         a[r][c:] = [one] + tail
         for i in range(m):
             f = a[i][c]
-            if i != r and not _is_zero(f):
+            if i != r and sign(f):
                 a[i][c:] = [zero] + [x - f * y for x, y in zip(a[i][c + 1:], tail)]
         pivots.append(c)
         r += 1

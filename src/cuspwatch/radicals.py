@@ -22,7 +22,7 @@ from math import gcd
 
 from .chars import Character, SubgroupSpec, subset_weight
 from .errors import DependentInput, PreconditionError
-from .lattice import int_kernel, primitive_int_vector, saturation_pair, lll_reduce
+from .lattice import int_kernel, saturation_pair, lll_reduce
 from .loglin import LogLin
 from .matrix import Mat
 from .scalars import frac_str

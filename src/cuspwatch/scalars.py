@@ -3,7 +3,9 @@
 Rational scalars are plain ``fractions.Fraction`` values; the stdlib type
 already guarantees the normalized p/q invariants (gcd(p, q) = 1, q > 0), so
 we do not wrap it. This module adds the quadratic field Q(sqrt(d)) for a
-fixed square-free d, plus the "p/q" string codec used by all JSON surfaces.
+fixed square-free d, the "p/q" string codec used by all JSON surfaces, and
+the one exact sign dispatch over the package's scalar types (`sign`,
+`zero_like`, `one_like`).
 
 >>> u = QuadScalar.of(2, 1, 3)          # 2 + sqrt(3)
 >>> (u * u.conj()).is_one()             # norm one unit
@@ -16,11 +18,34 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from numbers import Rational
 
 from .errors import PreconditionError
 
 RatLike = int | Fraction
+
+
+def sign(x) -> int:
+    """Exact sign -1, 0 or 1 of an int, Fraction, QuadScalar or LogLin."""
+    if isinstance(x, (int, Fraction)):
+        n = x.numerator  # a Fraction's denominator is positive
+        return (n > 0) - (n < 0)
+    return x.sign()
+
+
+def zero_like(x):
+    """Zero of the field x lives in: Q(sqrt(d)) for a QuadScalar, else Q."""
+    if isinstance(x, QuadScalar):
+        return QuadScalar.rational(0, x.d)
+    return Fraction(0)
+
+
+def one_like(x):
+    """One of the field x lives in: Q(sqrt(d)) for a QuadScalar, else Q."""
+    if isinstance(x, QuadScalar):
+        return QuadScalar.rational(1, x.d)
+    return Fraction(1)
 
 
 def frac(x, y=None) -> Fraction:
@@ -48,6 +73,20 @@ def frac_str(x: Rational) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _square_free(d: int) -> bool:
+    """Whether no square of a prime divides d >= 1, by trial division up to
+    the cube root of what is left; that rest has at most two prime factors,
+    so it is square-free unless it is a perfect square above one."""
+    p = 2
+    while p * p * p <= d:
+        if d % p == 0:
+            d //= p
+            if d % p == 0:
+                return False
+        p += 1
+    return d == 1 or isqrt(d) ** 2 != d
+
+
 @dataclass(frozen=True)
 class QuadScalar:
     """Element a + b*sqrt(d) of the real quadratic field Q(sqrt(d)).
@@ -63,8 +102,8 @@ class QuadScalar:
 
     @staticmethod
     def of(a, b, d: int) -> "QuadScalar":
-        if d <= 0:
-            raise PreconditionError("QuadScalar requires positive square-free d")
+        if d <= 1 or not _square_free(d):
+            raise PreconditionError("QuadScalar requires square-free d > 1")
         return QuadScalar(Fraction(a), Fraction(b), d)
 
     @staticmethod
@@ -169,20 +208,12 @@ class QuadScalar:
 
         Compares a against -b*sqrt(d) by squaring; no floating point.
         """
-        if self.b == 0:
-            return (self.a > 0) - (self.a < 0)
-        if self.a == 0:
-            return 1 if self.b > 0 else -1
-        if self.a > 0 and self.b > 0:
-            return 1
-        if self.a < 0 and self.b < 0:
-            return -1
-        # opposite signs: compare a^2 vs d b^2, winner is the larger magnitude
+        sa, sb = sign(self.a), sign(self.b)
+        if sa * sb >= 0:
+            return sa or sb
+        # opposite signs: the part of larger magnitude decides
         lhs, rhs = self.a * self.a, self.d * self.b * self.b
-        if lhs == rhs:
-            return 0
-        bigger_is_a = lhs > rhs
-        return (1 if self.a > 0 else -1) if bigger_is_a else (1 if self.b > 0 else -1)
+        return sa if lhs > rhs else sb if lhs < rhs else 0
 
     def __lt__(self, other):
         o = self._coerce(other)

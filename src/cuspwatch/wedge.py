@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
 
 from .errors import DependentInput, NoUniqueLeadingTuple, PreconditionError
+from .lattice import primitive_int_vector
 from .matrix import Mat
 from .scalars import frac_str, parse_frac
 
@@ -114,19 +114,8 @@ class WedgeVector:
         """
         if not self.coeffs:
             raise PreconditionError("zero wedge vector has no primitive form")
-        from math import lcm
-        den = 1
-        for c in self.coeffs.values():
-            den = lcm(den, c.denominator)
-        nums = [c.numerator * (den // c.denominator) for c in self.coeffs.values()]
-        g = 0
-        for x in nums:
-            g = gcd(g, abs(x))
-        first = next(iter(self.coeffs.values()))
-        s = Fraction(den, g)
-        if first < 0:
-            s = -s
-        return self.scale(s)
+        ints = primitive_int_vector(self.coeffs.values())
+        return WedgeVector(self.m, self.k, dict(zip(self.coeffs, ints)))
 
     def wedge(self, other: "WedgeVector") -> "WedgeVector":
         """Exterior product, with the usual shuffle sign."""

@@ -14,6 +14,7 @@ from cuspwatch.bruhat import (
 )
 from cuspwatch.errors import PreconditionError
 from cuspwatch.matrix import Mat
+from cuspwatch.scalars import QuadScalar
 from cuspwatch.wedge import WedgeVector, wedge_power
 
 F = Fraction
@@ -67,6 +68,28 @@ def test_lower_shear_example():
     assert fac.reconstruct() == g
     assert abs(fac.n[0, 1]) == F(1, 5)
     assert fac.bound == F(1, 5)
+
+
+def test_factorization_over_quadratic_field():
+    u = QuadScalar.of(2, 1, 3)     # 2 + sqrt(3), with inverse 2 - sqrt(3)
+    one, zero = QuadScalar.rational(1, 3), QuadScalar.rational(0, 3)
+    cases = [
+        Mat.diagonal([u, u.conj()]),
+        Mat([[one, zero], [u, one]]),
+        Mat([[zero, -one], [one, u]]),          # zero corner entry
+        Mat([[u.conj(), zero, zero], [one, u, zero], [zero, u, one]]),
+    ]
+    for g in cases:
+        fac = bruhat_factor(g)
+        assert fac.reconstruct() == g
+        assert fac.bound <= 1
+        n = g.nrows
+        for i in range(n):
+            assert fac.b[i, i] > 0
+            assert fac.n[i, i] == 1
+            for j in range(i):
+                assert fac.b[i, j] == 0
+                assert fac.n[i, j] == 0
 
 
 def test_rejects_non_unimodular():

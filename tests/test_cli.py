@@ -4,10 +4,13 @@ import sys
 
 import pytest
 
-from cuspwatch import bordered
+from cuspwatch import bordered, divergence
+from cuspwatch.chars import SubgroupSpec
 from cuspwatch.cli import main
 from cuspwatch.errors import InternalError
 from cuspwatch.lp import LPResult
+from cuspwatch.matrix import Mat
+from cuspwatch.radicals import radical_from_subspace
 
 I2 = '[["1","0"],["0","1"]]'
 DIAG2 = '[["2","0"],["0","1/2"]]'
@@ -180,6 +183,29 @@ def test_diverge_commands(capsys):
         "subspace j=1 rows=((1, 0),)",
         "subspace j=1 rows=((0, 1),)",
     ]
+
+
+def test_diverge_check_builds_the_fan_once(capsys, monkeypatch):
+    inner = divergence.lp_feasible
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(divergence, "lp_feasible", counted)
+    lines = [[[1, 0, 0]], [[0, 1, 0]], [[0, 0, 1]]]
+    ws = [radical_from_subspace(rows, 3) for rows in lines]
+    g = Mat.identity(3)
+    assert divergence.check_certificate(g, SubgroupSpec.full_torus(3), ws) == (True, None)
+    one_check = len(calls)
+    del calls[:]
+    argv = ["diverge", "check", "--matrix", "[[1,0,0],[0,1,0],[0,0,1]]"]
+    for rows in lines:
+        argv += ["--subspace", json.dumps(rows)]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["ok"] is True
+    assert one_check > 0 and len(calls) == one_check
 
 
 def test_exit_codes(capsys):

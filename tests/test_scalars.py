@@ -3,10 +3,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from cuspwatch.scalars import QuadScalar, frac, frac_str, parse_frac
+from cuspwatch.errors import PreconditionError
+from cuspwatch.loglin import LogLin
+from cuspwatch.scalars import QuadScalar, frac, frac_str, one_like, parse_frac, sign, zero_like
 
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=20
+)
+fields = st.sampled_from([2, 3, 5])
+log_terms = st.lists(
+    st.tuples(st.fractions(min_value=Fraction(1, 20), max_value=20, max_denominator=20),
+              st.fractions(min_value=-5, max_value=5, max_denominator=6)),
+    max_size=3,
 )
 
 
@@ -81,3 +89,60 @@ def test_quad_sign_matches_float(a, b):
     approx = a + b * 2 ** 0.5
     if abs(approx) > 1e-9:
         assert x.sign() == (1 if approx > 0 else -1)
+
+
+def _sign_by_order(x):
+    lt, gt, eq = x < 0, x > 0, x == 0
+    assert lt + gt + eq == 1
+    return gt - lt
+
+
+@given(rationals)
+def test_sign_of_fraction_agrees_with_order(q):
+    assert sign(q) == _sign_by_order(q)
+    assert sign(q.numerator) == _sign_by_order(q.numerator)
+
+
+@given(rationals, rationals, fields)
+def test_sign_of_quad_agrees_with_order(a, b, d):
+    x = QuadScalar.of(a, b, d)
+    assert sign(x) == _sign_by_order(x) == x.sign()
+    assert (sign(x) == 0) == x.is_zero()
+
+
+@given(rationals, log_terms)
+def test_sign_of_loglin_agrees_with_order(q, logs):
+    for x in (LogLin(q), LogLin(q, logs)):
+        assert sign(x) == _sign_by_order(x) == x.sign()
+        approx = float(x)
+        if abs(approx) > 1e-9:
+            assert sign(x) == (1 if approx > 0 else -1)
+
+
+@given(rationals, fields)
+def test_sign_of_rational_is_the_same_in_every_scalar_type(q, d):
+    assert sign(q) == sign(LogLin(q)) == sign(QuadScalar.rational(q, d))
+
+
+def test_zero_and_one_follow_the_field():
+    assert zero_like(Fraction(3)) == 0 and one_like(7) == 1
+    assert type(one_like(7)) is Fraction
+    x = QuadScalar.of(2, 1, 3)
+    assert one_like(x) == QuadScalar.rational(1, 3) and one_like(x).d == 3
+    assert zero_like(x).is_zero() and zero_like(x).d == 3
+    assert one_like(QuadScalar.rational(0, 5)).d == 5
+
+
+@pytest.mark.parametrize("d", [-3, 0, 1, 4, 8, 9, 12, 18, 50, 98, 1 << 40, 2 * 1009 ** 2])
+def test_quad_rejects_d_that_is_not_square_free(d):
+    with pytest.raises(PreconditionError):
+        QuadScalar.of(2, -1, d)
+    with pytest.raises(PreconditionError):
+        QuadScalar.from_json({"a": "2", "b": "-1", "d": d})
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 6, 7, 30, 1009, 2 * 1009 * 1013])
+def test_quad_accepts_square_free_d(d):
+    x = QuadScalar.of(2, -1, d)
+    assert QuadScalar.from_json(x.to_json()) == x
+    assert sign(x) == (1 if d < 4 else -1)
