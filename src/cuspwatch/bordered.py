@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from .errors import GaugeTooSteep, InternalError, PreconditionError
@@ -213,6 +214,11 @@ class BorderedSet:
     def zero_gauge(self) -> "BorderedSet":
         return BorderedSet(self.l, self.phi, Gauge.zero())
 
+    @cached_property
+    def _plan(self) -> "_ContractionPlan":
+        """What boundedness and contraction need of this set, kept with it."""
+        return _ContractionPlan(self)
+
     def to_json(self):
         return {
             "l": self.l,
@@ -400,15 +406,9 @@ def is_bounded(U: BorderedSet) -> bool:
 
     The gauge must be strictly less steep than the separation constant of
     the system; a steeper gauge is rejected rather than answered wrongly.
+    The verdict is kept in the set's contraction plan.
     """
-    eps = epsilon_bound(U.functionals)
-    if U.gauge.lipschitz() >= eps:
-        raise GaugeTooSteep(
-            "gauge slope %s is not below the separation constant %s"
-            % (U.gauge.lipschitz(), eps)
-        )
-    ok, _ = positively_nontrivial(U.functionals)
-    return not ok
+    return U._plan.bounded
 
 
 @dataclass(frozen=True)
@@ -508,44 +508,6 @@ def is_k_trivial(S: ConvexSpec, k: int) -> bool:
     return not quotient_bounded
 
 
-def _projection_onto_polyhedron(p, rows, rhs):
-    """Exact Euclidean projection of p onto {x : rows_i . x >= rhs_i}.
-
-    Active-set enumeration: the projection satisfies x = p + B_S^T mu with
-    mu >= 0 supported on an independent active subset S, B_S x = rhs_S. The
-    minimizer is unique, so the first subset passing both checks is it.
-    """
-    m = len(rows)
-    satisfied = all(
-        sign(sum(r[d] * p[d] for d in range(len(p))) - b) >= 0
-        for r, b in zip(rows, rhs)
-    )
-    if satisfied:
-        return tuple(p)
-    l = len(p)
-    for size in range(1, m + 1):
-        for combo in combinations(range(m), size):
-            B = [rows[i] for i in combo]
-            if Mat.rationalize([list(r) for r in B]).rank() < size:
-                continue
-            gram = Mat.rationalize(
-                [[sum(a * b for a, b in zip(B[i], B[j])) for j in range(size)]
-                 for i in range(size)]
-            )
-            target = [rhs[combo[i]] - sum(B[i][d] * p[d] for d in range(l))
-                      for i in range(size)]
-            mu = gram.solve(target)
-            if any(sign(v) < 0 for v in mu):
-                continue
-            x = [p[d] + sum(mu[i] * B[i][d] for i in range(size)) for d in range(l)]
-            if all(
-                sign(sum(r[d] * x[d] for d in range(l)) - b) >= 0
-                for r, b in zip(rows, rhs)
-            ):
-                return tuple(x)
-    raise InternalError("projection onto a nonempty polyhedron always exists")
-
-
 def _lex_inf_min(rows, rhs, l: int):
     """Point of {x : rows . x >= rhs} with least sup norm, ties broken by
     smallest coordinates in order; deterministic and unique."""
@@ -616,6 +578,88 @@ def _depth_polytope(U: BorderedSet):
     return M, rows, [c + M for c in consts]
 
 
+class _ContractionPlan:
+    """Everything contract_step needs of one set that depends on neither the
+    point nor the time, each part built on first use and then kept.
+
+    The parts are the boundedness verdict, the peak-depth polytope, its
+    lex-least point, and a table of the polytope's candidate active subsets
+    in the order the projection tries them: None for dependent rows, else
+    (indices, rows, inverse Gram matrix). The table grows only as far as a
+    projection has searched. A part whose construction raises is not kept,
+    so the error recurs on the next call.
+    """
+
+    def __init__(self, U: BorderedSet):
+        self.U = U
+        m = len(U.phi)
+        self.subsets = [c for size in range(1, m + 1) for c in combinations(range(m), size)]
+        self.faces = []
+
+    @cached_property
+    def bounded(self) -> bool:
+        U = self.U
+        eps = epsilon_bound(U.functionals)
+        if U.gauge.lipschitz() >= eps:
+            raise GaugeTooSteep(
+                "gauge slope %s is not below the separation constant %s"
+                % (U.gauge.lipschitz(), eps)
+            )
+        ok, _ = positively_nontrivial(U.functionals)
+        return not ok
+
+    @cached_property
+    def peak(self):
+        return _depth_polytope(self.U)
+
+    @cached_property
+    def lex_min(self) -> tuple:
+        _, rows, rhs = self.peak
+        return _lex_inf_min(rows, rhs, self.U.l)
+
+    def face(self, k):
+        """Entry k of the active-subset table, extending the table to it."""
+        rows = self.peak[1]
+        while len(self.faces) <= k:
+            combo = self.subsets[len(self.faces)]
+            B = [rows[i] for i in combo]
+            if Mat(B).rank() < len(combo):
+                self.faces.append(None)
+                continue
+            gram = Mat([[sum(a * b for a, b in zip(r, s)) for s in B] for r in B])
+            self.faces.append((combo, B, gram.inverse()))
+        return self.faces[k]
+
+    def project(self, p) -> tuple:
+        """Exact Euclidean projection of p onto the peak polytope
+        {x : rows_i . x >= rhs_i}.
+
+        Active-set enumeration: the projection satisfies x = p + B_S^T mu with
+        mu >= 0 supported on an independent active subset S, B_S x = rhs_S. The
+        minimizer is unique, so the first subset passing both checks is it.
+        """
+        _, rows, rhs = self.peak
+        l = len(p)
+        slack = [sum(r[d] * p[d] for d in range(l)) - b for r, b in zip(rows, rhs)]
+        if all(sign(v) >= 0 for v in slack):
+            return tuple(p)
+        for k in range(len(self.subsets)):
+            face = self.face(k)
+            if face is None:
+                continue
+            combo, B, gram_inv = face
+            mu = gram_inv.apply([-slack[i] for i in combo])
+            if any(sign(v) < 0 for v in mu):
+                continue
+            x = [p[d] + sum(mu[i] * B[i][d] for i in range(len(B))) for d in range(l)]
+            if all(
+                sign(sum(r[d] * x[d] for d in range(l)) - b) >= 0
+                for r, b in zip(rows, rhs)
+            ):
+                return tuple(x)
+        raise InternalError("projection onto a nonempty polyhedron always exists")
+
+
 def contract_step(U: BorderedSet, x, t):
     """Two-phase contraction path with nondecreasing depth.
 
@@ -623,7 +667,8 @@ def contract_step(U: BorderedSet, x, t):
     onto the peak-depth polytope; phase two (t in [1/2, 1]) slides inside
     that polytope to its sup-norm-least point. Both phases keep rho from
     decreasing as long as the gauge slope stays below the separation
-    constant of the system, which is checked.
+    constant of the system, which is checked. The LPs and eliminations that
+    depend only on U are done once per set, in its contraction plan.
     """
     t = Fraction(frac(t))
     if not 0 <= t <= 1:
@@ -633,12 +678,11 @@ def contract_step(U: BorderedSet, x, t):
     x = tuple(_coerce_scalar(v) for v in x)
     if not is_bounded(U):
         raise PreconditionError("contraction is defined for bounded regions")
-    M, rows, rhs = _depth_polytope(U)
-    a = _projection_onto_polyhedron(x, rows, rhs)
+    a = U._plan.project(x)
     if t <= Fraction(1, 2):
         s = 2 * t
         return tuple(xv + s * (av - xv) for xv, av in zip(x, a))
-    u = _lex_inf_min(rows, rhs, U.l)
+    u = U._plan.lex_min
     s = 2 * t - 1
     return tuple(av + s * (uv - av) for av, uv in zip(a, u))
 

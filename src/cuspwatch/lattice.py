@@ -81,7 +81,7 @@ def int_kernel(rows: list[list[int]], n: int | None = None) -> list[list[int]]:
 
 
 def clear_denominators(row) -> list[int]:
-    fr = [Fraction(x) for x in row]
+    fr = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
     den = lcm(*(x.denominator for x in fr))
     return [x.numerator * (den // x.denominator) for x in fr]
 

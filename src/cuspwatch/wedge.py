@@ -44,6 +44,17 @@ class WedgeVector:
             if len(idx) != k or any(not (1 <= i <= m) for i in idx) or list(idx) != sorted(set(idx)):
                 raise PreconditionError(f"bad multi-index {idx} for Lambda^{k} Q^{m}")
             clean[idx] = c
+        self._fill(m, k, clean)
+
+    @classmethod
+    def _built(cls, m: int, k: int, coeffs: dict[tuple[int, ...], Fraction]) -> "WedgeVector":
+        """Wrap coefficients this class computed itself: Fraction values on
+        increasing in-range k-tuples, so no index is checked again."""
+        w = object.__new__(cls)
+        w._fill(m, k, {idx: c for idx, c in coeffs.items() if c})
+        return w
+
+    def _fill(self, m, k, clean):
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "coeffs", dict(sorted(clean.items())))
@@ -77,7 +88,7 @@ class WedgeVector:
 
     def scale(self, c) -> "WedgeVector":
         c = Fraction(c)
-        return WedgeVector(self.m, self.k, {i: c * v for i, v in self.coeffs.items()})
+        return WedgeVector._built(self.m, self.k, {i: c * v for i, v in self.coeffs.items()})
 
     def __add__(self, other: "WedgeVector") -> "WedgeVector":
         if self.m != other.m or self.k != other.k:
@@ -85,7 +96,7 @@ class WedgeVector:
         out = dict(self.coeffs)
         for i, v in other.coeffs.items():
             out[i] = out.get(i, Fraction(0)) + v
-        return WedgeVector(self.m, self.k, out)
+        return WedgeVector._built(self.m, self.k, out)
 
     def __sub__(self, other: "WedgeVector") -> "WedgeVector":
         return self + other.scale(-1)
@@ -115,7 +126,7 @@ class WedgeVector:
         if not self.coeffs:
             raise PreconditionError("zero wedge vector has no primitive form")
         ints = primitive_int_vector(self.coeffs.values())
-        return WedgeVector(self.m, self.k, dict(zip(self.coeffs, ints)))
+        return WedgeVector._built(self.m, self.k, {i: Fraction(v) for i, v in zip(self.coeffs, ints)})
 
     def wedge(self, other: "WedgeVector") -> "WedgeVector":
         """Exterior product, with the usual shuffle sign."""
@@ -134,7 +145,7 @@ class WedgeVector:
                 merged = tuple(sorted(i1 + i2))
                 term = c1 * c2 if _merge_sign(i1, i2) > 0 else -c1 * c2
                 out[merged] = out[merged] + term if merged in out else term
-        return WedgeVector(m, kk, out)
+        return WedgeVector._built(m, kk, out)
 
     def to_json(self) -> dict:
         return {
@@ -170,7 +181,7 @@ def wedge_of_vectors(vectors, m: int) -> WedgeVector:
         raise PreconditionError("vector length mismatch")
     w = WedgeVector(m, 0, {(): 1})
     for v in vs:
-        w = w.wedge(WedgeVector(m, 1, {(i + 1,): c for i, c in enumerate(v)}))
+        w = w.wedge(WedgeVector._built(m, 1, {(i + 1,): c for i, c in enumerate(v)}))
     return w
 
 
@@ -221,7 +232,7 @@ def apply_wedge_matrix(mat: Mat, w: WedgeVector) -> WedgeVector:
         image = wedge_of_vectors([mat.col(j - 1) for j in J], mat.nrows)
         for I, minor in image.coeffs.items():
             out[I] = out.get(I, Fraction(0)) + cJ * minor
-    return WedgeVector(mat.nrows, w.k, out)
+    return WedgeVector._built(mat.nrows, w.k, out)
 
 
 def componentwise_le(a: tuple[int, ...], b: tuple[int, ...]) -> bool:

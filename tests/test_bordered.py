@@ -1,9 +1,11 @@
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cuspwatch import bordered
 from cuspwatch.bordered import (
     BorderedSet,
     ConvexSpec,
@@ -20,6 +22,9 @@ from cuspwatch.bordered import (
 )
 from cuspwatch.errors import GaugeTooSteep, PreconditionError
 from cuspwatch.loglin import LogLin
+from cuspwatch.lp import solve_lp
+from cuspwatch.matrix import Mat
+from cuspwatch.scalars import sign
 
 F = Fraction
 
@@ -200,6 +205,220 @@ def test_contract_step_rejects():
                       Gauge.zero())
     with pytest.raises(PreconditionError):
         contract_step(tri, (F(0), F(0)), F(3, 2))
+
+
+# ----------------------------------------- contraction plan vs reference
+#
+# The reference solves every LP and elimination afresh for each point and
+# keeps nothing between calls.
+
+def _ref_depth_polytope(U):
+    l = U.l
+    rows = [list(f.coeffs) for f in U.functionals]
+    consts = list(U.constants)
+    A_ub = [[F(1)] + [-v for v in r] for r in rows]
+    res = solve_lp([F(1)] + [F(0)] * l, A_ub=A_ub, b_ub=[-c for c in consts])
+    assert res.status == "optimal"
+    return rows, [c + res.value for c in consts]
+
+
+def _ref_lex_inf_min(rows, rhs, l):
+    A_ub = [[F(0)] + [-v for v in r] for r in rows]
+    b_ub = [-b for b in rhs]
+    for d in range(l):
+        for s in (1, -1):
+            A_ub.append([F(-1)] + [F(s) if e == d else F(0) for e in range(l)])
+            b_ub.append(F(0))
+    res = solve_lp([F(-1)] + [F(0)] * l, A_ub=A_ub, b_ub=b_ub)
+    assert res.status == "optimal"
+    rstar = -res.value
+    A_ub = [[-v for v in r] for r in rows]
+    b_ub = [-b for b in rhs]
+    for d in range(l):
+        for s in (1, -1):
+            A_ub.append([F(s) if e == d else F(0) for e in range(l)])
+            b_ub.append(rstar)
+    A_eq, b_eq, x = [], [], []
+    for d in range(l):
+        obj = [F(-1) if e == d else F(0) for e in range(l)]
+        res = solve_lp(obj, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq)
+        assert res.status == "optimal"
+        A_eq.append([F(1) if e == d else F(0) for e in range(l)])
+        b_eq.append(-res.value)
+        x.append(-res.value)
+    return tuple(x)
+
+
+def _ref_projection(p, rows, rhs):
+    l = len(p)
+
+    def feasible(x):
+        return all(sign(sum(r[d] * x[d] for d in range(l)) - b) >= 0
+                   for r, b in zip(rows, rhs))
+
+    if feasible(p):
+        return tuple(p)
+    for size in range(1, len(rows) + 1):
+        for combo in combinations(range(len(rows)), size):
+            B = [rows[i] for i in combo]
+            if Mat.rationalize(B).rank() < size:
+                continue
+            gram = Mat.rationalize([[sum(a * b for a, b in zip(B[i], B[j]))
+                                     for j in range(size)] for i in range(size)])
+            mu = gram.solve([rhs[combo[i]] - sum(B[i][d] * p[d] for d in range(l))
+                             for i in range(size)])
+            if any(sign(v) < 0 for v in mu):
+                continue
+            x = [p[d] + sum(mu[i] * B[i][d] for i in range(size)) for d in range(l)]
+            if feasible(x):
+                return tuple(x)
+    pytest.fail("no projection found")
+
+
+def _ref_contract_path(U, x):
+    """contract_step(U, x, t) for every t, from one fresh solve."""
+    rows, rhs = _ref_depth_polytope(U)
+    a = _ref_projection(x, rows, rhs)
+    u = _ref_lex_inf_min(rows, rhs, U.l)
+
+    def at(t):
+        if t <= F(1, 2):
+            return tuple(xv + 2 * t * (av - xv) for xv, av in zip(x, a))
+        return tuple(av + (2 * t - 1) * (uv - av) for av, uv in zip(a, u))
+    return at
+
+
+TIMES = (F(0), F(1, 4), F(1, 2), F(3, 4), F(1))
+
+_constant = st.one_of(
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.builds(lambda q, nu, e: LogLin(q, ((nu, e),)),
+              st.fractions(min_value=-2, max_value=2, max_denominator=3),
+              st.sampled_from([F(2), F(3), F(3, 2)]),
+              st.sampled_from([F(-1), F(1, 2), F(1)])),
+)
+
+
+# Separation constants cost about a hundred LPs per new system in R^3, so
+# systems there come from a pool (in random order); in R^2 they are cheap.
+_SYSTEMS_3 = (
+    ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)),
+    ((1, 1, 0), (0, 1, 1), (1, 0, 1), (-1, -1, -1)),
+    ((1, 0, 0), (0, 1, 0), (-1, -2, 0), (0, 0, 1), (0, 0, -1)),
+)
+
+
+@st.composite
+def _bounded_sets(draw):
+    """A set whose functionals have a positive combination summing to zero;
+    in R^2, free vectors v_i and a closing vector -sum lam_i v_i."""
+    l = draw(st.sampled_from([2, 3]))
+    if l == 3:
+        vecs = list(draw(st.sampled_from(_SYSTEMS_3).flatmap(st.permutations)))
+    else:
+        vecs = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * l).filter(any),
+                             min_size=2, max_size=3, unique=True))
+        lams = draw(st.lists(st.integers(1, 2), min_size=len(vecs), max_size=len(vecs)))
+        closing = tuple(-sum(lam * v[d] for lam, v in zip(lams, vecs)) for d in range(l))
+        if any(closing) and closing not in vecs:
+            vecs.append(closing)
+        if bordered.positively_nontrivial(vecs)[0]:
+            vecs.append(tuple(-c for c in vecs[0]))
+    consts = draw(st.lists(_constant, min_size=len(vecs), max_size=len(vecs)))
+    slope = draw(st.sampled_from([F(0), F(1, 2)])) * epsilon_bound(vecs)
+    return BorderedSet(l, tuple(zip(vecs, consts)), Gauge.linear(slope))
+
+
+def _points(l):
+    coord = st.one_of(
+        st.fractions(min_value=-5, max_value=5, max_denominator=2),
+        st.builds(lambda q, e: LogLin(q, ((F(2), e),)),
+                  st.fractions(min_value=-4, max_value=4, max_denominator=2),
+                  st.sampled_from([F(-1), F(1)])),
+    )
+    return st.tuples(*[coord] * l)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_contract_step_matches_reference(data):
+    U = data.draw(_bounded_sets())
+    assert is_bounded(U)
+    for _ in range(2):
+        x = data.draw(_points(U.l))
+        ref = _ref_contract_path(U, x)
+        for t in TIMES:
+            got, want = contract_step(U, x, t), ref(t)
+            assert got == want and U.rho(got) == U.rho(want)
+
+
+def _lp_counter(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve_lp(*args, **kwargs)
+
+    monkeypatch.setattr(bordered, "solve_lp", counted)
+    return calls
+
+
+def test_contraction_plan_lp_count(monkeypatch):
+    phis = [(1, 0), (0, 1), (-1, -2), (-2, -1)]
+    consts = (F(0), F(1, 2), F(-4), F(-7, 2))
+    gauge = Gauge.linear(epsilon_bound(phis) / 2)
+    calls = _lp_counter(monkeypatch)
+    l = 2
+
+    first = BorderedSet(l, tuple(zip(phis, consts)), gauge)
+    contract_step(first, (F(5), F(-3)), F(1, 4))
+    assert len(calls) == 2 + 1       # verdict and peak polytope, no lex-min yet
+
+    U = BorderedSet(l, tuple(zip(phis, consts)), gauge)
+    del calls[:]
+    for t in TIMES:
+        contract_step(U, (F(-3), F(4)), t)
+    assert len(calls) <= 2 + 1 + (l + 1)
+    del calls[:]
+    for x in [(F(7), F(7)), (F(-5), F(-5)), (F(1, 3), F(-9, 2)), (F(1), F(1))]:
+        for t in TIMES:
+            contract_step(U, x, t)
+        assert is_bounded(U)
+    assert calls == []
+
+
+def test_contraction_plans_are_per_set():
+    phis = ((1, 0), (0, 1), (-1, -1))
+    tri = BorderedSet(2, tuple((p, 0) for p in phis[:2]) + ((phis[2], -2),),
+                      Gauge.linear(F(1, 8)))
+    shifted = BorderedSet(2, tuple((p, 0) for p in phis[:2]) + ((phis[2], -5),),
+                          Gauge.linear(F(1, 8)))
+    x = (F(-1), F(3))
+    assert contract_step(tri, x, 1) == (F(2, 3), F(2, 3))
+    assert contract_step(shifted, x, 1) == (F(5, 3), F(5, 3))
+    assert tri._plan is not shifted._plan
+    steep = BorderedSet(2, tri.phi, Gauge.linear(F(1, 4)))
+    with pytest.raises(GaugeTooSteep):
+        is_bounded(steep)
+    flat = steep.zero_gauge()
+    assert flat._plan is not steep._plan
+    assert is_bounded(flat)
+    assert contract_step(flat, x, 1) == contract_step(tri, x, 1)
+
+
+def test_contraction_errors_recur_and_are_not_kept():
+    tri = BorderedSet(2, (((1, 0), 0), ((0, 1), 0), ((-1, -1), -2)),
+                      Gauge.linear(F(1, 4)))
+    for _ in range(2):
+        with pytest.raises(GaugeTooSteep):
+            contract_step(tri, (F(0), F(0)), F(1, 2))
+        with pytest.raises(GaugeTooSteep):
+            is_bounded(tri)
+    assert "bounded" not in vars(tri._plan)
+    quad = BorderedSet(2, (((1, 0), 0), ((0, 1), 0)), Gauge.zero())
+    for _ in range(2):
+        with pytest.raises(PreconditionError):
+            contract_step(quad, (F(1), F(1)), F(3, 4))
 
 
 # ------------------------------------------------------- intersection

@@ -19,6 +19,11 @@ F = Fraction
 def test_clear_denominators():
     assert clear_denominators([F(1, 2), F(1, 3)]) == [3, 2]
     assert clear_denominators([F(2), F(4)]) == [2, 4]
+    assert clear_denominators([]) == []
+    assert clear_denominators([0, F(0)]) == [0, 0]
+    assert clear_denominators([3, -6]) == [3, -6]
+    assert clear_denominators([2, F(-1, 4), "5/6"]) == [24, -3, 10]
+    assert all(type(v) is int for v in clear_denominators([True, F(1, 2), 3]))
 
 
 def test_positive_primitive_keeps_sign():

@@ -91,6 +91,21 @@ def test_json_round_trip():
     assert WedgeVector.from_json(w.to_json()) == w
 
 
+@pytest.mark.parametrize("idx", [(2, 1), (1, 1), (0, 2), (1, 4), (1,), (1, 2, 3)])
+def test_outside_multi_indices_are_checked(idx):
+    with pytest.raises(PreconditionError):
+        WedgeVector(3, 2, {idx: F(1)})
+    with pytest.raises(PreconditionError):
+        WedgeVector.from_json({"m": 3, "k": 2, "coeffs": [[list(idx), "1"]]})
+
+
+def _same_as_checked(w):
+    checked = WedgeVector(w.m, w.k, dict(w.coeffs))
+    assert w == checked and repr(w) == repr(checked) and w.to_json() == checked.to_json()
+    assert list(w.coeffs) == sorted(w.coeffs)
+    assert all(type(c) is Fraction and c != 0 for c in w.coeffs.values())
+
+
 small = st.integers(min_value=-4, max_value=4)
 rational = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
@@ -136,3 +151,18 @@ def test_full_wedge_is_det(rows):
     m = Mat.rationalize(rows)
     w = wedge_power(m, 3)
     assert w[0, 0] == m.det()
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_built_products_match_checked_construction(data):
+    m = 5
+    ka = data.draw(st.integers(0, 2))
+    kb = data.draw(st.integers(1, 3))
+    u = WedgeVector(m, ka, {i: data.draw(rational) for i in k_subsets(m, ka)})
+    v = WedgeVector(m, kb, {i: data.draw(rational) for i in k_subsets(m, kb)})
+    prod = u.wedge(v)
+    for w in (prod, v + v, v - v, v.scale(F(0)), -v, apply_wedge_matrix(Mat.identity(m), v)):
+        _same_as_checked(w)
+    if not prod.is_zero():
+        _same_as_checked(prod.primitive())
