@@ -38,7 +38,8 @@ from .radicals import (
     radical_from_subspace,
 )
 from .scalars import frac, frac_str
-from .serialize import RunManifest, dumps, parse_csv_fracs, parse_matrix, parse_vectors
+from .serialize import (RunManifest, dumps, parse_csv_fracs, parse_matrix, parse_vectors,
+                        reject_float)
 from .sl4q import gr_plus, sl4_divergence_demo, verify_periodicity, x_membership
 
 USAGE = """usage: cuspwatch <command> <action> [options]
@@ -102,8 +103,8 @@ def _bordered_pairs(phi_text: str, c_text: str | None):
     rows = parse_vectors(phi_text)
     if c_text:
         try:
-            data = json.loads(c_text)
-        except ValueError:
+            data = json.loads(c_text, parse_float=reject_float)
+        except json.JSONDecodeError:
             data = c_text          # a bare rational like 1/2
         if not isinstance(data, list):
             data = [data]

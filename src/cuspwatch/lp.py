@@ -3,8 +3,10 @@
 Variables are free (split internally into positive parts). Constraint and
 objective coefficients must be rational; right-hand sides may be Fraction
 or LogLin, in which case basic-variable values and the objective value are
-LogLin while the tableau body stays rational. Bland's rule guarantees
-termination without cycling.
+LogLin while the tableau body stays rational. The tableau is a list of
+augmented rows [body | rhs] pivoted by `matrix._pivot`, and its last row
+holds the reduced costs. Bland's rule guarantees termination without
+cycling.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .loglin import LogLin
+from .matrix import _pivot
 from .scalars import sign
 
 
@@ -23,164 +26,96 @@ class LPResult:
     value: object | None
 
 
-def _frac_rows(rows):
-    return [[Fraction(v) for v in row] for row in rows]
+def _run(a, basis, cost) -> str:
+    """Maximize cost . x from the basic feasible point of the tableau a.
 
-
-class _Tableau:
-    def __init__(self, rows, rhs, basis, ncols):
-        self.rows = rows      # list[list[Fraction]]
-        self.rhs = rhs        # list[Fraction | LogLin]
-        self.basis = basis    # list[int], basic column per row
-        self.ncols = ncols
-
-    def pivot(self, r, c):
-        piv = self.rows[r][c]
-        inv = Fraction(1) / piv
-        self.rows[r] = [v * inv for v in self.rows[r]]
-        self.rhs[r] = self.rhs[r] * inv
-        for i in range(len(self.rows)):
-            if i == r:
-                continue
-            f = self.rows[i][c]
-            if f != 0:
-                self.rows[i] = [a - f * b for a, b in zip(self.rows[i], self.rows[r])]
-                self.rhs[i] = self.rhs[i] - f * self.rhs[r]
-        self.basis[r] = c
-
-    def reduced_cost_row(self, cost):
-        row = list(cost)
-        for r, b in enumerate(self.basis):
-            cb = row[b]
-            if cb != 0:
-                row = [a - cb * v for a, v in zip(row, self.rows[r])]
-        return row
-
-    def objective_value(self, cost):
-        total = Fraction(0)
-        for r, b in enumerate(self.basis):
-            if cost[b] != 0:
-                total = total + cost[b] * self.rhs[r]
-        return total
-
-    def run(self, cost) -> str:
-        """Maximize cost . x from the current basic feasible point."""
-        while True:
-            red = self.reduced_cost_row(cost)
-            enter = -1
-            for j in range(self.ncols):
-                if red[j] > 0:
-                    enter = j
-                    break
-            if enter < 0:
-                return "optimal"
-            leave = -1
-            best = None
-            for i in range(len(self.rows)):
-                a = self.rows[i][enter]
-                if a > 0:
-                    ratio = self.rhs[i] / a
-                    s = 1 if best is None else sign(best - ratio)
-                    if s > 0 or (s == 0 and self.basis[i] < self.basis[leave]):
-                        best = ratio
-                        leave = i
-            if leave < 0:
-                return "unbounded"
-            self.pivot(leave, enter)
+    a holds one row per entry of basis, which names a unit column of a.
+    The reduced-cost row of cost is appended as the last row, with minus
+    the objective value as its rhs: it is priced once by pivoting on the
+    basic entries, and the simplex pivots keep it current.
+    """
+    a.append(cost + [Fraction(0)])
+    for r, b in enumerate(basis):
+        if a[-1][b] != 0:
+            _pivot(a, r, b)
+    while True:
+        red = a[-1]
+        enter = next((j for j in range(len(cost)) if red[j] > 0), -1)
+        if enter < 0:
+            return "optimal"
+        leave = -1
+        best = None
+        for i in range(len(basis)):
+            p = a[i][enter]
+            if p > 0:
+                ratio = a[i][-1] / p
+                s = 1 if best is None else sign(best - ratio)
+                if s > 0 or (s == 0 and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            return "unbounded"
+        _pivot(a, leave, enter)
+        basis[leave] = enter
 
 
 def solve_lp(c, A_ub=(), b_ub=(), A_eq=(), b_eq=()) -> LPResult:
     """Maximize c . x subject to A_ub x <= b_ub and A_eq x = b_eq, x free."""
     n = len(c)
     c = [Fraction(v) for v in c]
-    A_ub = _frac_rows(A_ub)
-    A_eq = _frac_rows(A_eq)
-    b_ub = [v if isinstance(v, LogLin) else Fraction(v) for v in b_ub]
-    b_eq = [v if isinstance(v, LogLin) else Fraction(v) for v in b_eq]
-    for row in A_ub + A_eq:
-        if len(row) != n:
-            raise ValueError("constraint row width does not match objective")
-
-    m_ub, m_eq = len(A_ub), len(A_eq)
-    nslack = m_ub
+    nslack = len(A_ub)
     base_cols = 2 * n + nslack
 
-    rows, rhs, needs_art = [], [], []
-    for i, row in enumerate(A_ub):
-        body = [x for x in row] + [-x for x in row] + [Fraction(0)] * nslack
-        body[2 * n + i] = Fraction(1)
-        b = b_ub[i]
-        if sign(b) < 0:
+    # rows [x+ | x- | slacks | rhs] with rhs >= 0; a row needs an artificial
+    # column unless it is a <= row whose own +1 slack can start basic
+    a, arts = [], []
+    for i, (row, b) in enumerate(list(zip(A_ub, b_ub, strict=True))
+                                 + list(zip(A_eq, b_eq, strict=True))):
+        row = [Fraction(v) for v in row]
+        if len(row) != n:
+            raise ValueError("constraint row width does not match objective")
+        body = row + [-x for x in row] + [Fraction(0)] * nslack
+        if i < nslack:
+            body[2 * n + i] = Fraction(1)
+        b = b if isinstance(b, LogLin) else Fraction(b)
+        flip = sign(b) < 0
+        if flip:
             body = [-x for x in body]
             b = -b
-            needs_art.append(True)
-        else:
-            needs_art.append(False)
-        rows.append(body)
-        rhs.append(b)
-    for i, row in enumerate(A_eq):
-        body = [x for x in row] + [-x for x in row] + [Fraction(0)] * nslack
-        b = b_eq[i]
-        if sign(b) < 0:
-            body = [-x for x in body]
-            b = -b
-        rows.append(body)
-        rhs.append(b)
-        needs_art.append(True)
+        a.append(body + [b])
+        if flip or i >= nslack:
+            arts.append(i)
 
-    # phase 1: artificial columns where no ready-made basic variable exists
-    art_cols = {}
-    for i, need in enumerate(needs_art):
-        if need:
-            art_cols[i] = base_cols + len(art_cols)
-    ncols = base_cols + len(art_cols)
-    basis = []
-    for i in range(len(rows)):
-        rows[i] = rows[i] + [Fraction(0)] * len(art_cols)
-        if i in art_cols:
-            rows[i][art_cols[i]] = Fraction(1)
-            basis.append(art_cols[i])
-        else:
-            basis.append(2 * n + i)  # the +1 slack of an untouched ub row
-
-    tab = _Tableau(rows, rhs, basis, ncols)
-    if art_cols:
-        phase1 = [Fraction(0)] * ncols
-        for col in art_cols.values():
-            phase1[col] = Fraction(-1)
-        tab.run(phase1)  # bounded above by 0, cannot be unbounded
-        val = tab.objective_value(phase1)
-        if sign(val) < 0:
+    basis = [2 * n + i for i in range(len(a))]
+    for k, i in enumerate(arts):
+        basis[i] = base_cols + k
+    if arts:
+        # phase 1: maximize minus the sum of the artificials
+        for row, b in zip(a, basis):
+            row[-1:-1] = [Fraction(int(b == base_cols + k)) for k in range(len(arts))]
+        _run(a, basis, [Fraction(0)] * base_cols + [Fraction(-1)] * len(arts))
+        # phase 1 is bounded above by 0; its objective row holds minus the optimum
+        if sign(a.pop()[-1]) > 0:
             return LPResult("infeasible", None, None)
         # drive leftover artificials out of the basis, drop redundant rows
-        art_set = set(art_cols.values())
         keep = []
-        for r in range(len(tab.rows)):
-            if tab.basis[r] in art_set:
-                piv = -1
-                for j in range(base_cols):
-                    if tab.rows[r][j] != 0:
-                        piv = j
-                        break
-                if piv >= 0:
-                    tab.pivot(r, piv)
-                    keep.append(r)
-                # else: redundant row, drop it
-            else:
-                keep.append(r)
-        tab.rows = [tab.rows[r][:base_cols] for r in keep]
-        tab.rhs = [tab.rhs[r] for r in keep]
-        tab.basis = [tab.basis[r] for r in keep]
-        tab.ncols = base_cols
+        for r, row in enumerate(a):
+            if basis[r] >= base_cols:
+                piv = next((j for j in range(base_cols) if row[j] != 0), -1)
+                if piv < 0:
+                    continue
+                _pivot(a, r, piv)
+                basis[r] = piv
+            keep.append(r)
+        a = [a[r][:base_cols] + a[r][-1:] for r in keep]
+        basis = [basis[r] for r in keep]
 
-    cost = [v for v in c] + [-v for v in c] + [Fraction(0)] * nslack
-    status = tab.run(cost)
-    if status != "optimal":
+    if _run(a, basis, c + [-v for v in c] + [Fraction(0)] * nslack) != "optimal":
         return LPResult("unbounded", None, None)
 
     full = [Fraction(0)] * base_cols
-    for r, b in enumerate(tab.basis):
-        full[b] = tab.rhs[r]
+    for r, b in enumerate(basis):
+        full[b] = a[r][-1]
     x = tuple(full[j] - full[n + j] for j in range(n))
     value = Fraction(0)
     for j in range(n):

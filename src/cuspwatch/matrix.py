@@ -50,11 +50,6 @@ class Mat:
         return Mat([[one if i == j else zero for j in range(n)] for i in range(n)])
 
     @staticmethod
-    def zero(nrows: int, ncols: int, like=Fraction(0)) -> "Mat":
-        z = zero_like(like)
-        return Mat([[z] * ncols for _ in range(nrows)])
-
-    @staticmethod
     def diagonal(entries: Sequence) -> "Mat":
         entries = list(entries)
         z = zero_like(entries[0])
@@ -236,8 +231,7 @@ def _gauss_jordan(a: list, ncols: int) -> tuple[tuple[int, ...], object]:
 
     Pivots are taken in the first ncols columns only, each the first nonzero
     entry of its column at or below the current row. The remaining columns
-    are carried along: they are multiplied by matrix entries and their
-    inverses but never divided into, so they may hold LogLin values.
+    are carried along by `_pivot` and may hold LogLin values.
     Returns the pivot columns and the determinant of the leading ncols
     columns (the product of the pivots with the sign of the row swaps, and
     zero when a column has no pivot).
@@ -254,20 +248,29 @@ def _gauss_jordan(a: list, ncols: int) -> tuple[tuple[int, ...], object]:
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
             det = -det
-        p = a[r][c]
-        det = det * p
-        one, zero = one_like(p), zero_like(p)
-        inv = one / p
-        # rows r and below are zero left of column c, so only columns from
-        # c on change; the pivot becomes one and the rest of its column zero
-        tail = [x * inv for x in a[r][c + 1:]]
-        a[r][c:] = [one] + tail
-        for i in range(m):
-            f = a[i][c]
-            if i != r and sign(f):
-                a[i][c:] = [zero] + [x - f * y for x, y in zip(a[i][c + 1:], tail)]
+        det = det * a[r][c]
+        _pivot(a, r, c, c)  # rows r and below are zero left of column c
         pivots.append(c)
         r += 1
         if r == m:
             break
     return tuple(pivots), det
+
+
+def _pivot(a: list, r: int, c: int, lo: int = 0) -> None:
+    """Scale row r of a so that a[r][c] is one and clear column c from every
+    other row, in place and from column lo on (row r must be zero left of
+    lo). Entries are only combined with the pivot row and its inverse, never
+    divided into, so columns never pivoted on may hold LogLin values.
+    """
+    p = a[r][c]
+    one, zero = one_like(p), zero_like(p)
+    inv = one / p
+    left = [x * inv for x in a[r][lo:c]]
+    right = [x * inv for x in a[r][c + 1:]]
+    a[r][lo:] = left + [one] + right
+    for i, row in enumerate(a):
+        f = row[c]
+        if i != r and sign(f):
+            row[lo:] = ([x - f * y for x, y in zip(row[lo:c], left)] + [zero]
+                        + [x - f * y for x, y in zip(row[c + 1:], right)])

@@ -60,8 +60,10 @@ def frac(x, y=None) -> Fraction:
 def parse_frac(s: str) -> Fraction:
     s = s.strip()
     if "/" in s:
-        num, den = s.split("/", 1)
-        return Fraction(int(num), int(den))
+        num, den = (int(t) for t in s.split("/", 1))
+        if den == 0:
+            raise PreconditionError("zero denominator in %r" % s)
+        return Fraction(num, den)
     return Fraction(int(s))
 
 

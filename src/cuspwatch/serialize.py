@@ -43,9 +43,15 @@ def dumps(x) -> str:
     return json.dumps(jsonable(x), separators=(", ", ": "))
 
 
+def reject_float(text: str):
+    """`json.loads` parse_float hook: input rationals are integers or "p/q"
+    strings, never binary floats."""
+    raise PreconditionError("JSON number %s is not an integer; write it as a quoted \"p/q\"" % text)
+
+
 def parse_matrix(text: str) -> Mat:
-    """Matrix from a JSON array of rows with "p/q" or numeric entries."""
-    rows = json.loads(text)
+    """Matrix from a JSON array of rows with "p/q" or integer entries."""
+    rows = json.loads(text, parse_float=reject_float)
     if not isinstance(rows, list) or not rows or not isinstance(rows[0], list):
         raise PreconditionError("expected a JSON array of rows")
     return Mat.rationalize(rows)
@@ -53,7 +59,7 @@ def parse_matrix(text: str) -> Mat:
 
 def parse_vectors(text: str) -> list:
     """List of rational vectors from JSON rows."""
-    rows = json.loads(text)
+    rows = json.loads(text, parse_float=reject_float)
     if not isinstance(rows, list) or not rows or not isinstance(rows[0], list):
         raise PreconditionError("expected a JSON array of vectors")
     return [[Fraction(frac(x)) for x in r] for r in rows]

@@ -225,6 +225,25 @@ def test_exit_codes(capsys):
     assert run(capsys, "bruhat", "unfactor")[0] == 2
 
 
+PHI3 = "[[1,0],[0,1],[-1,-1]]"
+
+
+@pytest.mark.parametrize("argv", [
+    # a zero denominator, in a bare rational, a matrix entry and a CSV list
+    ("bordered", "check", "--what", "bounded", "--phi", PHI3, "--gauge", "1/0"),
+    ("bruhat", "factor", "--matrix", '[["1/0",0],[0,1]]'),
+    ("sl4", "grplus", "--alpha", "1/0,1,2,3"),
+    # a JSON float, in a matrix, a vector list and a constant list
+    ("bruhat", "factor", "--matrix", "[[0.5,0],[0,2]]"),
+    ("bordered", "check", "--what", "bounded", "--phi", "[[1,0],[0.5,1],[-1,-1]]"),
+    ("bordered", "check", "--what", "bounded", "--phi", PHI3, "--c", "[0,0.1,0]"),
+])
+def test_malformed_rationals_are_input_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
 def test_broken_invariant_is_internal_error(capsys, monkeypatch):
     # an LP that misreports its status breaks the Gordan alternative
     monkeypatch.setattr(bordered, "solve_lp", lambda *a, **k: LPResult("unbounded", None, None))

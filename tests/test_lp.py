@@ -3,7 +3,8 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from cuspwatch.loglin import LogLin
-from cuspwatch.lp import lp_feasible, solve_lp
+from cuspwatch.lp import LPResult, lp_feasible, solve_lp
+from cuspwatch.scalars import sign
 
 F = Fraction
 
@@ -94,3 +95,228 @@ def test_reported_optimum_is_feasible(rows, rhs):
             assert sum(F(c) * v for c, v in zip(row, res.x)) <= b
     else:
         assert res.status == "infeasible"
+
+
+# -- reference simplex ---------------------------------------------------
+
+def _ref_frac_rows(rows):
+    return [[Fraction(v) for v in row] for row in rows]
+
+
+class _RefTableau:
+    def __init__(self, rows, rhs, basis, ncols):
+        self.rows = rows      # list[list[Fraction]]
+        self.rhs = rhs        # list[Fraction | LogLin]
+        self.basis = basis    # list[int], basic column per row
+        self.ncols = ncols
+
+    def pivot(self, r, c):
+        piv = self.rows[r][c]
+        inv = Fraction(1) / piv
+        self.rows[r] = [v * inv for v in self.rows[r]]
+        self.rhs[r] = self.rhs[r] * inv
+        for i in range(len(self.rows)):
+            if i == r:
+                continue
+            f = self.rows[i][c]
+            if f != 0:
+                self.rows[i] = [a - f * b for a, b in zip(self.rows[i], self.rows[r])]
+                self.rhs[i] = self.rhs[i] - f * self.rhs[r]
+        self.basis[r] = c
+
+    def reduced_cost_row(self, cost):
+        row = list(cost)
+        for r, b in enumerate(self.basis):
+            cb = row[b]
+            if cb != 0:
+                row = [a - cb * v for a, v in zip(row, self.rows[r])]
+        return row
+
+    def objective_value(self, cost):
+        total = Fraction(0)
+        for r, b in enumerate(self.basis):
+            if cost[b] != 0:
+                total = total + cost[b] * self.rhs[r]
+        return total
+
+    def run(self, cost) -> str:
+        """Maximize cost . x from the current basic feasible point."""
+        while True:
+            red = self.reduced_cost_row(cost)
+            enter = -1
+            for j in range(self.ncols):
+                if red[j] > 0:
+                    enter = j
+                    break
+            if enter < 0:
+                return "optimal"
+            leave = -1
+            best = None
+            for i in range(len(self.rows)):
+                a = self.rows[i][enter]
+                if a > 0:
+                    ratio = self.rhs[i] / a
+                    s = 1 if best is None else sign(best - ratio)
+                    if s > 0 or (s == 0 and self.basis[i] < self.basis[leave]):
+                        best = ratio
+                        leave = i
+            if leave < 0:
+                return "unbounded"
+            self.pivot(leave, enter)
+
+
+def reference_solve_lp(c, A_ub=(), b_ub=(), A_eq=(), b_eq=()) -> LPResult:
+    """The simplex before the tableau moved onto `matrix._pivot`: same
+    phases, rules and layout, with its own pivot and a reduced-cost row
+    rebuilt on every iteration."""
+    n = len(c)
+    c = [Fraction(v) for v in c]
+    A_ub = _ref_frac_rows(A_ub)
+    A_eq = _ref_frac_rows(A_eq)
+    b_ub = [v if isinstance(v, LogLin) else Fraction(v) for v in b_ub]
+    b_eq = [v if isinstance(v, LogLin) else Fraction(v) for v in b_eq]
+    for row in A_ub + A_eq:
+        if len(row) != n:
+            raise ValueError("constraint row width does not match objective")
+
+    m_ub, m_eq = len(A_ub), len(A_eq)
+    nslack = m_ub
+    base_cols = 2 * n + nslack
+
+    rows, rhs, needs_art = [], [], []
+    for i, row in enumerate(A_ub):
+        body = [x for x in row] + [-x for x in row] + [Fraction(0)] * nslack
+        body[2 * n + i] = Fraction(1)
+        b = b_ub[i]
+        if sign(b) < 0:
+            body = [-x for x in body]
+            b = -b
+            needs_art.append(True)
+        else:
+            needs_art.append(False)
+        rows.append(body)
+        rhs.append(b)
+    for i, row in enumerate(A_eq):
+        body = [x for x in row] + [-x for x in row] + [Fraction(0)] * nslack
+        b = b_eq[i]
+        if sign(b) < 0:
+            body = [-x for x in body]
+            b = -b
+        rows.append(body)
+        rhs.append(b)
+        needs_art.append(True)
+
+    # phase 1: artificial columns where no ready-made basic variable exists
+    art_cols = {}
+    for i, need in enumerate(needs_art):
+        if need:
+            art_cols[i] = base_cols + len(art_cols)
+    ncols = base_cols + len(art_cols)
+    basis = []
+    for i in range(len(rows)):
+        rows[i] = rows[i] + [Fraction(0)] * len(art_cols)
+        if i in art_cols:
+            rows[i][art_cols[i]] = Fraction(1)
+            basis.append(art_cols[i])
+        else:
+            basis.append(2 * n + i)  # the +1 slack of an untouched ub row
+
+    tab = _RefTableau(rows, rhs, basis, ncols)
+    if art_cols:
+        phase1 = [Fraction(0)] * ncols
+        for col in art_cols.values():
+            phase1[col] = Fraction(-1)
+        tab.run(phase1)  # bounded above by 0, cannot be unbounded
+        val = tab.objective_value(phase1)
+        if sign(val) < 0:
+            return LPResult("infeasible", None, None)
+        # drive leftover artificials out of the basis, drop redundant rows
+        art_set = set(art_cols.values())
+        keep = []
+        for r in range(len(tab.rows)):
+            if tab.basis[r] in art_set:
+                piv = -1
+                for j in range(base_cols):
+                    if tab.rows[r][j] != 0:
+                        piv = j
+                        break
+                if piv >= 0:
+                    tab.pivot(r, piv)
+                    keep.append(r)
+                # else: redundant row, drop it
+            else:
+                keep.append(r)
+        tab.rows = [tab.rows[r][:base_cols] for r in keep]
+        tab.rhs = [tab.rhs[r] for r in keep]
+        tab.basis = [tab.basis[r] for r in keep]
+        tab.ncols = base_cols
+
+    cost = [v for v in c] + [-v for v in c] + [Fraction(0)] * nslack
+    status = tab.run(cost)
+    if status != "optimal":
+        return LPResult("unbounded", None, None)
+
+    full = [Fraction(0)] * base_cols
+    for r, b in enumerate(tab.basis):
+        full[b] = tab.rhs[r]
+    x = tuple(full[j] - full[n + j] for j in range(n))
+    value = Fraction(0)
+    for j in range(n):
+        if c[j] != 0:
+            value = value + c[j] * x[j]
+    return LPResult("optimal", x, value)
+
+
+def same_as_reference(c, A_ub=(), b_ub=(), A_eq=(), b_eq=()):
+    res = solve_lp(c, A_ub, b_ub, A_eq, b_eq)
+    assert repr(res) == repr(reference_solve_lp(c, A_ub, b_ub, A_eq, b_eq))
+    return res
+
+
+def test_redundant_equality_row_is_dropped():
+    # after phase 1 the second row is zero with its artificial still basic
+    res = same_as_reference([F(1), F(0)], A_ub=[[1, 0]], b_ub=[F(3)],
+                            A_eq=[[1, 1], [2, 2]], b_eq=[F(1), F(2)])
+    assert res.status == "optimal" and res.x == (F(3), F(-2))
+
+
+def test_zero_level_artificial_is_driven_out():
+    # phase 1 is optimal at once with both artificials basic at zero: the
+    # first is pivoted out on x, then the second row is zero and dropped
+    res = same_as_reference([F(1), F(0)], A_ub=[[1, 0]], b_ub=[LogLin.log(3)],
+                            A_eq=[[1, 1], [-1, -1]], b_eq=[F(0), F(0)])
+    assert res.status == "optimal"
+    assert repr(res.x) == repr((LogLin.log(3), -LogLin.log(3)))
+
+
+small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+rhs_values = st.one_of(
+    st.integers(min_value=-3, max_value=5).map(F),
+    st.builds(lambda q, e2, e3: LogLin(q, ((2, e2), (3, e3))), small, small, small),
+)
+
+
+@st.composite
+def lps(draw):
+    """Up to 4 variables, 5 <= rows and 2 = rows; the last row of each kind
+    may repeat a multiple of the first, so duplicated and redundant rows
+    (consistent or not) come up, and so do zero objectives."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    row = st.lists(coeff, min_size=n, max_size=n)
+    c = draw(st.one_of(st.just([0] * n), row))
+    out = [c]
+    for most in (5, 2):
+        A = draw(st.lists(row, max_size=most))
+        b = [draw(rhs_values) for _ in A]
+        if len(A) > 1 and draw(st.booleans()):
+            k = draw(st.sampled_from([1, 2, -1]))
+            A[-1] = [k * v for v in A[0]]
+            b[-1] = draw(st.sampled_from([k * b[0], b[-1]]))
+        out += [A, b]
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(lps())
+def test_simplex_matches_reference(lp):
+    same_as_reference(*lp)

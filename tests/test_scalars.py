@@ -25,6 +25,12 @@ def test_frac_forms():
     assert parse_frac(" 5/10 ") == Fraction(1, 2)
 
 
+@pytest.mark.parametrize("text", ["1/0", " -3/0 ", "0/0"])
+def test_parse_frac_rejects_zero_denominator(text):
+    with pytest.raises(PreconditionError):
+        parse_frac(text)
+
+
 def test_frac_str_round_trip():
     assert frac_str(Fraction(3, 4)) == "3/4"
     assert frac_str(Fraction(-8, 2)) == "-4"
