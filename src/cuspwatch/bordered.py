@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 from .errors import GaugeTooSteep, InternalError, PreconditionError
@@ -309,77 +309,42 @@ def positively_nontrivial(phi_list):
 
 def _face_lp(vectors, fix_coord: int, side: int, l: int):
     """max over {x = -sum gamma_i v_i, gamma >= 0} on one sphere face of
-    min_i <v_i, x>, as an LP value; None when the face misses the cone."""
+    min_i <v_i, x>, as an LP value; None when the face misses the cone.
+
+    x is substituted out, so the LP runs over t and the weights gamma:
+    t + sum_j gamma_j <v_i, v_j> <= 0 for each i, gamma >= 0, the box rows
+    of the coordinates the face leaves free, and -sum gamma_i v_i = side on
+    the one it fixes.
+    """
     k = len(vectors)
-    nv = 1 + k + l  # t, gamma, x
-    obj = [Fraction(0)] * nv
-    obj[0] = Fraction(1)
-
-    A_eq, b_eq = [], []
+    zero = [Fraction(0)]
+    A_ub = [[Fraction(1)] + [sum(a * b for a, b in zip(u, v)) for v in vectors]
+            for u in vectors]
+    A_ub += [zero + [-Fraction(i == j) for j in range(k)] for i in range(k)]
     for d in range(l):
-        row = [Fraction(0)] * nv
-        for i, v in enumerate(vectors):
-            row[1 + i] = v[d]
-        row[1 + k + d] = Fraction(1)
-        A_eq.append(row)
-        b_eq.append(Fraction(0))
-    fix = [Fraction(0)] * nv
-    fix[1 + k + fix_coord] = Fraction(1)
-    A_eq.append(fix)
-    b_eq.append(Fraction(side))
-
-    A_ub, b_ub = [], []
-    for v in vectors:
-        row = [Fraction(0)] * nv
-        row[0] = Fraction(1)
-        for d in range(l):
-            row[1 + k + d] = -v[d]
-        A_ub.append(row)
-        b_ub.append(Fraction(0))
-    for i in range(k):
-        row = [Fraction(0)] * nv
-        row[1 + i] = Fraction(-1)
-        A_ub.append(row)
-        b_ub.append(Fraction(0))
-    for d in range(l):
-        for s in (1, -1):
-            row = [Fraction(0)] * nv
-            row[1 + k + d] = Fraction(s)
-            A_ub.append(row)
-            b_ub.append(Fraction(1))
-
-    res = solve_lp(obj, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq)
+        if d != fix_coord:
+            col = [v[d] for v in vectors]
+            A_ub += [zero + [-c for c in col], zero + col]
+    res = solve_lp(
+        [Fraction(1)] + [Fraction(0)] * k,
+        A_ub=A_ub,
+        b_ub=[Fraction(0)] * (2 * k) + [Fraction(1)] * (2 * l - 2),
+        A_eq=[zero + [-v[fix_coord] for v in vectors]],
+        b_eq=[Fraction(side)],
+    )
     if res.status != "optimal":
         return None
     return res.value
 
 
-_EPS_CACHE: dict = {}
-
-
-def epsilon_bound(phi_list) -> Fraction:
-    """Certified separation constant of a functional system.
-
-    For every linearly independent subset and every unit-norm nonpositive
-    combination x of its vectors, some member satisfies phi(x) <= -eps.
-    The returned value is half the exact minimum over subsets, so it stays
-    strictly inside the valid range. Pure in the functional set, so results
-    are memoized; repeated boundedness checks hit the cache.
-    """
-    fs = _functional_list(phi_list)
-    key = frozenset(f.coeffs for f in fs)
-    cached = _EPS_CACHE.get(key)
-    if cached is not None:
-        return cached
-    l = fs[0].l
-    vecs = []
-    for f in fs:
-        if f.coeffs not in vecs:
-            vecs.append(f.coeffs)
+@lru_cache(maxsize=128)
+def _separation(vecs: frozenset) -> Fraction:
+    """epsilon_bound of the distinct coefficient vectors vecs."""
+    vecs = sorted(vecs)
+    l = len(vecs[0])
     best = None
     for size in range(1, min(l, len(vecs)) + 1):
-        for combo in combinations(range(len(vecs)), size):
-            rows = [vecs[i] for i in combo]
+        for rows in combinations(vecs, size):
             if Mat.rationalize([list(r) for r in rows]).rank() < size:
                 continue
             M = None
@@ -397,8 +362,21 @@ def epsilon_bound(phi_list) -> Fraction:
                 best = eps_sub
     if best is None:
         raise InternalError("no independent subset of the functionals")
-    _EPS_CACHE[key] = best / 2
     return best / 2
+
+
+def epsilon_bound(phi_list) -> Fraction:
+    """Certified separation constant of a functional system.
+
+    For every linearly independent subset and every unit-norm nonpositive
+    combination x of its vectors, some member satisfies phi(x) <= -eps.
+    The returned value is half the exact minimum over subsets, so it stays
+    strictly inside the valid range. It depends only on the set of
+    coefficient vectors and is memoized on it, with a bounded memo: a
+    caller that sizes a gauge by eps and then asks is_bounded solves the
+    LPs once.
+    """
+    return _separation(frozenset(f.coeffs for f in _functional_list(phi_list)))
 
 
 def is_bounded(U: BorderedSet) -> bool:
@@ -469,6 +447,10 @@ def _reversible_rays(S: ConvexSpec) -> list:
     return [r for r in S.rays if _in_cone(S.rays, tuple(-c for c in r))]
 
 
+def _span_dim(vectors) -> int:
+    return Mat.rationalize([list(v) for v in vectors]).rank() if vectors else 0
+
+
 def invdim(S):
     """Dimension of the translation stabilizer; -inf for the empty region."""
     if isinstance(S, BorderedSet):
@@ -480,14 +462,11 @@ def invdim(S):
         )
         if not ok:
             return -math.inf
-        return S.l - Mat.rationalize([list(f.coeffs) for f in S.functionals]).rank()
+        return S.l - _span_dim([f.coeffs for f in S.functionals])
     if isinstance(S, ConvexSpec):
         if S.is_empty:
             return -math.inf
-        rev = _reversible_rays(S)
-        if not rev:
-            return 0
-        return Mat.rationalize([list(r) for r in rev]).rank()
+        return _span_dim(_reversible_rays(S))
     raise PreconditionError("invdim expects a ConvexSpec or a zero-gauge BorderedSet")
 
 
@@ -500,12 +479,9 @@ def is_k_trivial(S: ConvexSpec, k: int) -> bool:
         raise PreconditionError("k out of range")
     if S.is_empty:
         return True
-    if invdim(S) != k:
-        return True
-    quotient_bounded = all(
-        _in_cone(S.rays, tuple(-c for c in r)) for r in S.rays
-    )
-    return not quotient_bounded
+    rev = _reversible_rays(S)
+    # bounded transverse to the stabilizer: every ray is reversible
+    return _span_dim(rev) != k or len(rev) < len(S.rays)
 
 
 def _lex_inf_min(rows, rhs, l: int):
@@ -583,18 +559,15 @@ class _ContractionPlan:
     point nor the time, each part built on first use and then kept.
 
     The parts are the boundedness verdict, the peak-depth polytope, its
-    lex-least point, and a table of the polytope's candidate active subsets
-    in the order the projection tries them: None for dependent rows, else
-    (indices, rows, inverse Gram matrix). The table grows only as far as a
-    projection has searched. A part whose construction raises is not kept,
-    so the error recurs on the next call.
+    lex-least point, and the polytope's candidate active subsets: (indices,
+    rows, inverse Gram matrix) for each linearly independent subset of at
+    most l rows, since in R^l a larger subset is always dependent. A part
+    whose construction raises is not kept, so the error recurs on the next
+    call.
     """
 
     def __init__(self, U: BorderedSet):
         self.U = U
-        m = len(U.phi)
-        self.subsets = [c for size in range(1, m + 1) for c in combinations(range(m), size)]
-        self.faces = []
 
     @cached_property
     def bounded(self) -> bool:
@@ -617,18 +590,17 @@ class _ContractionPlan:
         _, rows, rhs = self.peak
         return _lex_inf_min(rows, rhs, self.U.l)
 
-    def face(self, k):
-        """Entry k of the active-subset table, extending the table to it."""
+    @cached_property
+    def faces(self) -> list:
         rows = self.peak[1]
-        while len(self.faces) <= k:
-            combo = self.subsets[len(self.faces)]
-            B = [rows[i] for i in combo]
-            if Mat(B).rank() < len(combo):
-                self.faces.append(None)
-                continue
-            gram = Mat([[sum(a * b for a, b in zip(r, s)) for s in B] for r in B])
-            self.faces.append((combo, B, gram.inverse()))
-        return self.faces[k]
+        out = []
+        for size in range(1, min(self.U.l, len(rows)) + 1):
+            for combo in combinations(range(len(rows)), size):
+                B = [rows[i] for i in combo]
+                if Mat(B).rank() == size:
+                    gram = Mat([[sum(a * b for a, b in zip(r, s)) for s in B] for r in B])
+                    out.append((combo, B, gram.inverse()))
+        return out
 
     def project(self, p) -> tuple:
         """Exact Euclidean projection of p onto the peak polytope
@@ -636,18 +608,15 @@ class _ContractionPlan:
 
         Active-set enumeration: the projection satisfies x = p + B_S^T mu with
         mu >= 0 supported on an independent active subset S, B_S x = rhs_S. The
-        minimizer is unique, so the first subset passing both checks is it.
+        minimizer is unique, so the first subset passing both checks is it,
+        whatever the order the subsets are tried in.
         """
         _, rows, rhs = self.peak
         l = len(p)
         slack = [sum(r[d] * p[d] for d in range(l)) - b for r, b in zip(rows, rhs)]
         if all(sign(v) >= 0 for v in slack):
             return tuple(p)
-        for k in range(len(self.subsets)):
-            face = self.face(k)
-            if face is None:
-                continue
-            combo, B, gram_inv = face
+        for combo, B, gram_inv in self.faces:
             mu = gram_inv.apply([-slack[i] for i in combo])
             if any(sign(v) < 0 for v in mu):
                 continue

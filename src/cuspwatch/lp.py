@@ -31,13 +31,16 @@ def _run(a, basis, cost) -> str:
 
     a holds one row per entry of basis, which names a unit column of a.
     The reduced-cost row of cost is appended as the last row, with minus
-    the objective value as its rhs: it is priced once by pivoting on the
-    basic entries, and the simplex pivots keep it current.
+    the objective value as its rhs: it is priced once by subtracting each
+    basic row times the cost on its basic column (a unit column, so no
+    other row changes), and the simplex pivots keep it current.
     """
-    a.append(cost + [Fraction(0)])
+    red = cost + [Fraction(0)]
     for r, b in enumerate(basis):
-        if a[-1][b] != 0:
-            _pivot(a, r, b)
+        f = red[b]
+        if f != 0:
+            red = [x - f * y for x, y in zip(red, a[r])]
+    a.append(red)
     while True:
         red = a[-1]
         enter = next((j for j in range(len(cost)) if red[j] > 0), -1)

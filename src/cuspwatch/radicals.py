@@ -17,6 +17,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import gcd
 
@@ -89,13 +90,9 @@ def coords_to_matrix(n: int, coords) -> Mat:
     return Mat(rows)
 
 
-_WEIGHT_CACHE: dict = {}
-
-
-def _cached_weights(n: int) -> list:
-    if n not in _WEIGHT_CACHE:
-        _WEIGHT_CACHE[n] = sl_weights(n)
-    return _WEIGHT_CACHE[n]
+@lru_cache(maxsize=8)
+def _cached_weights(n: int) -> tuple:
+    return tuple(sl_weights(n))
 
 
 def wedge_index_weight(idx, n: int) -> Character:

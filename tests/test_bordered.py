@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -22,7 +23,7 @@ from cuspwatch.bordered import (
 )
 from cuspwatch.errors import GaugeTooSteep, PreconditionError
 from cuspwatch.loglin import LogLin
-from cuspwatch.lp import solve_lp
+from cuspwatch.lp import lp_feasible, solve_lp
 from cuspwatch.matrix import Mat
 from cuspwatch.scalars import sign
 
@@ -419,6 +420,128 @@ def test_contraction_errors_recur_and_are_not_kept():
     for _ in range(2):
         with pytest.raises(PreconditionError):
             contract_step(quad, (F(1), F(1)), F(3, 4))
+
+
+def test_contraction_plan_faces_are_the_independent_subsets():
+    # (1, 0), (2, 0) and (-1, 0) are parallel, so pairs among them are dependent
+    phis = [(1, 0), (0, 1), (2, 0), (-1, 0), (0, -1)]
+    consts = (F(0), F(0), F(1), F(-3), F(-3))
+    U = BorderedSet(2, tuple(zip(phis, consts)), Gauge.zero())
+    rows = [list(f.coeffs) for f in U.functionals]
+    want = {c for size in (1, 2) for c in combinations(range(len(rows)), size)
+            if Mat.rationalize([rows[i] for i in c]).rank() == size}
+    faces = U._plan.faces
+    assert len(faces) == len(want) == 5 + 6
+    assert {combo for combo, _, _ in faces} == want
+    for combo, B, gram_inv in faces:
+        assert B == [rows[i] for i in combo]
+        gram = Mat.rationalize([[sum(a * b for a, b in zip(r, s)) for s in B] for r in B])
+        assert gram_inv * gram == Mat.identity(len(combo))
+
+
+def test_k_triviality_solves_each_reversibility_lp_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return lp_feasible(*args, **kwargs)
+
+    monkeypatch.setattr(bordered, "lp_feasible", counted)
+    assert is_k_trivial(STRIP, 1) is False
+    assert len(calls) == 2   # one cone-membership LP per ray
+
+
+# ------------------------------------------- separation LP vs reference
+#
+# The reference is the separation LP with x kept as l free variables and
+# tied to the weights by l equality rows.
+
+def _ref_face_lp(vectors, fix_coord, side, l):
+    k = len(vectors)
+    nv = 1 + k + l  # t, gamma, x
+    obj = [F(1)] + [F(0)] * (nv - 1)
+    A_eq, b_eq = [], []
+    for d in range(l):
+        row = [F(0)] * nv
+        for i, v in enumerate(vectors):
+            row[1 + i] = v[d]
+        row[1 + k + d] = F(1)
+        A_eq.append(row)
+        b_eq.append(F(0))
+    A_eq.append([F(j == 1 + k + fix_coord) for j in range(nv)])
+    b_eq.append(F(side))
+    A_ub, b_ub = [], []
+    for v in vectors:
+        A_ub.append([F(1)] + [F(0)] * k + [-c for c in v])
+        b_ub.append(F(0))
+    for i in range(k):
+        A_ub.append([-F(j == 1 + i) for j in range(nv)])
+        b_ub.append(F(0))
+    for d in range(l):
+        for s in (1, -1):
+            A_ub.append([F(s) * (j == 1 + k + d) for j in range(nv)])
+            b_ub.append(F(1))
+    res = solve_lp(obj, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq)
+    return res.value if res.status == "optimal" else None
+
+
+@lru_cache(maxsize=None)
+def _ref_epsilon_bound(vecs):
+    l = len(vecs[0])
+    best = None
+    for size in range(1, min(l, len(vecs)) + 1):
+        for rows in combinations(vecs, size):
+            if Mat.rationalize([list(r) for r in rows]).rank() < size:
+                continue
+            M = max(v for d in range(l) for s in (1, -1)
+                    if (v := _ref_face_lp(rows, d, s, l)) is not None)
+            assert M < 0
+            best = -M if best is None else min(best, -M)
+    return best / 2
+
+
+_rational_systems_2 = st.lists(
+    st.tuples(*[st.fractions(min_value=-3, max_value=3, max_denominator=3)] * 2)
+    .filter(any),
+    min_size=1, max_size=4,
+)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.one_of(_rational_systems_2, st.sampled_from(_SYSTEMS_3)))
+def test_epsilon_bound_matches_reference(vecs):
+    distinct = tuple(sorted({tuple(F(c) for c in v) for v in vecs}))
+    assert epsilon_bound(vecs) == _ref_epsilon_bound(distinct)
+
+
+def test_separation_lps_run_over_the_combination_weights(monkeypatch):
+    vecs = [(2, 0, 0), (0, 3, 0), (0, 0, 5), (-1, -1, -1), (1, 1, 0)]
+    l = 3
+    independent = sum(
+        1 for size in range(1, l + 1) for c in combinations(vecs, size)
+        if Mat.rationalize([list(v) for v in c]).rank() == size
+    )
+    sizes, shapes = [], []
+    face_lp = bordered._face_lp
+
+    def face(vectors, *args):
+        sizes.append(len(vectors))
+        return face_lp(vectors, *args)
+
+    def solve(c, A_ub=(), b_ub=(), A_eq=(), b_eq=()):
+        shapes.append((sizes[-1], len(c), len(A_eq)))
+        return solve_lp(c, A_ub, b_ub, A_eq, b_eq)
+
+    monkeypatch.setattr(bordered, "_face_lp", face)
+    monkeypatch.setattr(bordered, "solve_lp", solve)
+    epsilon_bound(vecs)
+    assert len(shapes) == 2 * l * independent
+    for k, width, equalities in shapes:
+        assert width == 1 + k     # t and the weights gamma, no x
+        assert equalities == 1    # the fixed coordinate of the face
+    del shapes[:]
+    epsilon_bound(list(reversed(vecs)))
+    assert shapes == []           # memoized on the set of vectors
 
 
 # ------------------------------------------------------- intersection
