@@ -26,12 +26,7 @@ from .errors import PreconditionError
 from .loglin import LogLin
 from .lp import lp_feasible
 from .matrix import Mat
-from .radicals import (
-    RadicalWitness,
-    conj_ad_wedge,
-    enumerate_witnesses,
-    weight_components,
-)
+from .radicals import RadicalWitness, enumerate_witnesses
 from .scalars import frac, frac_str
 
 
@@ -120,7 +115,7 @@ class CoverElement:
 
 def _element_data(g: Mat, A: SubgroupSpec, witness: RadicalWitness):
     """Present characters of the conjugated wedge, negated, with norms."""
-    comps = weight_components(conj_ad_wedge(g, witness), witness.n)
+    comps = witness.components_at(g)
     if not comps:
         raise PreconditionError("witness wedge vanished; corrupt input")
     psi, norms, restr = [], [], []

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from .bordered import Functional
 from .chars import Character, SubgroupSpec
@@ -27,7 +28,6 @@ from .lp import lp_feasible
 from .matrix import Mat
 from .radicals import (
     RadicalWitness,
-    conj_ad_wedge,
     coords_to_matrix,
     enumerate_witnesses,
     sl_coords,
@@ -55,45 +55,36 @@ def ad_matrix(g: Mat) -> Mat:
 
 @dataclass(frozen=True)
 class WitnessVector:
-    """A rational wedge vector with its components at a fixed conjugator."""
+    """The per-weight components of a rational wedge vector at a fixed conjugator."""
 
     n: int
     degree: int
-    v: WedgeVector
     components: tuple   # (Character, exact component norm) pairs
     label: str = ""
 
     def __post_init__(self):
-        if self.v.is_zero():
-            raise PreconditionError("witness vector must be nonzero")
         if not self.components:
             raise PreconditionError("witness vector has no components")
 
     @classmethod
     def from_radical(cls, g: Mat, witness: RadicalWitness) -> "WitnessVector":
-        comps = weight_components(conj_ad_wedge(g, witness), witness.n)
         return cls(
             n=witness.n,
             degree=witness.dim,
-            v=witness.p_ad,
-            components=tuple(comps),
+            components=tuple(witness.components_at(g)),
             label="subspace j=%d rows=%r" % (witness.j, witness.rows),
         )
 
     @classmethod
     def from_wedge(cls, g: Mat, v: WedgeVector, label: str = "") -> "WitnessVector":
-        n = None
-        for cand in range(2, 10):
-            if sl_dim(cand) == v.m:
-                n = cand
-                break
-        if n is None:
+        n = isqrt(v.m + 1)
+        if n < 2 or sl_dim(n) != v.m:
             raise PreconditionError("wedge length is not a trace-zero basis size")
         W = apply_wedge_matrix(ad_matrix(g), v)
         comps = weight_components(W, n)
         if not comps:
             raise PreconditionError("conjugated witness vanished")
-        return cls(n=n, degree=v.k, v=v, components=tuple(comps), label=label)
+        return cls(n=n, degree=v.k, components=tuple(comps), label=label)
 
     def to_json(self):
         from .scalars import frac_str

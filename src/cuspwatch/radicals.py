@@ -136,12 +136,19 @@ class RadicalWitness:
     rows: tuple        # saturated Z-basis of V as Hermite-form rows
     ann_rows: tuple    # saturated Z-basis of the annihilator
     p_std: WedgeVector
-    p_ad: WedgeVector
-    u_basis: tuple     # integral basis of the nilpotent space, outer products
 
     @property
     def dim(self) -> int:
         return self.j * (self.n - self.j)
+
+    @property
+    def p_ad(self) -> WedgeVector:
+        """Primitive wedge of the nilpotent space's integral basis."""
+        return conj_ad_wedge(Mat.identity(self.n), self).primitive()
+
+    def components_at(self, g: Mat) -> list:
+        """Per-weight sup norms of the wedge conjugated by g."""
+        return weight_components(conj_ad_wedge(g, self), self.n)
 
     def height(self) -> Fraction:
         """Height of the subspace: sup norm of its primitive Plucker vector."""
@@ -185,21 +192,12 @@ def radical_from_subspace(rows, n: int | None = None) -> RadicalWitness:
     if not 1 <= j <= n - 1:
         raise PreconditionError("need a proper nonzero subspace")
     B, F = saturation_pair(rows)
-    u_basis = []
-    for brow in B:
-        for frow in F:
-            u_basis.append(Mat([[Fraction(bv * fv) for fv in frow] for bv in brow]))
-    p_std = plucker([list(map(Fraction, r)) for r in B], n)
-    vecs = [sl_coords(u) for u in u_basis]
-    p_ad = plucker(vecs, sl_dim(n))
     return RadicalWitness(
         n=n,
         j=j,
         rows=tuple(tuple(r) for r in B),
         ann_rows=tuple(tuple(r) for r in F),
-        p_std=p_std,
-        p_ad=p_ad,
-        u_basis=tuple(u_basis),
+        p_std=plucker([list(map(Fraction, r)) for r in B], n),
     )
 
 
@@ -213,8 +211,9 @@ def standard_radical(n: int, j: int) -> RadicalWitness:
 def conj_ad_wedge(g: Mat, witness: RadicalWitness) -> WedgeVector:
     """Wedge of the conjugated integral basis; the norm carrier.
 
-    Each basis element is an outer product b f^T (see radical_from_subspace),
-    so its conjugate g b f^T g^-1 is the outer product of g b and f^T g^-1.
+    The integral basis of the nilpotent space is the outer products b f^T,
+    b in rows and f in ann_rows (in that order), so its conjugate
+    g b f^T g^-1 is the outer product of g b and f^T g^-1.
     """
     gi_t = g.inverse().transpose()
     gbs = [g.apply([Fraction(v) for v in b]) for b in witness.rows]
@@ -268,10 +267,7 @@ def _primitive_vectors(n: int, height: int):
             yield from rec(prefix + [v], started or v != 0)
 
     for vec in rec([], False):
-        g = 0
-        for x in vec:
-            g = gcd(g, abs(x))
-        if g == 1:
+        if gcd(*vec) == 1:
             yield vec
 
 
@@ -283,16 +279,9 @@ def _plane_pluckers_4(height: int):
     nonzero coordinate and solves the quadric for a dependent coordinate.
     """
     H = height
-    seen = set()
 
     def emit(w):
-        g = 0
-        for x in w:
-            g = gcd(g, abs(x))
-        if g != 1:
-            return
-        if w not in seen:
-            seen.add(w)
+        if gcd(*w) == 1:
             yield w
 
     rng = range(-H, H + 1)
@@ -371,6 +360,7 @@ def _reduction_candidates(g: Mat, j: int):
 
     The pullback rows of the unimodular transform give integer directions
     whose images under g are short; actives hide among small combinations.
+    Each subspace is proposed once, by its first spanning combination.
     """
     n = g.nrows
     rows = [[Fraction(g[i, k]) for i in range(n)] for k in range(n)]  # columns of g
@@ -381,12 +371,28 @@ def _reduction_candidates(g: Mat, j: int):
         for b in range(a + 1, len(pulls)):
             pool.append(tuple(x + y for x, y in zip(pulls[a], pulls[b])))
             pool.append(tuple(x - y for x, y in zip(pulls[a], pulls[b])))
-    out = []
+    spans = {}   # reduced row echelon form -> first spanning rows
     for combo in combinations(range(len(pool)), j):
         rows_c = [list(pool[i]) for i in combo]
-        if Mat.rationalize(rows_c).rank() == j:
-            out.append(rows_c)
-    return out
+        R, pivots = Mat.rationalize(rows_c).rref()
+        if len(pivots) == j:
+            spans.setdefault(R, rows_c)
+    return list(spans.values())
+
+
+def _witnesses(n: int, height: int, js, candidates) -> list:
+    """Witnesses of height <= height among candidates(j) for j in js.
+
+    Subspaces presented by different bases are kept once, the first
+    presentation winning; sorted by sort_key so the order is reproducible.
+    """
+    found = {}
+    for j in js:
+        for rows in candidates(j):
+            w = radical_from_subspace(rows, n)
+            if w.height() <= height:
+                found.setdefault(w.sort_key(), w)
+    return [found[k] for k in sorted(found)]
 
 
 def enumerate_witnesses(n: int, height: int, js=None) -> list:
@@ -397,16 +403,7 @@ def enumerate_witnesses(n: int, height: int, js=None) -> list:
     """
     if js is None:
         js = list(range(1, n))
-    found = {}
-    for j in js:
-        for rows in _candidate_subspaces(n, j, height):
-            p_std = plucker([list(map(Fraction, r)) for r in rows], n)
-            if p_std.norm_inf() > height:
-                continue
-            key = (j, tuple(sorted(p_std.coeffs.items())))
-            if key not in found:
-                found[key] = radical_from_subspace(rows, n)
-    return [found[k] for k in sorted(found.keys())]
+    return _witnesses(n, height, js, lambda j: _candidate_subspaces(n, j, height))
 
 
 def active_radicals(g: Mat, eps, height: int, js=None, method: str = "brute") -> list:
@@ -424,35 +421,34 @@ def active_radicals(g: Mat, eps, height: int, js=None, method: str = "brute") ->
     n = g.nrows
     if js is None:
         js = list(range(1, n))
-    found = {}
-    for j in js:
+
+    def candidates(j):
         if method == "brute":
-            cands = _candidate_subspaces(n, j, height)
-        elif method == "reduction":
-            cands = _reduction_candidates(g, j)
-        else:
-            raise PreconditionError("unknown method %r" % (method,))
-        for rows in cands:
-            p_std = plucker([list(map(Fraction, r)) for r in rows], n)
-            if p_std.norm_inf() > height:
-                continue
-            key = (j, tuple(sorted(p_std.coeffs.items())))
-            if key in found:
-                continue
-            if _prefilter_bound(g, p_std) >= eps:
-                continue
-            witness = radical_from_subspace(rows, n)
-            norm = conj_ad_wedge(g, witness).norm_inf()
-            if norm < eps:
-                found[key] = ActiveRadical(witness=witness, norm=norm)
-    return [found[k] for k in sorted(found.keys())]
+            return _candidate_subspaces(n, j, height)
+        if method == "reduction":
+            return _reduction_candidates(g, j)
+        raise PreconditionError("unknown method %r" % (method,))
+
+    out = []
+    for w in _witnesses(n, height, js, candidates):
+        if _prefilter_bound(g, w.p_std) >= eps:
+            continue
+        norm = conj_ad_wedge(g, w).norm_inf()
+        if norm < eps:
+            out.append(ActiveRadical(witness=w, norm=norm))
+    return out
 
 
 def default_digits() -> int:
+    raw = os.environ.get("CUSPWATCH_PRECISION", "50")
     try:
-        return max(1, int(os.environ.get("CUSPWATCH_PRECISION", "50")))
+        digits = int(raw)
     except ValueError:
-        return 50
+        digits = 0
+    if digits < 1:
+        raise PreconditionError(
+            "CUSPWATCH_PRECISION must be a positive integer, got %r" % (raw,))
+    return digits
 
 
 @dataclass(frozen=True)
@@ -511,9 +507,7 @@ def cusp_profile(g: Mat, subgroup: SubgroupSpec, grid_points, witnesses,
     for wit in witnesses:
         if isinstance(wit, ActiveRadical):
             wit = wit.witness
-        W = conj_ad_wedge(g, wit)
-        comps = weight_components(W, wit.n)
-        rows = [(subgroup.restrict(ch), nu) for ch, nu in comps]
+        rows = [(subgroup.restrict(ch), nu) for ch, nu in wit.components_at(g)]
         prepared.append((wit.sort_key(), rows))
 
     values, mins = [], []

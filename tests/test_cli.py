@@ -104,6 +104,15 @@ def test_precision_env_override(capsys, monkeypatch):
     assert json.loads(lines[1])["rows"][0]["value"] == "-1.386294361120"
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-3"])
+def test_precision_env_rejects_non_positive(capsys, monkeypatch, value):
+    monkeypatch.setenv("CUSPWATCH_PRECISION", value)
+    code, out, err = run(capsys, "radicals", "profile", "--matrix", DIAG2,
+                         "--grid", "0:1", "--manifest")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "CUSPWATCH_PRECISION" in err
+
+
 def test_merged_negative_values(capsys):
     # a value starting with "-" must work in the split --flag value form
     code, out, _ = run(capsys, "sl4", "demo", "--alpha", "-3,-1,1,3")

@@ -56,6 +56,9 @@ def test_witness_from_wedge_solves_dimension():
     assert [(c.canonical(), nu) for c, nu in w.components] == [((1, -1), F(1))]
     with pytest.raises(PreconditionError):
         WitnessVector.from_wedge(I2, WedgeVector.basis_element(4, (1,)))
+    # sl_10 has dimension 99
+    w = WitnessVector.from_wedge(Mat.identity(10), WedgeVector.basis_element(99, (1,)))
+    assert w.n == 10
 
 
 def test_certificate_both_coordinate_lines():

@@ -1,14 +1,19 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cuspwatch import radicals
 from cuspwatch.chars import SubgroupSpec, subset_weight
 from cuspwatch.errors import DependentInput, PreconditionError
+from cuspwatch.lattice import lll_reduce
 from cuspwatch.loglin import LogLin
 from cuspwatch.matrix import Mat
 from cuspwatch.radicals import (
+    _candidate_subspaces,
+    _prefilter_bound,
     active_radicals,
     conj_ad_wedge,
     coords_to_matrix,
@@ -20,6 +25,7 @@ from cuspwatch.radicals import (
     standard_radical,
     weight_components,
 )
+from cuspwatch.wedge import plucker
 
 F = Fraction
 
@@ -161,3 +167,82 @@ def test_weight_components_cover_support(seed):
     comps = weight_components(W, 3)
     # the sup of per-weight norms is the sup norm of the whole wedge
     assert max(nu for _, nu in comps) == W.norm_inf()
+
+
+def _reference_p_ad(w):
+    """Wedge of the nilpotent basis built directly: outer products b f^T."""
+    u_basis = [Mat([[F(b * f) for f in frow] for b in brow])
+               for brow in w.rows for frow in w.ann_rows]
+    return plucker([sl_coords(u) for u in u_basis], sl_dim(w.n))
+
+
+@pytest.mark.parametrize("n,height", [(3, 2), (4, 1)])
+def test_p_ad_matches_outer_product_construction(n, height):
+    for w in enumerate_witnesses(n, height):
+        ref = _reference_p_ad(w)
+        assert w.p_ad == ref
+        assert w.weights_ad == [ch for ch, _ in weight_components(ref, n)]
+
+
+def _reference_reduction_candidates(g, j):
+    """Every independent j-combination of the reduced pool, repeated spans too."""
+    n = g.nrows
+    _, T = lll_reduce([[F(g[i, k]) for i in range(n)] for k in range(n)])
+    pulls = [list(t) for t in T]
+    pool = pulls + [[x + s * y for x, y in zip(p, q)]
+                    for a, p in enumerate(pulls) for q in pulls[a + 1:] for s in (1, -1)]
+    for combo in combinations(pool, j):
+        if Mat.rationalize(list(combo)).rank() == j:
+            yield list(combo)
+
+
+def _reference_active(g, eps, height, method):
+    """Candidate loop that filters on Plucker data before building witnesses."""
+    n = g.nrows
+    found = {}
+    for j in range(1, n):
+        if method == "brute":
+            cands = _candidate_subspaces(n, j, height)
+        else:
+            cands = _reference_reduction_candidates(g, j)
+        for rows in cands:
+            p_std = plucker([list(map(F, r)) for r in rows], n)
+            if p_std.norm_inf() > height:
+                continue
+            key = (j, tuple(sorted(p_std.coeffs.items())))
+            if key in found or _prefilter_bound(g, p_std) >= eps:
+                continue
+            witness = radical_from_subspace(rows, n)
+            norm = conj_ad_wedge(g, witness).norm_inf()
+            if norm < eps:
+                found[key] = (witness.rows, norm)
+    return [found[k] for k in sorted(found)]
+
+
+@pytest.mark.parametrize("method", ["brute", "reduction"])
+@pytest.mark.parametrize("rows,height,epss", [
+    ([[2, 1, 0], [1, 1, 0], [0, 0, 1]], 2, (F(1, 2), F(2), F(10))),
+    ([[1, 3, -2], [0, 1, 4], [0, 0, 1]], 2, (F(1, 2), F(2), F(10))),
+    ([[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 3, 1], [0, 0, 2, 1]], 1, (F(2),)),
+])
+def test_active_radicals_match_reference_loop(rows, height, epss, method):
+    g = Mat.rationalize(rows)
+    for eps in epss:
+        got = [(a.witness.rows, a.norm) for a in active_radicals(g, eps, height, method=method)]
+        assert got == _reference_active(g, eps, height, method)
+
+
+def test_one_plucker_call_per_candidate(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return plucker(*args, **kwargs)
+
+    monkeypatch.setattr(radicals, "plucker", counting)
+    assert len(enumerate_witnesses(4, 1)) == 202
+    assert len(calls) == 202
+    calls.clear()
+    g = Mat.rationalize([[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 3, 1], [0, 0, 2, 1]])
+    active_radicals(g, F(2), 1, js=[1])
+    assert len(calls) == 40
