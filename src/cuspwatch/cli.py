@@ -343,9 +343,10 @@ _RUNNERS = {
 
 def _emit(command: str, argv, args, result) -> None:
     if args.manifest:
-        manifest = RunManifest.for_argv(
-            [command] + list(argv), __version__, default_digits()
-        )
+        digits = getattr(args, "digits", None)
+        if digits is None:
+            digits = default_digits()
+        manifest = RunManifest.for_argv([command] + list(argv), __version__, digits)
         sys.stdout.write(dumps(manifest) + "\n")
     if args.csv:
         to_csv = getattr(result, "to_csv", None)

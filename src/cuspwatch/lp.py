@@ -3,16 +3,21 @@
 Variables are free (split internally into positive parts). Constraint and
 objective coefficients must be rational; right-hand sides may be Fraction
 or LogLin, in which case basic-variable values and the objective value are
-LogLin while the tableau body stays rational. The tableau is a list of
-augmented rows [body | rhs] pivoted by `matrix._pivot`, and its last row
-holds the reduced costs. Bland's rule guarantees termination without
-cycling.
+LogLin. The tableau is a list of augmented rows [body | rhs] pivoted
+fraction-free by `matrix._pivot`, and its last row holds the reduced
+costs. Each constraint row is scaled by the lcm of its denominators, so
+the body is integer and holds d times the true tableau, with d > 0 the
+last pivot; every division in a pivot is exact. Scaling a row rescales its
+slack and artificial by a positive factor, which keeps every sign and
+every ratio-test winner, so the pivots are those of the rational tableau.
+Bland's rule guarantees termination without cycling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .loglin import LogLin
 from .matrix import _pivot
@@ -26,40 +31,60 @@ class LPResult:
     value: object | None
 
 
-def _run(a, basis, cost) -> str:
+def _run(a, basis, cost, d, unit):
     """Maximize cost . x from the basic feasible point of the tableau a.
 
-    a holds one row per entry of basis, which names a unit column of a.
-    The reduced-cost row of cost is appended as the last row, with minus
-    the objective value as its rhs: it is priced once by subtracting each
-    basic row times the cost on its basic column (a unit column, so no
-    other row changes), and the simplex pivots keep it current.
+    a holds d times the tableau, one row per entry of basis, which names a
+    column of a that is d on its row and zero elsewhere. Column j's
+    variable stands for unit[j] times a variable of the caller's problem.
+    The reduced-cost row of the integer cost is appended as the last row,
+    with minus the objective value as its rhs: it is priced once from
+    d * cost by subtracting each basic row times the cost on its basic
+    column, and the simplex pivots keep it current. Returns the status and
+    the last pivot.
     """
-    red = cost + [Fraction(0)]
+    red = [d * v for v in cost] + [0]
     for r, b in enumerate(basis):
-        f = red[b]
-        if f != 0:
+        f = cost[b]
+        if f:
             red = [x - f * y for x, y in zip(red, a[r])]
     a.append(red)
     while True:
         red = a[-1]
         enter = next((j for j in range(len(cost)) if red[j] > 0), -1)
         if enter < 0:
-            return "optimal"
-        leave = -1
-        best = None
+            return "optimal", d
+        # the least ratio rhs / p over the rows with p > 0, in which d
+        # cancels; ints are cross-multiplied, and a LogLin ratio is taken in
+        # the caller's variables (divided by unit[enter]), where its exact
+        # sign is cheaper to decide
+        leave, u = -1, unit[enter]
         for i in range(len(basis)):
             p = a[i][enter]
             if p > 0:
-                ratio = a[i][-1] / p
-                s = 1 if best is None else sign(best - ratio)
+                q = a[i][-1]
+                if leave < 0:
+                    s = 1
+                elif type(q) is int and type(qb) is int:
+                    s = sign(qb * p - q * pb)
+                else:
+                    s = sign(_quotient(qb, pb * u) - _quotient(q, p * u))
                 if s > 0 or (s == 0 and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+                    qb, pb, leave = q, p, i
         if leave < 0:
-            return "unbounded"
-        _pivot(a, leave, enter)
+            return "unbounded", d
+        d = _pivot(a, leave, enter, d)
         basis[leave] = enter
+
+
+def _quotient(v, d):
+    """v / d for an int d: a Fraction for an int v, else a LogLin."""
+    return Fraction(v, d) if type(v) is int else v / d
+
+
+def _integral(row, m):
+    """m times the Fractions of row, as ints; m must clear their denominators."""
+    return [v.numerator * (m // v.denominator) for v in row]
 
 
 def solve_lp(c, A_ub=(), b_ub=(), A_eq=(), b_eq=()) -> LPResult:
@@ -69,56 +94,78 @@ def solve_lp(c, A_ub=(), b_ub=(), A_eq=(), b_eq=()) -> LPResult:
     nslack = len(A_ub)
     base_cols = 2 * n + nslack
 
-    # rows [x+ | x- | slacks | rhs] with rhs >= 0; a row needs an artificial
-    # column unless it is a <= row whose own +1 slack can start basic
-    a, arts = [], []
+    # rows m * [x+ | x- | slacks | rhs] with rhs >= 0, m the least positive
+    # integer that makes the row integral (the rhs too unless it is a
+    # LogLin); the slack entries stay +-1, so slack i stands for m times the
+    # true slack; a row needs an artificial column unless it is a <= row
+    # whose own +1 slack can start basic
+    a, arts, unit = [], [], [1] * (2 * n)
     for i, (row, b) in enumerate(list(zip(A_ub, b_ub, strict=True))
                                  + list(zip(A_eq, b_eq, strict=True))):
-        row = [Fraction(v) for v in row]
         if len(row) != n:
             raise ValueError("constraint row width does not match objective")
-        body = row + [-x for x in row] + [Fraction(0)] * nslack
-        if i < nslack:
-            body[2 * n + i] = Fraction(1)
         b = b if isinstance(b, LogLin) else Fraction(b)
         flip = sign(b) < 0
+        row = [Fraction(v) for v in row]
+        if isinstance(b, LogLin):
+            m = lcm(*(v.denominator for v in row))
+            row, b = _integral(row, m), b * m
+        else:
+            m = lcm(*(v.denominator for v in row + [b]))
+            *row, b = _integral(row + [b], m)
+        body = row + [-x for x in row] + [0] * nslack
+        if i < nslack:
+            body[2 * n + i] = 1
+            unit.append(m)
         if flip:
             body = [-x for x in body]
             b = -b
         a.append(body + [b])
         if flip or i >= nslack:
-            arts.append(i)
+            arts.append((i, m))
 
     basis = [2 * n + i for i in range(len(a))]
-    for k, i in enumerate(arts):
+    for k, (i, _) in enumerate(arts):
         basis[i] = base_cols + k
+    d = 1
     if arts:
-        # phase 1: maximize minus the sum of the artificials
+        # phase 1: maximize minus the sum of the true artificials; artificial
+        # k stands for m_k times its true value, so it costs L / m_k with L
+        # the lcm of the m_k
         for row, b in zip(a, basis):
-            row[-1:-1] = [Fraction(int(b == base_cols + k)) for k in range(len(arts))]
-        _run(a, basis, [Fraction(0)] * base_cols + [Fraction(-1)] * len(arts))
-        # phase 1 is bounded above by 0; its objective row holds minus the optimum
-        if sign(a.pop()[-1]) > 0:
+            row[-1:-1] = [int(b == base_cols + k) for k in range(len(arts))]
+        L = lcm(*(m for _, m in arts))
+        _, d = _run(a, basis, [0] * base_cols + [-L // m for _, m in arts], d,
+                    unit + [m for _, m in arts])
+        # phase 1 is bounded above by 0; its objective row holds minus d L
+        # times the optimum, whose sign is decided unscaled
+        if sign(_quotient(a.pop()[-1], d * L)) > 0:
             return LPResult("infeasible", None, None)
-        # drive leftover artificials out of the basis, drop redundant rows
+        # drive leftover artificials out of the basis, drop redundant rows;
+        # a row is negated first where its pivot is negative, so d stays
+        # positive
         keep = []
         for r, row in enumerate(a):
             if basis[r] >= base_cols:
                 piv = next((j for j in range(base_cols) if row[j] != 0), -1)
                 if piv < 0:
                     continue
-                _pivot(a, r, piv)
+                if row[piv] < 0:
+                    row[:] = [-x for x in row]
+                d = _pivot(a, r, piv, d)
                 basis[r] = piv
             keep.append(r)
         a = [a[r][:base_cols] + a[r][-1:] for r in keep]
         basis = [basis[r] for r in keep]
 
-    if _run(a, basis, c + [-v for v in c] + [Fraction(0)] * nslack) != "optimal":
+    cost = _integral(c, lcm(*(v.denominator for v in c)))
+    status, d = _run(a, basis, cost + [-v for v in cost] + [0] * nslack, d, unit)
+    if status != "optimal":
         return LPResult("unbounded", None, None)
 
     full = [Fraction(0)] * base_cols
     for r, b in enumerate(basis):
-        full[b] = a[r][-1]
+        full[b] = _quotient(a[r][-1], d)
     x = tuple(full[j] - full[n + j] for j in range(n))
     value = Fraction(0)
     for j in range(n):

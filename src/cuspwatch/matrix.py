@@ -1,9 +1,12 @@
 """Dense exact matrices over Fraction or QuadScalar entries.
 
-Immutable, row-major, no floating point. Elimination routines use exact
-division, so they work over any field-like scalar that supports
-+, -, *, / and an exact `scalars.sign` (Fraction and QuadScalar both
-qualify).
+Immutable, row-major, no floating point. Elimination is fraction-free
+(Bareiss): rational rows are scaled to integers, the rows then hold the
+last pivot times the reduced matrix, a common denominator, and each step
+divides by the previous pivot exactly, with `//` on integers. QuadScalar
+entries, and LogLin values in extra columns, go through the same steps
+with field division; anything that supports +, -, *, / and an exact
+`scalars.sign` qualifies.
 
 Matrix indices are 0-based here; the 1-based tuples used elsewhere in the
 package are a property of wedge multi-indices, not of Mat.
@@ -12,6 +15,7 @@ package are a property of wedge multi-indices, not of Mat.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Sequence
 
 from .errors import PreconditionError
@@ -229,48 +233,76 @@ def _dot(r, c):
 def _gauss_jordan(a: list, ncols: int) -> tuple[tuple[int, ...], object]:
     """Reduce the augmented rows a in place to reduced row echelon form.
 
-    Pivots are taken in the first ncols columns only, each the first nonzero
-    entry of its column at or below the current row. The remaining columns
-    are carried along by `_pivot` and may hold LogLin values.
-    Returns the pivot columns and the determinant of the leading ncols
-    columns (the product of the pivots with the sign of the row swaps, and
-    zero when a column has no pivot).
+    Each row without QuadScalar entries is first scaled by the lcm of its
+    denominators, so its rational entries become integers (any other
+    entry, such as a LogLin, is multiplied by the same factor). Pivots are
+    taken in the first ncols columns only, each the first nonzero entry of
+    its column at or below the current row, and `_pivot` eliminates
+    fraction-free; every row is divided by the last pivot at the end. The
+    remaining columns may hold LogLin values. Returns the pivot columns and
+    the determinant of the leading ncols columns (zero when a column has no
+    pivot).
     """
     m = len(a)
-    det = one_like(a[0][0])
+    zero = zero_like(a[0][0])
+    scale = 1
+    for i, row in enumerate(a):
+        if any(isinstance(x, QuadScalar) for x in row):
+            continue
+        k = lcm(*(x.denominator for x in row if type(x) is Fraction))
+        scale *= k
+        a[i] = [x.numerator * (k // x.denominator) if isinstance(x, (int, Fraction)) else x * k
+                for x in row]
+    d, negated = 1, False
     pivots = []
     r = 0
     for c in range(ncols):
         piv = next((i for i in range(r, m) if sign(a[i][c])), None)
         if piv is None:
-            det = zero_like(a[0][0])
             continue
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
-            det = -det
-        det = det * a[r][c]
-        _pivot(a, r, c, c)  # rows r and below are zero left of column c
+            negated = not negated
+        d = _pivot(a, r, c, d)
         pivots.append(c)
         r += 1
         if r == m:
             break
-    return tuple(pivots), det
+    if type(d) is int:
+        a[:] = [[Fraction(x, d) if type(x) is int else x / d for x in row] for row in a]
+    else:
+        a[:] = [[x / d for x in row] for row in a]
+    if len(pivots) < ncols:
+        return tuple(pivots), zero
+    return tuple(pivots), (-d if negated else d) / Fraction(scale)
 
 
-def _pivot(a: list, r: int, c: int, lo: int = 0) -> None:
-    """Scale row r of a so that a[r][c] is one and clear column c from every
-    other row, in place and from column lo on (row r must be zero left of
-    lo). Entries are only combined with the pivot row and its inverse, never
-    divided into, so columns never pivoted on may hold LogLin values.
+def _pivot(a: list, r: int, c: int, d) -> object:
+    """One fraction-free elimination step on the rows a, in place.
+
+    The rows hold d times a tableau, d the previous pivot. Row r stays;
+    every other row becomes (p * row - row[c] * a[r]) / d with p = a[r][c],
+    so column c is cleared outside row r and the rows hold p times the
+    tableau pivoted at (r, c). The division is exact: `//` on int entries
+    over an int d (Bareiss), field division on every other entry, such as
+    QuadScalar or LogLin ones. Returns p, the next d.
     """
-    p = a[r][c]
-    one, zero = one_like(p), zero_like(p)
-    inv = one / p
-    left = [x * inv for x in a[r][lo:c]]
-    right = [x * inv for x in a[r][c + 1:]]
-    a[r][lo:] = left + [one] + right
+    pr = a[r]
+    p = pr[c]
     for i, row in enumerate(a):
+        if i == r:
+            continue
         f = row[c]
-        if i != r and sign(f):
-            row[lo:] = ([x - f * y for x, y in zip(row[lo:c], left)] + [zero]
-                        + [x - f * y for x, y in zip(row[c + 1:], right)])
+        if sign(f):
+            new = [p * x - f * y for x, y in zip(row, pr)]
+        elif p == d:
+            continue
+        else:
+            new = [p * x for x in row]
+        if d == 1:
+            row[:] = new
+        elif type(d) is int:
+            row[:] = [v // d if type(v) is int else v / d for v in new]
+        else:
+            row[:] = [v / d for v in new]
+    return p

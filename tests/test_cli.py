@@ -89,7 +89,7 @@ def test_manifest_line_and_determinism(capsys):
     assert set(manifest) == {
         "command_line", "parameter_hash", "version", "precision_digits",
     }
-    assert manifest["precision_digits"] == 50
+    assert manifest["precision_digits"] == 30
     code, second, _ = run(capsys, *args)
     assert first == second
 

@@ -1,9 +1,12 @@
 from fractions import Fraction
+from unittest.mock import patch
 
 from hypothesis import given, settings, strategies as st
 
+from cuspwatch import lp as lp_module
 from cuspwatch.loglin import LogLin
 from cuspwatch.lp import LPResult, lp_feasible, solve_lp
+from cuspwatch.matrix import _pivot
 from cuspwatch.scalars import sign
 
 F = Fraction
@@ -320,3 +323,46 @@ def lps(draw):
 @given(lps())
 def test_simplex_matches_reference(lp):
     same_as_reference(*lp)
+
+
+fracs = st.fractions(min_value=-4, max_value=4, max_denominator=7)
+
+
+@st.composite
+def rational_lps(draw):
+    """Up to 4 variables, 2-6 <= rows and up to 2 = rows, every coefficient
+    and right-hand side a fraction with denominator at most 7, so the
+    simplex scales its rows and weights its artificials; the objective may
+    be zero."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    row = st.lists(fracs, min_size=n, max_size=n)
+    c = draw(st.one_of(st.just([F(0)] * n), row))
+    A_ub = draw(st.lists(row, min_size=2, max_size=6))
+    A_eq = draw(st.lists(row, max_size=2))
+    return (c, A_ub, [draw(fracs) for _ in A_ub], A_eq, [draw(fracs) for _ in A_eq])
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_lps())
+def test_simplex_matches_reference_rational(lp):
+    same_as_reference(*lp)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(lps(), rational_lps()))
+def test_pivots_divide_exactly_over_a_positive_denominator(lp):
+    def checked(a, r, c, d):
+        p = a[r][c]
+        for i, row in enumerate(a):
+            f = row[c]
+            if i != r and (f or p != d):
+                for x, y in zip(row, a[r]):
+                    v = p * x - f * y
+                    if type(v) is int:
+                        assert v % d == 0
+        out = _pivot(a, r, c, d)
+        assert type(out) is int and out > 0
+        return out
+
+    with patch.object(lp_module, "_pivot", checked):
+        same_as_reference(*lp)

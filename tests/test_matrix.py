@@ -1,12 +1,14 @@
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cuspwatch import matrix
 from cuspwatch.errors import PreconditionError
 from cuspwatch.loglin import LogLin
 from cuspwatch.matrix import Mat
-from cuspwatch.scalars import QuadScalar
+from cuspwatch.scalars import QuadScalar, one_like, sign, zero_like
 
 F = Fraction
 
@@ -101,3 +103,102 @@ def test_inverse_round_trip(a, b, c):
 def test_rank_transpose_invariant(rows):
     m = Mat.rationalize(rows)
     assert m.rank() == m.transpose().rank()
+
+
+# -- reference elimination -------------------------------------------------
+
+def reference_gauss_jordan(a, ncols):
+    """`matrix._gauss_jordan` before it went fraction-free: the same pivot
+    choice, with every pivot row scaled to one as it is taken."""
+    m = len(a)
+    det = one_like(a[0][0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, m) if sign(a[i][c])), None)
+        if piv is None:
+            det = zero_like(a[0][0])
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            det = -det
+        det = det * a[r][c]
+        reference_pivot(a, r, c, c)
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return tuple(pivots), det
+
+
+def reference_pivot(a, r, c, lo=0):
+    """Scale row r so that a[r][c] is one and clear column c from every
+    other row, from column lo on."""
+    p = a[r][c]
+    one, zero = one_like(p), zero_like(p)
+    inv = one / p
+    left = [x * inv for x in a[r][lo:c]]
+    right = [x * inv for x in a[r][c + 1:]]
+    a[r][lo:] = left + [one] + right
+    for i, row in enumerate(a):
+        f = row[c]
+        if i != r and sign(f):
+            row[lo:] = ([x - f * y for x, y in zip(row[lo:c], left)] + [zero]
+                        + [x - f * y for x, y in zip(row[c + 1:], right)])
+
+
+def eliminations(m, rhs):
+    """repr of every Mat result that rests on elimination, or of the error."""
+    out = []
+    calls = [m.rank, m.rref, m.kernel_basis, lambda: m.solve(rhs)]
+    if m.is_square():
+        calls += [m.det, m.inverse]
+    for call in calls:
+        try:
+            out.append(repr(call()))
+        except PreconditionError as e:
+            out.append(f"PreconditionError({e})")
+    return out
+
+
+def same_as_reference(m, rhs):
+    with patch.object(matrix, "_gauss_jordan", reference_gauss_jordan):
+        expected = eliminations(m, rhs)
+    assert eliminations(m, rhs) == expected
+
+
+entries = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@st.composite
+def rational_systems(draw):
+    """Up to 5x5 Fraction matrices whose last row may be a multiple of the
+    first, with a right-hand side of Fractions and LogLins."""
+    m = draw(st.integers(min_value=1, max_value=5))
+    n = draw(st.one_of(st.just(m), st.integers(min_value=1, max_value=5)))
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    if m > 1 and draw(st.booleans()):
+        k = draw(entries)
+        rows[-1] = [k * x for x in rows[0]]
+    logs = st.builds(lambda q, e: LogLin(q, ((2, e),)), entries, entries)
+    rhs = draw(st.lists(st.one_of(entries, logs), min_size=m, max_size=m))
+    return Mat(rows), rhs
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_systems())
+def test_elimination_matches_reference(system):
+    same_as_reference(*system)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.integers(min_value=1, max_value=4), st.data())
+def test_quadratic_elimination_matches_reference(d, n, data):
+    scalar = st.builds(lambda a, b: QuadScalar.of(a, b, d), entries, entries)
+    rows = data.draw(st.lists(st.lists(scalar, min_size=n, max_size=n),
+                              min_size=n, max_size=n))
+    if n > 1 and data.draw(st.booleans()):
+        k = data.draw(scalar)
+        rows[-1] = [k * x for x in rows[0]]
+    same_as_reference(Mat(rows), data.draw(st.lists(scalar, min_size=n, max_size=n)))
