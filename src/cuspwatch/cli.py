@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -366,6 +367,14 @@ def main(argv=None) -> int:
     try:
         args, result = _RUNNERS[command](rest)
         _emit(command, rest, args, result)
+        sys.stdout.flush()
+        return 0
+    except BrokenPipeError:
+        # the reader closed stdout early; point it at devnull so the
+        # interpreter's final flush does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 0
     except SystemExit as e:
         # argparse already printed its message (help exits 0, errors 2)

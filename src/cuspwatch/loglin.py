@@ -1,24 +1,31 @@
 """Exact ordered scalars of the form q + sum_k e_k * log(nu_k).
 
 `LogLin` models a rational number plus a rational combination of logarithms
-of positive rationals. Every such value has a decidable sign:
+of positive rationals. Every such value has a decidable sign, found in this
+order:
 
 * with no log terms the value is rational;
-* otherwise collect the log part over a common denominator s, so the value
-  is q + (1/s) * log(P) for a single rational P > 0 computed exactly. If
-  P == 1 the value is q. If q == 0 the sign is the sign of P - 1. If both
-  parts are nonzero the value itself is nonzero (log of a rational other
-  than 1 is transcendental), so outward-rounded interval arithmetic at
-  increasing precision terminates with a certified sign.
+* otherwise add q + sum_k e_k * [lo_k, hi_k] in exact rationals, where
+  [lo_k, hi_k] is an outward-rounded enclosure of log(nu_k) at the current
+  precision, cached per (base, precision). If the sum excludes 0 its sign
+  is the answer;
+* the first time the sum straddles 0, collect the log part over a common
+  denominator s, so the value is q + (1/s) * log(P) for a single rational
+  P > 0 computed exactly. If P == 1 the value is q. If q == 0 the sign is
+  the sign of P - 1;
+* otherwise both parts are nonzero, so the value itself is nonzero (log of
+  a rational other than 1 is transcendental), and doubling the precision
+  of the enclosures terminates with a certified sign.
 
-Comparisons, max/min, and decimal rendering all route through that sign
-computation, which keeps every downstream decision exact.
+Comparisons and decimal rendering all route through that sign computation,
+which keeps every downstream decision exact.
 """
 
 from __future__ import annotations
 
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 import mpmath
@@ -27,28 +34,75 @@ from mpmath import iv, mp
 from .errors import PrecisionExhausted
 from .scalars import frac_str, sign
 
+_START_PREC = 128
 _MAX_PREC = 1 << 22
 
 
-def _interval_sign(rat: Fraction, P: Fraction, s: int) -> int:
-    """Certified sign of rat + (1/s) log P, both parts nonzero."""
-    prec = 128
-    while prec <= _MAX_PREC:
-        old = iv.prec
-        try:
-            iv.prec = prec
-            logp = iv.log(iv.mpf(P.numerator)) - iv.log(iv.mpf(P.denominator))
-            total = iv.mpf(rat.numerator) / iv.mpf(rat.denominator) + logp / s
-            if total.a > 0:
-                return 1
-            if total.b < 0:
-                return -1
-        finally:
-            iv.prec = old
-        prec *= 2
-    raise PrecisionExhausted(
-        "interval sign refinement did not separate from zero at %d bits" % _MAX_PREC
-    )
+def _mpf_fraction(m) -> Fraction:
+    """The exact value of a finite raw mpf tuple (sign, man, exp, bc)."""
+    neg, man, exp, _ = m
+    if neg:
+        man = -man
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+
+
+@lru_cache(maxsize=256)
+def _log_enclosure(num: int, den: int, prec: int) -> tuple[Fraction, Fraction]:
+    """Exact rationals lo <= log(num/den) <= hi, outward-rounded at prec bits.
+
+    Keyed on the base's integer parts, which hash faster than a Fraction.
+    """
+    old = iv.prec
+    try:
+        iv.prec = prec
+        x = iv.log(iv.mpf(num)) - iv.log(iv.mpf(den))
+    finally:
+        iv.prec = old
+    lo, hi = x._mpi_
+    return _mpf_fraction(lo), _mpf_fraction(hi)
+
+
+def _fraction(x) -> Fraction:
+    """x as a Fraction, without a copy when it already is one."""
+    return x if type(x) is Fraction else Fraction(x)
+
+
+def _log_argument(logs) -> Fraction:
+    """P = prod b^(e*s), s the lcm of the exponent denominators."""
+    s = 1
+    for _, e in logs:
+        s = lcm(s, e.denominator)
+    P = Fraction(1)
+    for b, e in logs:
+        P *= b ** int(e * s)
+    return P
+
+
+def _merge(a: tuple, b: tuple) -> tuple:
+    """Sum of two sorted, clean term tuples, still sorted and clean."""
+    if not a:
+        return b
+    if not b:
+        return a
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        ba, bb = a[i][0], b[j][0]
+        if ba < bb:
+            out.append(a[i])
+            i += 1
+        elif bb < ba:
+            out.append(b[j])
+            j += 1
+        else:
+            e = a[i][1] + b[j][1]
+            if e:
+                out.append((ba, e))
+            i += 1
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return tuple(out)
 
 
 class LogLin:
@@ -62,21 +116,35 @@ class LogLin:
     __slots__ = ("rat", "logs", "_sign_memo")
 
     def __init__(self, rat=0, logs=()):
-        object.__setattr__(self, "rat", Fraction(rat))
-        merged: dict[Fraction, Fraction] = {}
+        object.__setattr__(self, "rat", _fraction(rat))
+        terms = []
         for base, e in logs:
-            base = Fraction(base)
-            e = Fraction(e)
-            if base <= 0:
+            base, e = _fraction(base), _fraction(e)
+            n, d = base.numerator, base.denominator
+            if n <= 0:
                 raise ValueError("log term needs a positive rational base")
-            if base == 1 or e == 0:
+            if n == d or not e:
                 continue
-            if base < 1:
-                base, e = 1 / base, -e
-            merged[base] = merged.get(base, Fraction(0)) + e
-        clean = tuple(sorted((b, e) for b, e in merged.items() if e != 0))
-        object.__setattr__(self, "logs", clean)
+            terms.append((Fraction(d, n), -e) if n < d else (base, e))
+        clean = []
+        for b, e in sorted(terms):   # equal bases end up adjacent
+            if clean and clean[-1][0] == b:
+                e += clean.pop()[1]
+            if e:
+                clean.append((b, e))
+        object.__setattr__(self, "logs", tuple(clean))
         object.__setattr__(self, "_sign_memo", None)
+
+    @classmethod
+    def _built(cls, rat: Fraction, logs: tuple) -> "LogLin":
+        """Wrap data this class computed itself: a Fraction and (base, e)
+        Fraction pairs sorted by base, with base > 1 and e != 0, so no term
+        is checked again."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "rat", rat)
+        object.__setattr__(v, "logs", logs)
+        object.__setattr__(v, "_sign_memo", None)
+        return v
 
     def __setattr__(self, name, value):
         raise AttributeError("LogLin is immutable")
@@ -100,14 +168,14 @@ class LogLin:
         if isinstance(other, LogLin):
             return other
         if isinstance(other, (int, Fraction)):
-            return LogLin(other)
+            return LogLin._built(_fraction(other), ())
         return None
 
     def __add__(self, other):
         o = self._coerced(other)
         if o is None:
             return NotImplemented
-        return LogLin(self.rat + o.rat, self.logs + o.logs)
+        return LogLin._built(self.rat + o.rat, _merge(self.logs, o.logs))
 
     __radd__ = __add__
 
@@ -124,7 +192,7 @@ class LogLin:
         return o + (-self)
 
     def __neg__(self):
-        return LogLin(-self.rat, tuple((b, -e) for b, e in self.logs))
+        return LogLin._built(-self.rat, tuple((b, -e) for b, e in self.logs))
 
     def __mul__(self, other):
         if isinstance(other, LogLin):
@@ -136,8 +204,10 @@ class LogLin:
                 return NotImplemented  # products of logs leave the class
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        c = Fraction(other)
-        return LogLin(self.rat * c, tuple((b, e * c) for b, e in self.logs))
+        c = _fraction(other)
+        if not c:
+            return LogLin._built(c, ())
+        return LogLin._built(self.rat * c, tuple((b, e * c) for b, e in self.logs))
 
     __rmul__ = __mul__
 
@@ -161,19 +231,41 @@ class LogLin:
         return s
 
     def _compute_sign(self) -> int:
-        if not self.logs:
-            return sign(self.rat)
-        s = 1
-        for _, e in self.logs:
-            s = lcm(s, e.denominator)
-        P = Fraction(1)
-        for b, e in self.logs:
-            P *= b ** int(e * s)
-        if P == 1:
-            return sign(self.rat)
-        if self.rat == 0:
-            return 1 if P > 1 else -1
-        return _interval_sign(self.rat, P, s)
+        rat, logs = self.rat, self.logs
+        if not logs:
+            return sign(rat)
+        exact_tried = False
+        prec = _START_PREC
+        while prec <= _MAX_PREC:
+            # the value lies in [lo_n / lo_d, hi_n / hi_d]: exact rationals
+            # with positive denominators, left unreduced since only the
+            # signs of lo_n and hi_n are read
+            lo_n = hi_n = rat.numerator
+            lo_d = hi_d = rat.denominator
+            for b, e in logs:
+                p, q = e.numerator, e.denominator
+                lo_b, hi_b = _log_enclosure(b.numerator, b.denominator, prec)
+                if p < 0:
+                    lo_b, hi_b = hi_b, lo_b
+                lo_n = lo_n * q * lo_b.denominator + p * lo_b.numerator * lo_d
+                lo_d *= q * lo_b.denominator
+                hi_n = hi_n * q * hi_b.denominator + p * hi_b.numerator * hi_d
+                hi_d *= q * hi_b.denominator
+            if lo_n > 0:
+                return 1
+            if hi_n < 0:
+                return -1
+            if not exact_tried:
+                exact_tried = True
+                P = _log_argument(logs)
+                if P == 1:
+                    return sign(rat)
+                if rat == 0:
+                    return 1 if P > 1 else -1
+            prec *= 2
+        raise PrecisionExhausted(
+            "interval sign refinement did not separate from zero at %d bits" % _MAX_PREC
+        )
 
     def is_zero(self) -> bool:
         return self.sign() == 0
@@ -259,20 +351,3 @@ class LogLin:
             "decimal": self.to_decimal(30),
         }
 
-
-def loglin_max(values):
-    vals = list(values)
-    best = vals[0]
-    for v in vals[1:]:
-        if LogLin.of(v) > LogLin.of(best):
-            best = v
-    return best
-
-
-def loglin_min(values):
-    vals = list(values)
-    best = vals[0]
-    for v in vals[1:]:
-        if LogLin.of(v) < LogLin.of(best):
-            best = v
-    return best

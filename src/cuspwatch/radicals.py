@@ -234,25 +234,18 @@ def _validate_sl(g: Mat) -> None:
 
 
 def _prefilter_bound(g: Mat, p_std: WedgeVector) -> Fraction:
-    """Cheap lower bound for the conjugated wedge norm.
+    """Cheap lower bound for the conjugated wedge norm: max_R |W_R|^n.
 
-    The coefficient of the full wedge at the off-diagonal product index
-    R x ([n] \\ R) has absolute value |W_R|^(n-j) * |W_comp|^j where W is the
-    image of the subspace wedge, by the Kronecker determinant identity and
-    complement duality at determinant one.
+    W is the image of the subspace wedge under Lambda^j(g). The nilpotent
+    space has the basis g b f^T g^-1, b in the rows and f in the
+    annihilator, so its wedge coefficient at the off-diagonal index
+    R x ([n] \\ R) is det(A_R)^(n-j) * det(B_comp)^j, with A the conjugated
+    rows and B the conjugated annihilator (Kronecker determinant identity).
+    Complement duality of a saturated subspace and its annihilator gives
+    det(A_R) = W_R and det(B_comp) = +-W_R, and it survives conjugation by a
+    g of determinant one, so that coefficient is +-W_R^n.
     """
-    n, j = p_std.m, p_std.k
-    W = apply_wedge_matrix(g, p_std)
-    best = Fraction(0)
-    full = tuple(range(1, n + 1))
-    for R, cR in W.coeffs.items():
-        comp = tuple(sorted(set(full) - set(R)))
-        cC = W.coeff(comp)
-        if cC != 0:
-            val = abs(cR) ** (n - j) * abs(cC) ** j
-            if val > best:
-                best = val
-    return best
+    return apply_wedge_matrix(g, p_std).norm_inf() ** p_std.m
 
 
 def _primitive_vectors(n: int, height: int):

@@ -399,6 +399,8 @@ def test_containment_chain_on_grids(verdict):
     if points < 10**4:
         bad.append("only %d grid points sampled" % points)
     dt = time.monotonic() - t0
+    if dt >= 90.0:
+        bad.append("ran %.1fs, cap 90s" % dt)
     verdict("acceptance 07: containment chain on grids", bad,
              "%d points, %d active checks, digits=50, %.1fs"
              % (points, n2 + n3, dt))

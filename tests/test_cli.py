@@ -271,3 +271,21 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == '{"ok": true}\n'
+
+
+def test_closed_stdout_ends_quietly():
+    # a reader that stops after 10 bytes is not an error; the output is
+    # larger than a pipe buffer, so some write meets the closed pipe
+    cli = subprocess.Popen(
+        [sys.executable, "-m", "cuspwatch.cli", "radicals", "profile",
+         "--matrix", '[["2","0"],["0","1/2"]]', "--grid", "10:1/10",
+         "--digits", "1000", "--manifest"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    head = subprocess.run(["head", "-c", "10"], stdin=cli.stdout, capture_output=True)
+    cli.stdout.close()
+    err = cli.stderr.read()
+    cli.stderr.close()
+    assert cli.wait() == 0
+    assert err == b""
+    assert head.stdout == b'{"command_'

@@ -26,6 +26,7 @@ from cuspwatch.radicals import (
     weight_components,
 )
 from cuspwatch.wedge import plucker
+from test_bruhat import random_sl
 
 F = Fraction
 
@@ -197,7 +198,8 @@ def _reference_reduction_candidates(g, j):
 
 
 def _reference_active(g, eps, height, method):
-    """Candidate loop that filters on Plucker data before building witnesses."""
+    """Candidate loop that filters on Plucker height only, with no prefilter:
+    every new subspace is measured by its conjugated wedge."""
     n = g.nrows
     found = {}
     for j in range(1, n):
@@ -210,13 +212,26 @@ def _reference_active(g, eps, height, method):
             if p_std.norm_inf() > height:
                 continue
             key = (j, tuple(sorted(p_std.coeffs.items())))
-            if key in found or _prefilter_bound(g, p_std) >= eps:
+            if key in found:
                 continue
             witness = radical_from_subspace(rows, n)
             norm = conj_ad_wedge(g, witness).norm_inf()
             if norm < eps:
                 found[key] = (witness.rows, norm)
     return [found[k] for k in sorted(found)]
+
+
+@settings(max_examples=2, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6))
+def test_prefilter_bound_is_below_the_norm(seed):
+    # every witness type of (n, height) (3, 2) and (4, 1): j = 1, 2 in SL3
+    # and j = 1, 2, 3 in SL4, so both j != n/2 and j = n/2
+    rng = random.Random(seed)
+    for n, height in ((3, 2), (4, 1)):
+        g = random_sl(n, rng, height=2, steps=4)
+        for w in enumerate_witnesses(n, height):
+            bound = _prefilter_bound(g, w.p_std)
+            assert 0 < bound <= conj_ad_wedge(g, w).norm_inf()
 
 
 @pytest.mark.parametrize("method", ["brute", "reduction"])
