@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .scalars import QuadScalar, frac, frac_str, parse_frac
 from .matrix import Mat
-from .wedge import WedgeVector, wedge_power, plucker, leading_tuple
+from .wedge import WedgeVector, plucker, leading_tuple
 from .loglin import LogLin
 from .chars import Character, SubgroupSpec, GridSpec, ambient_independent
 from .bruhat import WeylElement, BruhatFactorization, bruhat_factor, weight_bound_check
@@ -71,7 +71,7 @@ from .errors import PreconditionError, DependentInput, GaugeTooSteep, InternalEr
 
 __all__ = [
     "QuadScalar", "frac", "frac_str", "parse_frac", "Mat",
-    "WedgeVector", "wedge_power", "plucker", "leading_tuple",
+    "WedgeVector", "plucker", "leading_tuple",
     "LogLin", "Character", "SubgroupSpec", "GridSpec", "ambient_independent",
     "WeylElement", "BruhatFactorization", "bruhat_factor", "weight_bound_check",
     "RadicalWitness", "standard_radical", "radical_from_subspace",

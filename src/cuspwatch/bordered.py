@@ -1,8 +1,8 @@
 """Bordered regions: finite functional systems cut off by a norm gauge.
 
-A bordered region in R^l is the set {x : phi_i(x) > C_i + f(|x|_inf)} for
-finitely many nonzero rational functionals phi_i, constants C_i, and a
-nonnegative nondecreasing Lipschitz gauge f with f(0) = 0. Everything here
+A bordered region in R^l is the set {x : phi_i(x) > C_i + s * |x|_inf}
+for finitely many nonzero rational functionals phi_i, constants C_i, and
+a gauge slope s >= 0; s = 0 gives the zero-gauge polyhedron. Everything here
 is decided exactly: rational linear programs with certificates on both
 sides, no floating point. Strictness is handled by slack variables, so the
 stored data always uses non-strict constants.
@@ -75,88 +75,51 @@ class Functional:
 
 
 class Gauge:
-    """Nonnegative nondecreasing Lipschitz cutoff of the norm, f(0) = 0."""
+    """The norm cutoff f(t) = slope * t, for an exact rational slope >= 0.
 
-    __slots__ = ("kind", "slope", "table")
+    Every decision about a bordered set reads the gauge through its slope:
+    boundedness and the contraction path compare it with the separation
+    constant of the system, and membership subtracts slope * |x|_inf.
+    """
 
-    def __init__(self, kind, slope=Fraction(0), table=()):
-        self.kind = kind
-        self.slope = Fraction(slope)
-        self.table = tuple((Fraction(t), Fraction(y)) for t, y in table)
+    __slots__ = ("slope",)
+
+    def __init__(self, slope=0):
+        slope = frac(slope)
+        if slope < 0:
+            raise PreconditionError("gauge slope must be nonnegative")
+        self.slope = slope
 
     @classmethod
     def zero(cls) -> "Gauge":
-        return cls("zero")
+        return cls()
 
     @classmethod
     def linear(cls, slope) -> "Gauge":
-        slope = Fraction(frac(slope))
-        if slope < 0:
-            raise PreconditionError("gauge slope must be nonnegative")
-        return cls("linear", slope=slope)
-
-    @classmethod
-    def tabulated(cls, points) -> "Gauge":
-        pts = [(Fraction(frac(t)), Fraction(frac(y))) for t, y in points]
-        if not pts or pts[0] != (0, 0):
-            raise PreconditionError("table must start at (0, 0)")
-        for (t0, y0), (t1, y1) in zip(pts, pts[1:]):
-            if t1 <= t0 or y1 < y0:
-                raise PreconditionError("table must be increasing in t, nondecreasing in y")
-        return cls("table", table=tuple(pts))
+        return cls(slope)
 
     @property
     def is_zero(self) -> bool:
-        return self.kind == "zero"
-
-    def lipschitz(self) -> Fraction:
-        if self.kind == "zero":
-            return Fraction(0)
-        if self.kind == "linear":
-            return self.slope
-        best = Fraction(0)
-        for (t0, y0), (t1, y1) in zip(self.table, self.table[1:]):
-            best = max(best, (y1 - y0) / (t1 - t0))
-        return best
+        return self.slope == 0
 
     def __call__(self, t):
         if sign(t) < 0:
             raise PreconditionError("gauge argument must be a nonnegative norm value")
-        if self.kind == "zero":
-            return Fraction(0)
-        if self.kind == "linear":
-            return self.slope * t
-        pts = self.table
-        for (t0, y0), (t1, y1) in zip(pts, pts[1:]):
-            if sign(t - t1) <= 0:
-                return y0 + (y1 - y0) / (t1 - t0) * (t - t0)
-        # beyond the last breakpoint: continue with the final segment slope
-        if len(pts) == 1:
-            return Fraction(0)
-        (t0, y0), (t1, y1) = pts[-2], pts[-1]
-        return y1 + (y1 - y0) / (t1 - t0) * (t - t1)
+        return self.slope * t
 
     def __eq__(self, other):
         if not isinstance(other, Gauge):
             return NotImplemented
-        return (self.kind, self.slope, self.table) == (other.kind, other.slope, other.table)
+        return self.slope == other.slope
 
     def __hash__(self):
-        return hash((self.kind, self.slope, self.table))
+        return hash(self.slope)
 
     def __repr__(self):
-        if self.kind == "zero":
-            return "Gauge.zero()"
-        if self.kind == "linear":
-            return "Gauge.linear(%s)" % (self.slope,)
-        return "Gauge.tabulated(%r)" % (self.table,)
+        return "Gauge.linear(%s)" % (self.slope,)
 
     def to_json(self):
-        if self.kind == "zero":
-            return {"kind": "zero"}
-        if self.kind == "linear":
-            return {"kind": "linear", "slope": frac_str(self.slope)}
-        return {"kind": "table", "points": [[frac_str(t), frac_str(y)] for t, y in self.table]}
+        return {"kind": "linear", "slope": frac_str(self.slope)}
 
 
 def _sup_norm(x):
@@ -573,10 +536,10 @@ class _ContractionPlan:
     def bounded(self) -> bool:
         U = self.U
         eps = epsilon_bound(U.functionals)
-        if U.gauge.lipschitz() >= eps:
+        if U.gauge.slope >= eps:
             raise GaugeTooSteep(
                 "gauge slope %s is not below the separation constant %s"
-                % (U.gauge.lipschitz(), eps)
+                % (U.gauge.slope, eps)
             )
         ok, _ = positively_nontrivial(U.functionals)
         return not ok

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from math import gcd
 
 from .errors import DependentInput, PreconditionError
@@ -207,7 +207,3 @@ class GridSpec:
             total *= len(self.axis_points(k))
         return total
 
-
-def weight_subsets(n: int, j: int):
-    """All 1-based j-subsets of {1..n} with their diagonal weights."""
-    return [(idx, subset_weight(idx, n)) for idx in combinations(range(1, n + 1), j)]

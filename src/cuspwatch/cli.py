@@ -343,19 +343,21 @@ _RUNNERS = {
 
 
 def _emit(command: str, argv, args, result) -> None:
+    """Render everything before writing, so a rejected input prints nothing."""
+    if args.csv:
+        to_csv = getattr(result, "to_csv", None)
+        if not callable(to_csv):
+            raise PreconditionError("this subcommand has no CSV form")
+        text = to_csv()
+    else:
+        text = dumps(result) + "\n"
     if args.manifest:
         digits = getattr(args, "digits", None)
         if digits is None:
             digits = default_digits()
         manifest = RunManifest.for_argv([command] + list(argv), __version__, digits)
-        sys.stdout.write(dumps(manifest) + "\n")
-    if args.csv:
-        to_csv = getattr(result, "to_csv", None)
-        if not callable(to_csv):
-            raise PreconditionError("this subcommand has no CSV form")
-        sys.stdout.write(to_csv())
-        return
-    sys.stdout.write(dumps(result) + "\n")
+        text = dumps(manifest) + "\n" + text
+    sys.stdout.write(text)
 
 
 def main(argv=None) -> int:

@@ -16,7 +16,7 @@ component norms) so they can cross-check each other in tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -52,10 +52,6 @@ class CoverElement:
     restricted: object   # BorderedSet over the nonzero restrictions, or None
     zero_psi: tuple      # (Character, norm) pairs with vanishing restriction
 
-    def d_values(self) -> list:
-        """Exact cut levels log(norm) + C0, aligned with psi."""
-        return [LogLin(self.C0, ((nu, 1),)) for nu in self.norms]
-
     def contains(self, s, closed: bool = False) -> bool:
         """Gauged membership, via bordered-set margins plus ball conditions."""
         s = tuple(Fraction(frac(v)) for v in s)
@@ -79,6 +75,8 @@ class CoverElement:
         of  psi-restriction(s) shortfall plus log norm  decides each one.
         """
         s = tuple(Fraction(frac(v)) for v in s)
+        if len(s) != self.subgroup.dim:
+            raise PreconditionError("coordinate length mismatch")
         cut = self.gauge(_sup_norm(s))
         for coeffs, nu in zip(self.restr, self.norms):
             lin = self.C0 + cut - sum(c * v for c, v in zip(coeffs, s))
@@ -89,17 +87,7 @@ class CoverElement:
 
     def zero_gauge(self) -> "CoverElement":
         restricted = None if self.restricted is None else self.restricted.zero_gauge()
-        return CoverElement(
-            witness=self.witness,
-            subgroup=self.subgroup,
-            C0=self.C0,
-            gauge=Gauge.zero(),
-            psi=self.psi,
-            norms=self.norms,
-            restr=self.restr,
-            restricted=restricted,
-            zero_psi=self.zero_psi,
-        )
+        return replace(self, gauge=Gauge.zero(), restricted=restricted)
 
     def to_json(self):
         return {

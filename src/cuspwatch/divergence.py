@@ -262,9 +262,9 @@ def _analyze(g: Mat, A: SubgroupSpec, witnesses):
     if not hyps:
         unit = tuple(1 if i == 0 else 0 for i in range(l))
         return False, unit, None
-    if Mat.rationalize([list(h) for h in hyps]).rank() < l:
-        kernel = Mat.rationalize([list(h) for h in hyps]).kernel_basis()[0]
-        return False, tuple(positive_primitive(kernel)), None
+    H = Mat.rationalize([list(h) for h in hyps])
+    if H.rank() < l:
+        return False, tuple(positive_primitive(H.kernel_basis()[0])), None
     cells = []
     for pattern, d in _fan_faces(hyps):
         owner = None
@@ -308,6 +308,8 @@ def ray_profile(w, A: SubgroupSpec, direction, times) -> list:
     if not isinstance(w, WitnessVector):
         raise PreconditionError("ray_profile expects a prepared witness vector")
     d = tuple(Fraction(x) for x in direction)
+    if len(d) != A.dim:
+        raise PreconditionError("coordinate length mismatch")
     out = []
     for t in times:
         t = Fraction(t)

@@ -15,7 +15,7 @@ class DependentInput(PreconditionError):
 
 
 class GaugeTooSteep(PreconditionError):
-    """The gauge's Lipschitz slope is too large for the requested operation."""
+    """The gauge slope is too large for the requested operation."""
 
 
 class NoUniqueLeadingTuple(PreconditionError):

@@ -123,8 +123,8 @@ def primitive_int_vector(seq) -> tuple[int, ...]:
     return tuple(ints)
 
 
-def lll_reduce(rows, delta: Fraction = Fraction(3, 4)) -> tuple[list[list[Fraction]], list[list[int]]]:
-    """Exact-rational LLL reduction.
+def lll_reduce(rows) -> tuple[list[list[Fraction]], list[list[int]]]:
+    """Exact-rational LLL reduction with the classic Lovasz constant 3/4.
 
     Returns (reduced, T) with T an integer unimodular matrix satisfying
     reduced = T * rows. Input rows must be linearly independent.
@@ -160,7 +160,7 @@ def lll_reduce(rows, delta: Fraction = Fraction(3, 4)) -> tuple[list[list[Fracti
                 B[k] = [a - q * b for a, b in zip(B[k], B[j])]
                 T[k] = [a - q * b for a, b in zip(T[k], T[j])]
                 star, mu, norms = gram_schmidt()
-        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+        if norms[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * norms[k - 1]:
             k += 1
         else:
             B[k], B[k - 1] = B[k - 1], B[k]

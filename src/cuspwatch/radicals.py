@@ -21,7 +21,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import gcd
 
-from .chars import Character, SubgroupSpec, subset_weight
+from .chars import Character, SubgroupSpec
 from .errors import DependentInput, PreconditionError
 from .lattice import int_kernel, saturation_pair, lll_reduce
 from .loglin import LogLin
@@ -104,27 +104,15 @@ def wedge_index_weight(idx, n: int) -> Character:
     return Character(tuple(c))
 
 
-def _bucket_norms(pairs) -> list:
+def weight_components(w: WedgeVector, n: int) -> list:
+    """Per-weight sup norms of a wedge over the trace-zero basis."""
     buckets: dict = {}
-    for ch, a in pairs:
+    for idx, c in w.coeffs.items():
+        ch, a = wedge_index_weight(idx, n), abs(c)
         cur = buckets.get(ch)
         if cur is None or a > cur:
             buckets[ch] = a
     return sorted(buckets.items(), key=lambda t: t[0].sort_key())
-
-
-def weight_components(w: WedgeVector, n: int) -> list:
-    """Per-weight sup norms of a wedge over the trace-zero basis."""
-    return _bucket_norms(
-        (wedge_index_weight(idx, n), abs(c)) for idx, c in w.coeffs.items()
-    )
-
-
-def std_weight_components(w: WedgeVector, n: int) -> list:
-    """Per-weight sup norms of a wedge over the coordinate basis."""
-    return _bucket_norms(
-        (subset_weight(idx, n), abs(c)) for idx, c in w.coeffs.items()
-    )
 
 
 @dataclass(frozen=True)
@@ -153,11 +141,6 @@ class RadicalWitness:
     def height(self) -> Fraction:
         """Height of the subspace: sup norm of its primitive Plucker vector."""
         return self.p_std.norm_inf()
-
-    @property
-    def weights_std(self) -> list:
-        """Characters carrying a nonzero component of p_std."""
-        return [ch for ch, _ in std_weight_components(self.p_std, self.n)]
 
     @property
     def weights_ad(self) -> list:
@@ -493,6 +476,8 @@ def cusp_profile(g: Mat, subgroup: SubgroupSpec, grid_points, witnesses,
     pts = [tuple(Fraction(x) for x in p) for p in grid_points]
     if not pts:
         raise PreconditionError("need at least one grid point")
+    if any(len(p) != subgroup.dim for p in pts):
+        raise PreconditionError("coordinate length mismatch")
     if digits is None:
         digits = default_digits()
 

@@ -202,22 +202,6 @@ def plucker(vectors, m: int | None = None) -> WedgeVector:
     return w.primitive()
 
 
-def wedge_power(mat: Mat, k: int) -> Mat:
-    """Matrix of Lambda^k(mat) in the lexicographic k-subset basis.
-
-    Entry (I, J) is the k x k minor with rows I and columns J. Functorial:
-    wedge_power(A * B, k) == wedge_power(A, k) * wedge_power(B, k).
-    """
-    n = mat.nrows
-    if not mat.is_square():
-        raise PreconditionError("wedge_power expects a square matrix")
-    if not (1 <= k <= n):
-        raise PreconditionError(f"degree {k} out of range")
-    subs = k_subsets(n, k)
-    cols = [wedge_of_vectors([mat.col(j - 1) for j in J], n) for J in subs]
-    return Mat([[w.coeff(I) for w in cols] for I in subs])
-
-
 def apply_wedge_matrix(mat: Mat, w: WedgeVector) -> WedgeVector:
     """Image of w under Lambda^k(mat), computed column-sparsely.
 
@@ -235,14 +219,7 @@ def apply_wedge_matrix(mat: Mat, w: WedgeVector) -> WedgeVector:
     return WedgeVector._built(mat.nrows, w.k, out)
 
 
-def componentwise_le(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    """The partial order on increasing index tuples: a <= b in every slot."""
-    if len(a) != len(b):
-        raise PreconditionError("tuple length mismatch")
-    return all(x <= y for x, y in zip(a, b))
-
-
-def leading_tuple(w: WedgeVector, order=componentwise_le) -> tuple[int, ...]:
+def leading_tuple(w: WedgeVector) -> tuple[int, ...]:
     """The maximum support tuple of w in the componentwise order.
 
     For a decomposable w this is the pivot pattern of its subspace (the
@@ -255,10 +232,10 @@ def leading_tuple(w: WedgeVector, order=componentwise_le) -> tuple[int, ...]:
     support = w.support()
     best = support[0]
     for t in support[1:]:
-        if order(best, t):
+        if all(x <= y for x, y in zip(best, t)):
             best = t
     for t in support:
-        if not order(t, best):
+        if not all(x <= y for x, y in zip(t, best)):
             raise NoUniqueLeadingTuple(
                 f"support has no componentwise maximum: {t} and {best} are incomparable")
     return best

@@ -35,18 +35,26 @@ F = Fraction
 def test_gauge_values():
     assert Gauge.zero()(F(7)) == 0
     assert Gauge.linear(F(1, 2))(F(3)) == F(3, 2)
-    g = Gauge.tabulated([(0, 0), (1, 0), (3, 1)])
-    assert g(F(1, 2)) == 0
-    assert g(2) == F(1, 2)
-    assert g(5) == 2        # last segment slope continues
     with pytest.raises(PreconditionError):
         Gauge.linear(F(-1, 3))
     with pytest.raises(PreconditionError):
-        Gauge.tabulated([(1, 0), (2, 1)])   # must start at the origin
-    with pytest.raises(PreconditionError):
-        Gauge.tabulated([(0, 0), (2, 1), (1, 2)])
-    with pytest.raises(PreconditionError):
         Gauge.zero()(F(-1))
+
+
+def test_gauge_is_its_slope():
+    assert Gauge.linear(0) == Gauge.zero()
+    assert hash(Gauge.linear(0)) == hash(Gauge.zero())
+    assert Gauge.linear("0").is_zero and not Gauge.linear(F(1, 8)).is_zero
+    assert Gauge.linear(F(1, 2)) != Gauge.linear(F(1, 3))
+    assert Gauge.zero().to_json() == {"kind": "linear", "slope": "0"}
+    assert Gauge.linear(F(1, 8)).to_json() == {"kind": "linear", "slope": "1/8"}
+    # a slope-0 linear gauge is the zero gauge wherever one is required
+    strip = BorderedSet(2, (((1, 0), 0), ((-1, 0), -1)), Gauge.linear(0))
+    assert invdim(strip) == 1
+    a = BorderedSet(2, (((1, 0), 0),), Gauge.zero())
+    b = BorderedSet(2, (((0, 1), 1),), Gauge.linear(0))
+    both = conjunction([a, b])
+    assert len(both.phi) == 2 and both.gauge.is_zero
 
 
 def test_bordered_set_validation():

@@ -15,7 +15,7 @@ from cuspwatch.bruhat import (
 from cuspwatch.errors import PreconditionError
 from cuspwatch.matrix import Mat
 from cuspwatch.scalars import QuadScalar
-from cuspwatch.wedge import WedgeVector, wedge_power
+from cuspwatch.wedge import WedgeVector
 
 F = Fraction
 

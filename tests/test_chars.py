@@ -9,7 +9,6 @@ from cuspwatch.chars import (
     SubgroupSpec,
     ambient_independent,
     subset_weight,
-    weight_subsets,
 )
 from cuspwatch.errors import DependentInput, PreconditionError
 
@@ -77,15 +76,6 @@ def test_grid_box():
     assert len(pts) == 25
     assert (F(-1), F(-1)) in pts and (F(1), F(1)) in pts
     assert len(g) == 25
-
-
-def test_weight_subsets():
-    pairs = list(weight_subsets(4, 2))
-    assert [idx for idx, _ in pairs] == [
-        (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)
-    ]
-    for idx, ch in pairs:
-        assert ch == subset_weight(idx, 4)
 
 
 ints = st.integers(min_value=-5, max_value=5)

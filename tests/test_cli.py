@@ -174,6 +174,37 @@ def test_cover_commands(capsys):
     }
 
 
+# the bytes of `cover build --gauge 0`: a slope-0 gauge prints as linear
+COVER_BUILD_GAUGE0 = (
+    '[{"witness": {"n": 2, "j": 1, "rows": [[1, 0]], "p_std": {"m": 2, "k": 1, '
+    '"coeffs": [[[1], "1"]]}, "p_ad": {"m": 3, "k": 1, "coeffs": [[[1], "1"]]}}, '
+    '"psi": [[-1, 1]], "d": [{"norm": "1", "C0": "0"}], '
+    '"gauge": {"kind": "linear", "slope": "0"}}, '
+    '{"witness": {"n": 2, "j": 1, "rows": [[-1, 1]], "p_std": {"m": 2, "k": 1, '
+    '"coeffs": [[[1], "1"], [[2], "-1"]]}, "p_ad": {"m": 3, "k": 1, '
+    '"coeffs": [[[1], "1"], [[2], "-1"], [[3], "1"]]}}, '
+    '"psi": [[1, -1], [0, 0], [-1, 1]], "d": [{"norm": "1", "C0": "0"}, '
+    '{"norm": "1", "C0": "0"}, {"norm": "1", "C0": "0"}], '
+    '"gauge": {"kind": "linear", "slope": "0"}}, '
+    '{"witness": {"n": 2, "j": 1, "rows": [[1, 1]], "p_std": {"m": 2, "k": 1, '
+    '"coeffs": [[[1], "1"], [[2], "1"]]}, "p_ad": {"m": 3, "k": 1, '
+    '"coeffs": [[[1], "1"], [[2], "-1"], [[3], "-1"]]}}, '
+    '"psi": [[1, -1], [0, 0], [-1, 1]], "d": [{"norm": "1", "C0": "0"}, '
+    '{"norm": "1", "C0": "0"}, {"norm": "1", "C0": "0"}], '
+    '"gauge": {"kind": "linear", "slope": "0"}}, '
+    '{"witness": {"n": 2, "j": 1, "rows": [[0, 1]], "p_std": {"m": 2, "k": 1, '
+    '"coeffs": [[[2], "1"]]}, "p_ad": {"m": 3, "k": 1, "coeffs": [[[2], "1"]]}}, '
+    '"psi": [[1, -1]], "d": [{"norm": "1", "C0": "0"}], '
+    '"gauge": {"kind": "linear", "slope": "0"}}]\n'
+)
+
+
+def test_cover_build_zero_gauge_bytes(capsys):
+    code, out, _ = run(capsys, "cover", "build", "--matrix", I2,
+                       "--height", "1", "--gauge", "0")
+    assert code == 0 and out == COVER_BUILD_GAUGE0
+
+
 def test_diverge_commands(capsys):
     code, out, _ = run(capsys, "diverge", "check", "--matrix", I2,
                        "--subspace", "[[1,0]]", "--subspace", "[[0,1]]")
@@ -248,6 +279,17 @@ PHI3 = "[[1,0],[0,1],[-1,-1]]"
     ("bordered", "check", "--what", "bounded", "--phi", PHI3, "--c", "[0,0.1,0]"),
 ])
 def test_malformed_rationals_are_input_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("bruhat", "factor", "--matrix", "[[0,1],[-1,0]]", "--csv", "--manifest"),
+    ("radicals", "profile", "--matrix", DIAG2, "--grid", "1:1", "--digits", "0",
+     "--manifest"),
+])
+def test_rejected_input_prints_no_manifest(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error:")

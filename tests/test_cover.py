@@ -33,7 +33,7 @@ def test_build_cover_sl2_shapes():
     assert up.gauge == Gauge.linear(F(1, 2))
     assert [p.canonical() for p in up.psi] == [(-1, 1)]
     assert up.norms == (F(4),) and up.restr == ((F(-2),),)
-    assert (up.d_values()[0] - LogLin.log(4)).is_zero()
+    assert (up.restricted.constants[0] - LogLin.log(4)).is_zero()
     assert lo.norms == (F(1, 4),) and lo.restr == ((F(2),),)
     # a slanted line meets three weight lines; the constant one becomes
     # a ball condition instead of a bordered constraint
@@ -49,6 +49,15 @@ def test_contains_matches_is_active():
             s = (F(k, 2),)
             assert e.contains(s) == e.is_active(s)
             assert e.contains(s, closed=True) == e.is_active(s, strict=False)
+
+
+def test_wrong_length_points_are_rejected():
+    for e in build_cover(I2, A2, [UP, MIX]):
+        for s in ((), (F(1), F(0))):
+            with pytest.raises(PreconditionError, match="coordinate length"):
+                e.is_active(s)
+            with pytest.raises(PreconditionError, match="coordinate length"):
+                e.contains(s)
 
 
 def test_upper_line_region_boundary():

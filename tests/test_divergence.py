@@ -116,6 +116,9 @@ def test_ray_profile_exact_values():
     assert all((a - b).sign() > 0 for a, b in zip(vals, vals[1:]))
     with pytest.raises(PreconditionError):
         ray_profile(UP, A2, (-1,), [1])
+    for d in ((), (-1, 0)):
+        with pytest.raises(PreconditionError, match="coordinate length"):
+            ray_profile(w, A2, d, [1])
 
 
 def test_shrink_cone():

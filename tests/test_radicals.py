@@ -49,7 +49,6 @@ def test_standard_radical_shape():
     assert w.height() == 1
     # the nilpotent space wedge lives in a single weight line
     assert len(w.p_ad.coeffs) == 1
-    assert w.weights_std == [subset_weight((1, 2), 4)]
 
 
 def test_ad_weight_is_n_times_std_weight():
@@ -134,6 +133,9 @@ def test_cusp_profile_exact_values():
     for got, want in zip(table.values, expected):
         assert (got - want).is_zero()
     assert table.rendered()[0][1].startswith("-0.61370563888010938116")
+    for bad in ((), (F(1), F(0))):
+        with pytest.raises(PreconditionError, match="coordinate length"):
+            cusp_profile(g, A, [(F(0),), bad], enumerate_witnesses(2, 1))
 
 
 def test_conjugation_equivariance_under_integral_maps():

@@ -12,7 +12,6 @@ from cuspwatch.wedge import (
     leading_tuple,
     plucker,
     wedge_of_vectors,
-    wedge_power,
 )
 
 F = Fraction
@@ -56,12 +55,6 @@ def test_plucker_relation_holds_for_planes_in_4_space():
         + c((1, 4)) * c((2, 3))
     )
     assert rel == 0
-
-
-def test_wedge_power_functorial_on_2x2():
-    m = Mat.rationalize([[1, 2], [3, 4]])
-    w2 = wedge_power(m, 2)
-    assert w2[0, 0] == m.det()
 
 
 def test_apply_wedge_matrix_matches_wedge_of_images():
@@ -149,8 +142,7 @@ def test_wedge_graded_anticommutative(data):
 @given(st.lists(st.lists(small, min_size=3, max_size=3), min_size=3, max_size=3))
 def test_full_wedge_is_det(rows):
     m = Mat.rationalize(rows)
-    w = wedge_power(m, 3)
-    assert w[0, 0] == m.det()
+    assert wedge_of_vectors(rows, 3).coeff((1, 2, 3)) == m.det()
 
 
 @settings(max_examples=60)
