@@ -10,6 +10,12 @@ stored data always uses non-strict constants.
 The norm is the sup norm throughout; its unit sphere splits into the 2l
 faces {x_c = +-1, |x_d| <= 1}, which keeps every sphere optimization a
 finite family of linear programs.
+
+Every LP goes through `solve_lp`, and each LP shape is built in one place:
+the Gordan point (`positively_nontrivial`), the cone point (`_cone_point`,
+for Gordan's dual, ray reversibility and positive spanning), the separation
+face (`_face_lp`), the depth LP (`_depth_lp`, for the peak depth and, capped,
+intersection) and the lex-least point (`_lex_inf_min`).
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from itertools import combinations
 from .errors import GaugeTooSteep, InternalError, PreconditionError
 from .lattice import positive_primitive
 from .loglin import LogLin
-from .lp import lp_feasible, solve_lp
+from .lp import solve_lp
 from .matrix import Mat
 from .scalars import frac, frac_str, sign
 
@@ -66,12 +72,6 @@ class Functional:
         for c, v in zip(self.coeffs[1:], x[1:]):
             total = total + c * v
         return total
-
-    def __neg__(self) -> "Functional":
-        return Functional(tuple(-c for c in self.coeffs))
-
-    def to_json(self):
-        return [frac_str(c) for c in self.coeffs]
 
 
 class Gauge:
@@ -182,19 +182,6 @@ class BorderedSet:
         """What boundedness and contraction need of this set, kept with it."""
         return _ContractionPlan(self)
 
-    def to_json(self):
-        return {
-            "l": self.l,
-            "phi": [
-                {
-                    "coeffs": f.to_json(),
-                    "c": c.to_json() if isinstance(c, LogLin) else frac_str(c),
-                }
-                for f, c in self.phi
-            ],
-            "gauge": self.gauge.to_json(),
-        }
-
 
 def conjunction(sets) -> BorderedSet:
     """Intersection of bordered sets sharing dimension and gauge."""
@@ -249,19 +236,11 @@ def positively_nontrivial(phi_list):
         if not all(sign(f(v)) > 0 for f in fs):
             raise InternalError("Gordan point is not strictly positive")
         return True, v
-    # infeasible: the dual cone certificate exists
-    eq_rows = [[fs[i].coeffs[d] for i in range(m)] for d in range(l)]
-    eq_rows.append([Fraction(1)] * m)
-    dual = solve_lp(
-        [Fraction(0)] * m,
-        A_ub=[[-Fraction(i == k) for i in range(m)] for k in range(m)],
-        b_ub=[Fraction(0)] * m,
-        A_eq=eq_rows,
-        b_eq=[Fraction(0)] * l + [Fraction(1)],
-    )
-    if dual.status != "optimal":
-        raise InternalError("Gordan dual system is %s" % dual.status)
-    lam = _positive_primitive(dual.x)
+    # infeasible: (0, ..., 0, 1) lies in the cone of the vectors (phi_i, 1)
+    lam = _cone_point([f.coeffs + (1,) for f in fs], (0,) * l + (1,))
+    if lam is None:
+        raise InternalError("Gordan dual system is infeasible")
+    lam = _positive_primitive(lam)
     if not (all(v >= 0 for v in lam) and any(v > 0 for v in lam)):
         raise InternalError("Gordan multipliers are not nonnegative and nonzero")
     for d in range(l):
@@ -343,11 +322,15 @@ def epsilon_bound(phi_list) -> Fraction:
 
 
 def is_bounded(U: BorderedSet) -> bool:
-    """A bordered region is bounded iff its system has a dead combination.
+    """Whether a bordered region is bounded.
 
-    The gauge must be strictly less steep than the separation constant of
-    the system; a steeper gauge is rejected rather than answered wrongly.
-    The verdict is kept in the set's contraction plan.
+    At a positive slope the region is bounded iff its system has a dead
+    combination (Gordan); the slope must be strictly less than the
+    separation constant of the system, and a steeper gauge is rejected
+    rather than answered wrongly. At slope 0 the region is a polyhedron,
+    bounded iff it is empty or the phi_i positively span R^l (rank l and
+    -sum phi_i in their cone; Stiemke). The verdict is kept in the set's
+    contraction plan.
     """
     return U._plan.bounded
 
@@ -381,33 +364,23 @@ class ConvexSpec:
     def is_empty(self) -> bool:
         return not self.points
 
-    def to_json(self):
-        return {
-            "points": [[frac_str(c) for c in p] for p in self.points],
-            "rays": [[frac_str(c) for c in r] for r in self.rays],
-        }
 
-
-def _in_cone(rays, target) -> bool:
-    """Exact membership of target in the conical hull of the rays."""
-    if all(c == 0 for c in target):
-        return True
-    if not rays:
-        return False
+def _cone_point(rays, target):
+    """Weights gamma >= 0 with sum gamma_i rays_i = target, or None when
+    target is not in the conical hull of the rays."""
     m = len(rays)
-    l = len(target)
-    A_eq = [[rays[i][d] for i in range(m)] for d in range(l)]
-    ok, _ = lp_feasible(
+    res = solve_lp(
+        [Fraction(0)] * m,
         A_ub=[[-Fraction(i == k) for i in range(m)] for k in range(m)],
         b_ub=[Fraction(0)] * m,
-        A_eq=A_eq,
+        A_eq=[[r[d] for r in rays] for d in range(len(target))],
         b_eq=list(target),
     )
-    return ok
+    return res.x if res.status == "optimal" else None
 
 
 def _reversible_rays(S: ConvexSpec) -> list:
-    return [r for r in S.rays if _in_cone(S.rays, tuple(-c for c in r))]
+    return [r for r in S.rays if _cone_point(S.rays, tuple(-c for c in r)) is not None]
 
 
 def _span_dim(vectors) -> int:
@@ -419,11 +392,12 @@ def invdim(S):
     if isinstance(S, BorderedSet):
         if not S.gauge.is_zero:
             raise PreconditionError("invariance dimension needs the zero-gauge polyhedron")
-        ok, _ = lp_feasible(
+        res = solve_lp(
+            [Fraction(0)] * S.l,
             A_ub=[[-c for c in f.coeffs] for f in S.functionals],
             b_ub=[-c for c in S.constants],
         )
-        if not ok:
+        if res.status != "optimal":
             return -math.inf
         return S.l - _span_dim([f.coeffs for f in S.functionals])
     if isinstance(S, ConvexSpec):
@@ -449,72 +423,38 @@ def is_k_trivial(S: ConvexSpec, k: int) -> bool:
 
 def _lex_inf_min(rows, rhs, l: int):
     """Point of {x : rows . x >= rhs} with least sup norm, ties broken by
-    smallest coordinates in order; deterministic and unique."""
-    m = len(rows)
-    nv = 1 + l  # r, x
-    A_ub, b_ub = [], []
-    for r, b in zip(rows, rhs):
-        row = [Fraction(0)] * nv
-        for d in range(l):
-            row[1 + d] = -r[d]
-        A_ub.append(row)
-        b_ub.append(-b)
+    smallest coordinates in order; deterministic and unique.
+
+    One system over (r, x) with |x_d| <= r: minimize r, then x_1, ..., x_l,
+    each optimum fixed by an equality row before the next LP.
+    """
+    zero = [Fraction(0)]
+    A_ub = [zero + [-v for v in r] for r in rows]
+    b_ub = [-b for b in rhs]
     for d in range(l):
         for s in (1, -1):
-            row = [Fraction(0)] * nv
-            row[0] = Fraction(-1)
-            row[1 + d] = Fraction(s)
-            A_ub.append(row)
+            A_ub.append([Fraction(-1)] + [Fraction(s * (e == d)) for e in range(l)])
             b_ub.append(Fraction(0))
-    obj = [Fraction(0)] * nv
-    obj[0] = Fraction(-1)
-    res = solve_lp(obj, A_ub=A_ub, b_ub=b_ub)
-    if res.status != "optimal":
-        raise InternalError("least sup norm LP is %s" % res.status)
-    rstar = -res.value
-
-    A_ub2, b_ub2 = [], []
-    for r, b in zip(rows, rhs):
-        A_ub2.append([-r[d] for d in range(l)])
-        b_ub2.append(-b)
-    for d in range(l):
-        for s in (1, -1):
-            row = [Fraction(0)] * l
-            row[d] = Fraction(s)
-            A_ub2.append(row)
-            b_ub2.append(rstar)
     A_eq, b_eq = [], []
-    x = []
-    for d in range(l):
-        obj = [Fraction(0)] * l
-        obj[d] = Fraction(-1)
-        res = solve_lp(obj, A_ub=A_ub2, b_ub=b_ub2, A_eq=A_eq, b_eq=b_eq)
+    for k in range(1 + l):
+        unit = [Fraction(j == k) for j in range(1 + l)]
+        res = solve_lp([-v for v in unit], A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq)
         if res.status != "optimal":
-            raise InternalError("lexicographic coordinate LP is %s" % res.status)
-        xd = -res.value
-        row = [Fraction(0)] * l
-        row[d] = Fraction(1)
-        A_eq.append(row)
-        b_eq.append(xd)
-        x.append(xd)
-    return tuple(x)
+            raise InternalError("lexicographic LP %d is %s" % (k, res.status))
+        A_eq.append(unit)
+        b_eq.append(res.x[k])
+    return tuple(res.x[1:])
 
 
-def _depth_polytope(U: BorderedSet):
-    """Max of the zero-gauge depth and the constraints of its argmax set."""
-    l = U.l
-    rows = [list(f.coeffs) for f in U.functionals]
-    consts = list(U.constants)
-    obj = [Fraction(1)] + [Fraction(0)] * l
-    A_ub, b_ub = [], []
-    for r, c in zip(rows, consts):
-        A_ub.append([Fraction(1)] + [-v for v in r])
-        b_ub.append(-c)
-    res = solve_lp(obj, A_ub=A_ub, b_ub=b_ub)
-    if res.status != "optimal":
-        raise InternalError("a bounded system has a finite peak depth, LP is %s" % res.status)
-    M = res.value
-    return M, rows, [c + M for c in consts]
+def _depth_lp(l: int, pairs, cap: bool):
+    """max t subject to phi(x) >= c + t for each pair (phi, c), and t <= 1
+    when capped, as the LP result over (t, x)."""
+    A_ub = [[Fraction(1)] + [-v for v in f.coeffs] for f, _ in pairs]
+    b_ub = [-c for _, c in pairs]
+    if cap:
+        A_ub.append([Fraction(1)] + [Fraction(0)] * l)
+        b_ub.append(Fraction(1))
+    return solve_lp([Fraction(1)] + [Fraction(0)] * l, A_ub=A_ub, b_ub=b_ub)
 
 
 class _ContractionPlan:
@@ -535,6 +475,13 @@ class _ContractionPlan:
     @cached_property
     def bounded(self) -> bool:
         U = self.U
+        if U.gauge.is_zero:
+            # a polyhedron: bounded iff empty or the phi_i positively span R^l
+            vecs = [f.coeffs for f in U.functionals]
+            minus_sum = [-sum(col) for col in zip(*vecs)]
+            if _span_dim(vecs) == U.l and _cone_point(vecs, minus_sum) is not None:
+                return True
+            return not intersect_nonempty([U])[0]
         eps = epsilon_bound(U.functionals)
         if U.gauge.slope >= eps:
             raise GaugeTooSteep(
@@ -546,16 +493,20 @@ class _ContractionPlan:
 
     @cached_property
     def peak(self):
-        return _depth_polytope(self.U)
+        """(rows, rhs) of {x : rows_i . x >= rhs_i}, where the zero-gauge depth peaks."""
+        U = self.U
+        res = _depth_lp(U.l, U.phi, cap=False)
+        if res.status != "optimal":
+            raise InternalError("a bounded system has a finite peak depth, LP is %s" % res.status)
+        return [list(f.coeffs) for f in U.functionals], [c + res.value for c in U.constants]
 
     @cached_property
     def lex_min(self) -> tuple:
-        _, rows, rhs = self.peak
-        return _lex_inf_min(rows, rhs, self.U.l)
+        return _lex_inf_min(*self.peak, self.U.l)
 
     @cached_property
     def faces(self) -> list:
-        rows = self.peak[1]
+        rows = self.peak[0]
         out = []
         for size in range(1, min(self.U.l, len(rows)) + 1):
             for combo in combinations(range(len(rows)), size):
@@ -574,7 +525,7 @@ class _ContractionPlan:
         minimizer is unique, so the first subset passing both checks is it,
         whatever the order the subsets are tried in.
         """
-        _, rows, rhs = self.peak
+        rows, rhs = self.peak
         l = len(p)
         slack = [sum(r[d] * p[d] for d in range(l)) - b for r, b in zip(rows, rhs)]
         if all(sign(v) >= 0 for v in slack):
@@ -632,17 +583,7 @@ def intersect_nonempty(sets):
     l = sets[0].l
     if any(s.l != l for s in sets):
         raise PreconditionError("dimension mismatch")
-    A_ub, b_ub = [], []
-    for s in sets:
-        for f, c in s.phi:
-            row = [Fraction(1)] + [-v for v in f.coeffs]
-            A_ub.append(row)
-            b_ub.append(-c)
-    cap = [Fraction(1)] + [Fraction(0)] * l
-    A_ub.append(cap)
-    b_ub.append(Fraction(1))
-    obj = [Fraction(1)] + [Fraction(0)] * l
-    res = solve_lp(obj, A_ub=A_ub, b_ub=b_ub)
+    res = _depth_lp(l, [p for s in sets for p in s.phi], cap=True)
     if res.status != "optimal":
         raise InternalError("capped intersection LP is %s" % res.status)
     if sign(res.value) > 0:

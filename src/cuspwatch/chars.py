@@ -22,7 +22,12 @@ class Character:
     coeffs: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+        coeffs = tuple(self.coeffs)
+        if not all(type(c) is int for c in coeffs):
+            if any(Fraction(c).denominator != 1 for c in coeffs):
+                raise PreconditionError("character coefficients must be integers")
+            coeffs = tuple(int(c) for c in coeffs)
+        object.__setattr__(self, "coeffs", coeffs)
         if not self.coeffs:
             raise PreconditionError("character needs at least one coefficient")
 

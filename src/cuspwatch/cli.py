@@ -39,8 +39,8 @@ from .radicals import (
     radical_from_subspace,
 )
 from .scalars import frac, frac_str
-from .serialize import (RunManifest, dumps, parse_csv_fracs, parse_matrix, parse_vectors,
-                        reject_float)
+from .serialize import (RunManifest, _rational, dumps, parse_csv_fracs, parse_matrix,
+                        parse_vectors, reject_float)
 from .sl4q import gr_plus, sl4_divergence_demo, verify_periodicity, x_membership
 
 USAGE = """usage: cuspwatch <command> <action> [options]
@@ -109,7 +109,7 @@ def _bordered_pairs(phi_text: str, c_text: str | None):
             data = c_text          # a bare rational like 1/2
         if not isinstance(data, list):
             data = [data]
-        consts = [Fraction(frac(x)) for x in data]
+        consts = [_rational(x) for x in data]
     else:
         consts = [Fraction(0)] * len(rows)
     if len(consts) != len(rows):
@@ -250,7 +250,7 @@ def _run_cover(argv) -> object:
             raise PreconditionError("goodres needs --subgroup, --psi and --l")
         rows = parse_vectors(args.subgroup)
         A = SubgroupSpec(len(rows[0]), tuple(tuple(r) for r in rows))
-        Psi = [Character(tuple(int(x) for x in r)) for r in parse_vectors(args.psi)]
+        Psi = [Character(tuple(r)) for r in parse_vectors(args.psi)]
         ok, bad = good_restrictions(A, Psi, args.l)
         return args, {
             "result": ok,

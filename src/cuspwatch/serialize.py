@@ -49,20 +49,24 @@ def reject_float(text: str):
     raise PreconditionError("JSON number %s is not an integer; write it as a quoted \"p/q\"" % text)
 
 
-def parse_matrix(text: str) -> Mat:
-    """Matrix from a JSON array of rows with "p/q" or integer entries."""
-    rows = json.loads(text, parse_float=reject_float)
-    if not isinstance(rows, list) or not rows or not isinstance(rows[0], list):
-        raise PreconditionError("expected a JSON array of rows")
-    return Mat.rationalize(rows)
+def _rational(x) -> Fraction:
+    """A parsed JSON entry as a rational: an int that is not a bool, or a "p/q" string."""
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
+        raise PreconditionError("JSON entry %s is not an integer or \"p/q\"" % json.dumps(x))
+    return Fraction(frac(x))
 
 
 def parse_vectors(text: str) -> list:
-    """List of rational vectors from JSON rows."""
+    """List of rational vectors from JSON rows of integer or "p/q" entries."""
     rows = json.loads(text, parse_float=reject_float)
-    if not isinstance(rows, list) or not rows or not isinstance(rows[0], list):
-        raise PreconditionError("expected a JSON array of vectors")
-    return [[Fraction(frac(x)) for x in r] for r in rows]
+    if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
+        raise PreconditionError("expected a JSON array of rows")
+    return [[_rational(x) for x in r] for r in rows]
+
+
+def parse_matrix(text: str) -> Mat:
+    """Matrix from a JSON array of rows with "p/q" or integer entries."""
+    return Mat(parse_vectors(text))
 
 
 def parse_csv_fracs(text: str) -> tuple:

@@ -1,7 +1,9 @@
+import ast
 import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -149,6 +151,17 @@ def test_is_bounded():
     assert not is_bounded(quad)
     with pytest.raises(GaugeTooSteep):
         is_bounded(BorderedSet(2, tri.phi, Gauge.linear(F(1, 4))))
+    # at slope 0, a polyhedron: bounded iff it is empty or its functionals
+    # positively span
+    assert is_bounded(tri.zero_gauge())
+    strip = BorderedSet(2, (((1, 0), 0), ((-1, 0), -1)), Gauge.zero())
+    assert not is_bounded(strip)
+    half = BorderedSet(2, strip.phi + (((0, 1), 0),), Gauge.zero())
+    assert not is_bounded(half)
+    empty = BorderedSet(2, (((1, 0), 0), ((-1, 0), 0)), Gauge.zero())
+    assert is_bounded(empty)
+    with pytest.raises(PreconditionError):
+        contract_step(strip, (F(1, 2), F(7)), F(1, 2))
 
 
 # ------------------------------------------------ invariance dimension
@@ -320,7 +333,9 @@ _SYSTEMS_3 = (
 @st.composite
 def _bounded_sets(draw):
     """A set whose functionals have a positive combination summing to zero;
-    in R^2, free vectors v_i and a closing vector -sum lam_i v_i."""
+    in R^2, free vectors v_i and a closing vector -sum lam_i v_i. At slope 0
+    that bounds the set only where the functionals positively span R^l or
+    the set is empty."""
     l = draw(st.sampled_from([2, 3]))
     if l == 3:
         vecs = list(draw(st.sampled_from(_SYSTEMS_3).flatmap(st.permutations)))
@@ -348,10 +363,36 @@ def _points(l):
     return st.tuples(*[coord] * l)
 
 
+def _positively_span(vecs, l):
+    """Whether every signed unit vector is a nonnegative combination of vecs."""
+    m = len(vecs)
+    return all(
+        lp_feasible(A_ub=[[-F(i == k) for i in range(m)] for k in range(m)],
+                    b_ub=[F(0)] * m,
+                    A_eq=[[v[d] for v in vecs] for d in range(l)],
+                    b_eq=[F(s * (d == e)) for d in range(l)])[0]
+        for e in range(l) for s in (1, -1)
+    )
+
+
+def _ref_nonempty(U):
+    A_ub = [[F(1)] + [-v for v in f.coeffs] for f in U.functionals]
+    A_ub.append([F(1)] + [F(0)] * U.l)
+    b_ub = [-c for c in U.constants] + [F(1)]
+    return sign(solve_lp([F(1)] + [F(0)] * U.l, A_ub=A_ub, b_ub=b_ub).value) > 0
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_contract_step_matches_reference(data):
     U = data.draw(_bounded_sets())
+    if (U.gauge.is_zero and _ref_nonempty(U)
+            and not _positively_span([f.coeffs for f in U.functionals], U.l)):
+        # a nonempty polyhedron with a recession direction
+        assert not is_bounded(U)
+        with pytest.raises(PreconditionError):
+            contract_step(U, data.draw(_points(U.l)), F(1, 2))
+        return
     assert is_bounded(U)
     for _ in range(2):
         x = data.draw(_points(U.l))
@@ -370,6 +411,21 @@ def _lp_counter(monkeypatch):
 
     monkeypatch.setattr(bordered, "solve_lp", counted)
     return calls
+
+
+def test_bordered_reaches_the_lp_only_through_solve_lp():
+    # the LP-counting tests patch bordered.solve_lp; a second entry point
+    # would let them undercount without failing
+    imported = []
+    for node in ast.walk(ast.parse(Path(bordered.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            if node.module in ("lp", "cuspwatch.lp"):
+                imported += [alias.name for alias in node.names]
+            elif node.module in (None, "cuspwatch"):
+                assert "lp" not in [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            assert "cuspwatch.lp" not in [alias.name for alias in node.names]
+    assert imported == ["solve_lp"]
 
 
 def test_contraction_plan_lp_count(monkeypatch):
@@ -452,9 +508,9 @@ def test_k_triviality_solves_each_reversibility_lp_once(monkeypatch):
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return lp_feasible(*args, **kwargs)
+        return solve_lp(*args, **kwargs)
 
-    monkeypatch.setattr(bordered, "lp_feasible", counted)
+    monkeypatch.setattr(bordered, "solve_lp", counted)
     assert is_k_trivial(STRIP, 1) is False
     assert len(calls) == 2   # one cone-membership LP per ray
 

@@ -32,6 +32,15 @@ def test_character_arithmetic():
     assert a.scaled(3).eval((1, -1, 0)) == 6
 
 
+def test_character_coefficients_are_integers():
+    assert Character((F(3), 2, "-1")).coeffs == (3, 2, -1)
+    assert type(Character((F(4), 0)).coeffs[0]) is int
+    with pytest.raises(PreconditionError):
+        Character((F(1, 2), 0))
+    with pytest.raises(PreconditionError):
+        Character(("3/2", 1))
+
+
 def test_subset_weight():
     w = subset_weight((1, 3), 4)
     assert w.eval((1, 0, 0, -1)) == 1

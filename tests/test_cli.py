@@ -34,6 +34,16 @@ def test_nontrivial_both_branches(capsys):
     code, out, _ = run(capsys, "bordered", "check", "--what", "nontrivial",
                        "--phi", "[[1,0],[0,1]]")
     assert code == 0 and out == '{"result": true, "v": ["1", "1"]}\n'
+    # several multipliers exist here, so these bytes pin the Gordan LP's vertex
+    code, out, _ = run(capsys, "bordered", "check", "--what", "nontrivial",
+                       "--phi", "[[1,0],[-1,0],[0,1],[0,-1]]")
+    assert code == 0 and out == '{"result": false, "lambda": ["1", "1", "0", "0"]}\n'
+    code, out, _ = run(capsys, "bordered", "check", "--what", "nontrivial",
+                       "--phi", "[[1,2],[-1,0],[0,-1],[-2,-1],[3,-1]]")
+    assert code == 0 and out == '{"result": false, "lambda": ["1", "1", "2", "0", "0"]}\n'
+    code, out, _ = run(capsys, "bordered", "check", "--what", "nontrivial",
+                       "--phi", "[[2,1,0],[0,1,3],[1,-1,1]]")
+    assert code == 0 and out == '{"result": true, "v": ["6", "-1", "4"]}\n'
 
 
 def test_bruhat_factor_identity(capsys):
@@ -149,6 +159,15 @@ def test_bordered_checks(capsys):
                        "--phi", "[[1]]", "--c", "1/2",
                        "--phi2", "[[-1]]", "--c2", "-3/4")
     assert code == 0 and json.loads(out) == {"result": True, "point": ["5/8"]}
+    code, out, _ = run(capsys, "bordered", "check", "--what", "intersect",
+                       "--phi", "[[1,0],[0,1]]", "--c", "[0,0]",
+                       "--phi2", "[[-1,-1]]", "--c2", "-4")
+    assert code == 0 and out == '{"result": true, "point": ["1", "1"]}\n'
+    # at slope 0 the strip and the half-strip are unbounded
+    for phi, c in [("[[1,0],[-1,0]]", "[0,-1]"), ("[[1,0],[0,1],[-1,0]]", "[0,0,-1]")]:
+        code, out, _ = run(capsys, "bordered", "check", "--what", "bounded",
+                           "--phi", phi, "--c", c)
+        assert code == 0 and out == '{"result": false}\n'
 
 
 def test_cover_commands(capsys):
@@ -277,6 +296,18 @@ PHI3 = "[[1,0],[0,1],[-1,-1]]"
     ("bruhat", "factor", "--matrix", "[[0.5,0],[0,2]]"),
     ("bordered", "check", "--what", "bounded", "--phi", "[[1,0],[0.5,1],[-1,-1]]"),
     ("bordered", "check", "--what", "bounded", "--phi", PHI3, "--c", "[0,0.1,0]"),
+    # a row that is not a list, and an entry that is neither an integer nor
+    # a "p/q" string: null, an object, a list, a boolean
+    ("bordered", "check", "--what", "nontrivial", "--phi", "[[1,0],5]"),
+    ("radicals", "profile", "--matrix", "[[1,0],[0,1]]", "--grid", "1:1",
+     "--subgroup", "[[1,-1],5]"),
+    ("bordered", "check", "--what", "nontrivial", "--phi", "[[1,null]]"),
+    ("bruhat", "factor", "--matrix", '[[{"a":1},0],[0,1]]'),
+    ("bordered", "check", "--what", "intersect", "--phi", "[[1,0]]", "--c", "[[1]]"),
+    ("bruhat", "factor", "--matrix", "[[true,false],[false,true]]"),
+    ("bordered", "check", "--what", "bounded", "--phi", "[[1]]", "--c", "true"),
+    # a character coefficient that is not an integer
+    ("cover", "goodres", "--subgroup", "[[1,-1]]", "--psi", '[["1/2",0]]', "--l", "1"),
 ])
 def test_malformed_rationals_are_input_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
