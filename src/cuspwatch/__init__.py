@@ -42,7 +42,6 @@ from .cover import (
     build_cover,
     enumerate_local,
     good_restrictions,
-    independent_selection,
     verify_subcover,
 )
 from .divergence import (
@@ -80,7 +79,7 @@ __all__ = [
     "positively_nontrivial", "is_bounded", "invdim", "is_k_trivial",
     "epsilon_bound", "contract_step", "intersect_nonempty",
     "CoverElement", "CoverReport", "build_cover", "enumerate_local",
-    "good_restrictions", "independent_selection", "verify_subcover",
+    "good_restrictions", "verify_subcover",
     "WitnessVector", "DivergenceCertificate", "ray_shrink_set", "cone_nonempty",
     "check_certificate", "build_certificate", "ray_profile", "search_witnesses",
     "Quaternion", "iota", "iota2", "in_gamma", "verify_periodicity",

@@ -15,7 +15,8 @@ Every LP goes through `solve_lp`, and each LP shape is built in one place:
 the Gordan point (`positively_nontrivial`), the cone point (`_cone_point`,
 for Gordan's dual, ray reversibility and positive spanning), the separation
 face (`_face_lp`), the depth LP (`_depth_lp`, for the peak depth and, capped,
-intersection) and the lex-least point (`_lex_inf_min`).
+intersection and the emptiness test of `invdim`) and the lex-least point
+(`_lex_inf_min`).
 """
 
 from __future__ import annotations
@@ -388,16 +389,16 @@ def _span_dim(vectors) -> int:
 
 
 def invdim(S):
-    """Dimension of the translation stabilizer; -inf for the empty region."""
+    """Dimension of the translation stabilizer; -inf for the empty region.
+
+    A zero-gauge bordered set is the open region {phi_i(x) > C_i}; its
+    emptiness is the capped depth LP of `intersect_nonempty`, not the
+    feasibility of the closed polyhedron.
+    """
     if isinstance(S, BorderedSet):
         if not S.gauge.is_zero:
             raise PreconditionError("invariance dimension needs the zero-gauge polyhedron")
-        res = solve_lp(
-            [Fraction(0)] * S.l,
-            A_ub=[[-c for c in f.coeffs] for f in S.functionals],
-            b_ub=[-c for c in S.constants],
-        )
-        if res.status != "optimal":
+        if not intersect_nonempty([S])[0]:
             return -math.inf
         return S.l - _span_dim([f.coeffs for f in S.functionals])
     if isinstance(S, ConvexSpec):

@@ -310,7 +310,6 @@ def _run_sl4(argv) -> object:
     )
     p.add_argument("--alpha")
     p.add_argument("--basis")
-    p.add_argument("--matrix")
     p.add_argument("--tamper", action="store_true")
     args = p.parse_args(argv)
     if args.action == "verify-periodicity":
@@ -327,8 +326,7 @@ def _run_sl4(argv) -> object:
         return args, {"pair": list(pair)}
     if not args.alpha:
         raise PreconditionError("demo needs --alpha a1,a2,a3,a4")
-    g_q = parse_matrix(args.matrix) if args.matrix else None
-    res = sl4_divergence_demo(parse_csv_fracs(args.alpha), g_q, tamper=args.tamper)
+    res = sl4_divergence_demo(parse_csv_fracs(args.alpha), tamper=args.tamper)
     return args, res.to_json()
 
 

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations, product
+from functools import cached_property
+from itertools import combinations
 
 from .bordered import BorderedSet, Functional, Gauge, _sup_norm, epsilon_bound
 from .chars import Character, GridSpec, SubgroupSpec, ambient_independent
@@ -39,7 +40,8 @@ class CoverElement:
     The cut value for psi is log(norm) + C0, stored exactly as that pair.
     Functionals whose restriction to the subgroup vanishes cannot sit in a
     bordered region, so they are kept aside and checked as norm-ball
-    conditions.
+    conditions. Both parts derive from the stored fields on first use, so a
+    `dataclasses.replace` copy never keeps a stale region.
     """
 
     witness: RadicalWitness
@@ -49,8 +51,19 @@ class CoverElement:
     psi: tuple           # Characters: negated present weights
     norms: tuple         # exact component norms, aligned with psi
     restr: tuple         # restricted coefficient tuples, aligned with psi
-    restricted: object   # BorderedSet over the nonzero restrictions, or None
-    zero_psi: tuple      # (Character, norm) pairs with vanishing restriction
+
+    @cached_property
+    def zero_psi(self) -> tuple:
+        """(Character, norm) pairs whose restriction vanishes."""
+        return tuple((p, nu) for p, nu, coeffs in zip(self.psi, self.norms, self.restr)
+                     if not any(coeffs))
+
+    @cached_property
+    def restricted(self):
+        """BorderedSet over the nonzero restrictions at (C0, gauge), or None."""
+        pairs = tuple((Functional(coeffs), LogLin(self.C0, ((nu, 1),)))
+                      for nu, coeffs in zip(self.norms, self.restr) if any(coeffs))
+        return BorderedSet(self.subgroup.dim, pairs, self.gauge) if pairs else None
 
     def contains(self, s, closed: bool = False) -> bool:
         """Gauged membership, via bordered-set margins plus ball conditions."""
@@ -86,8 +99,7 @@ class CoverElement:
         return True
 
     def zero_gauge(self) -> "CoverElement":
-        restricted = None if self.restricted is None else self.restricted.zero_gauge()
-        return replace(self, gauge=Gauge.zero(), restricted=restricted)
+        return replace(self, gauge=Gauge.zero())
 
     def to_json(self):
         return {
@@ -115,28 +127,6 @@ def _element_data(g: Mat, A: SubgroupSpec, witness: RadicalWitness):
     return tuple(psi), tuple(norms), tuple(restr)
 
 
-def _assemble(witness, A, C0, gauge, psi, norms, restr) -> CoverElement:
-    pairs, zero_psi = [], []
-    for p, nu, coeffs in zip(psi, norms, restr):
-        d = LogLin(C0, ((nu, 1),))
-        if all(c == 0 for c in coeffs):
-            zero_psi.append((p, nu))
-        else:
-            pairs.append((Functional(coeffs), d))
-    restricted = BorderedSet(A.dim, tuple(pairs), gauge) if pairs else None
-    return CoverElement(
-        witness=witness,
-        subgroup=A,
-        C0=Fraction(C0),
-        gauge=gauge,
-        psi=psi,
-        norms=norms,
-        restr=restr,
-        restricted=restricted,
-        zero_psi=tuple(zero_psi),
-    )
-
-
 def build_cover(g: Mat, A: SubgroupSpec, candidates, C0=0, gauge=None) -> list:
     """One cover element per candidate witness, at the conjugator g.
 
@@ -160,10 +150,11 @@ def build_cover(g: Mat, A: SubgroupSpec, candidates, C0=0, gauge=None) -> list:
             gauge = Gauge.linear(epsilon_bound(pooled) / 2)
         else:
             gauge = Gauge.zero()
-    out = []
-    for witness, (psi, norms, restr) in zip(candidates, data):
-        out.append(_assemble(witness, A, C0, gauge, psi, norms, restr))
-    return out
+    return [
+        CoverElement(witness=witness, subgroup=A, C0=C0, gauge=gauge,
+                     psi=psi, norms=norms, restr=restr)
+        for witness, (psi, norms, restr) in zip(candidates, data)
+    ]
 
 
 def enumerate_local(g: Mat, A: SubgroupSpec, R, C0, H: int) -> list:
@@ -223,30 +214,6 @@ def good_restrictions(A: SubgroupSpec, Psi, l: int):
             if Mat.rationalize(rows).rank() < size:
                 return False, tuple(subset)
     return True, None
-
-
-def independent_selection(elements, mode: str = "restricted"):
-    """A choice of one character per element that stays independent.
-
-    Searches the product of the character sets; returns the first
-    selection whose characters are independent (ambient quotient or after
-    restriction, by mode), or None when no selection works.
-    """
-    if not elements:
-        return ()
-    sets = [e.psi for e in elements]
-    A = elements[0].subgroup
-    for pick in product(*sets):
-        if mode == "ambient":
-            if ambient_independent(pick):
-                return pick
-        elif mode == "restricted":
-            rows = [list(A.restrict(c)) for c in pick]
-            if Mat.rationalize(rows).rank() == len(pick):
-                return pick
-        else:
-            raise PreconditionError("mode must be 'ambient' or 'restricted'")
-    return None
 
 
 @dataclass(frozen=True)

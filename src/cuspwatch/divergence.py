@@ -11,51 +11,29 @@ witness whose characters are all strictly negative on it. The patterns are
 assigned depth first, one hyperplane at a time, and a prefix that no point
 realizes is pruned with its whole subtree; the cells come out in the same
 order as a run over all 3^h patterns would give.
+
+Witnesses come only from `RadicalWitness.components_at`: `radicals` alone
+conjugates a witness and sizes it, ray profiles included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 
 from .bordered import Functional
-from .chars import Character, SubgroupSpec
+from .chars import SubgroupSpec
 from .errors import PreconditionError
 from .lattice import positive_primitive
-from .loglin import LogLin
 from .lp import lp_feasible
 from .matrix import Mat
-from .radicals import (
-    RadicalWitness,
-    coords_to_matrix,
-    enumerate_witnesses,
-    sl_coords,
-    sl_dim,
-    weight_components,
-)
+from .radicals import RadicalWitness, _log_size, enumerate_witnesses
 from .scalars import sign
-from .wedge import WedgeVector, apply_wedge_matrix
-
-
-def ad_matrix(g: Mat) -> Mat:
-    """Matrix of conjugation by g on the trace-zero basis, columns exact."""
-    n = g.nrows
-    gi = g.inverse()
-    cols = []
-    dim = sl_dim(n)
-    for k in range(dim):
-        coords = [Fraction(0)] * dim
-        coords[k] = Fraction(1)
-        M = coords_to_matrix(n, coords)
-        cols.append(sl_coords(g * M * gi))
-    rows = [[cols[k][r] for k in range(dim)] for r in range(dim)]
-    return Mat.from_rows(rows)
 
 
 @dataclass(frozen=True)
 class WitnessVector:
-    """The per-weight components of a rational wedge vector at a fixed conjugator."""
+    """The per-weight components of a subspace witness at a fixed conjugator."""
 
     n: int
     degree: int
@@ -74,17 +52,6 @@ class WitnessVector:
             components=tuple(witness.components_at(g)),
             label="subspace j=%d rows=%r" % (witness.j, witness.rows),
         )
-
-    @classmethod
-    def from_wedge(cls, g: Mat, v: WedgeVector, label: str = "") -> "WitnessVector":
-        n = isqrt(v.m + 1)
-        if n < 2 or sl_dim(n) != v.m:
-            raise PreconditionError("wedge length is not a trace-zero basis size")
-        W = apply_wedge_matrix(ad_matrix(g), v)
-        comps = weight_components(W, n)
-        if not comps:
-            raise PreconditionError("conjugated witness vanished")
-        return cls(n=n, degree=v.k, components=tuple(comps), label=label)
 
     def to_json(self):
         from .scalars import frac_str
@@ -105,8 +72,6 @@ def _coerce_witness(g: Mat, w) -> WitnessVector:
         return w
     if isinstance(w, RadicalWitness):
         return WitnessVector.from_radical(g, w)
-    if isinstance(w, WedgeVector):
-        return WitnessVector.from_wedge(g, w)
     raise PreconditionError("expected a witness vector or subspace witness")
 
 
@@ -310,17 +275,8 @@ def ray_profile(w, A: SubgroupSpec, direction, times) -> list:
     d = tuple(Fraction(x) for x in direction)
     if len(d) != A.dim:
         raise PreconditionError("coordinate length mismatch")
-    out = []
-    for t in times:
-        t = Fraction(t)
-        best = None
-        for ch, nu in w.components:
-            lam = sum(c * x for c, x in zip(A.restrict(ch), d))
-            val = LogLin(lam * t, ((nu, 1),))
-            if best is None or val > best:
-                best = val
-        out.append(best)
-    return out
+    rows = [(A.restrict(ch), nu) for ch, nu in w.components]
+    return [_log_size(rows, [t * x for x in d]) for t in map(Fraction, times)]
 
 
 def search_witnesses(g: Mat, A: SubgroupSpec, height: int) -> list:

@@ -461,6 +461,17 @@ class ProfileTable:
         }
 
 
+def _log_size(rows, s) -> LogLin:
+    """Exact log sup norm at s: max over rows (coeffs, norm) of c.s + log norm."""
+    val = None
+    for coeffs, nu in rows:
+        lin = sum((c * x for c, x in zip(coeffs, s)), Fraction(0))
+        term = LogLin(lin, ((nu, 1),)) if nu != 1 else LogLin(lin)
+        if val is None or term > val:
+            val = term
+    return val
+
+
 def cusp_profile(g: Mat, subgroup: SubgroupSpec, grid_points, witnesses,
                  digits: int | None = None) -> ProfileTable:
     """Exact log-depth profile over rational grid points.
@@ -493,12 +504,7 @@ def cusp_profile(g: Mat, subgroup: SubgroupSpec, grid_points, witnesses,
         best = None
         best_key = None
         for key, rows in prepared:
-            val = None
-            for coeffs, nu in rows:
-                lin = sum((c * x for c, x in zip(coeffs, s)), Fraction(0))
-                term = LogLin(lin, ((nu, 1),)) if nu != 1 else LogLin(lin)
-                if val is None or term > val:
-                    val = term
+            val = _log_size(rows, s)
             if best is None or val < best:
                 best = val
                 best_key = key

@@ -5,7 +5,7 @@ The order Z[i, j, k] with i^2 = -1, j^2 = 3, ij = -ji = k embeds into
 matrices over the order produces a lattice in SL4 whose membership is
 decidable exactly. On top of that sit the combinatorial pieces of the
 worked example: the positivity grading of 2-planes, dimension counts for
-the divergence variety, and a two-witness divergence demonstration.
+the divergence variety, and a two-witness divergence demo at the identity.
 
 Multiplication table, derived once from the two generating relations and
 associativity and frozen here (unit-tested against the embedding):
@@ -15,14 +15,14 @@ associativity and frozen here (unit-tested against the embedding):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .chars import SubgroupSpec
 from .divergence import DivergenceCertificate, WitnessVector, _analyze
 from .errors import InternalError, PreconditionError
 from .matrix import Mat
-from .radicals import conj_ad_wedge, radical_from_subspace, standard_radical
+from .radicals import radical_from_subspace, standard_radical
 from .scalars import QuadScalar, frac, frac_str
 from .wedge import leading_tuple, plucker
 
@@ -319,33 +319,26 @@ class DemoResult:
         return out
 
 
-def sl4_divergence_demo(alpha, g_q: Mat | None = None, tamper: bool = False) -> DemoResult:
+def sl4_divergence_demo(alpha, tamper: bool = False) -> DemoResult:
     """Two-witness divergence certificate along the diagonal flow of alpha.
 
-    The witnesses are the wedge vectors of the two coordinate 2-plane
-    radicals pulled back through the inverse of g_q; the certificate is
-    checked at g_q, which restores the clean component data. Requires the
-    base plane span(e1, e2) to sit inside the positive cell of alpha.
-    Tampering drops the second witness, which must break coverage.
+    The witnesses are the radicals of the two coordinate 2-planes, read at
+    the identity. Requires the base plane span(e1, e2) to sit inside the
+    positive cell of alpha. Tampering drops the second witness, which must
+    break coverage.
     """
     a = _check_alpha(alpha)
-    if g_q is None:
-        g_q = Mat.identity(4, Fraction(1))
-    if g_q.det() != 1:
-        raise PreconditionError("conjugator must have determinant one")
     top, _ = gr_plus(a)
     base = x_membership([[1, 0, 0, 0], [0, 1, 0, 0]])
     if not (base[0] <= top[0] and base[1] <= top[1]):
         raise PreconditionError("base plane misses the positive cell")
-    gi = g_q.inverse()
-    upper = standard_radical(4, 2)
-    lower = radical_from_subspace([[0, 0, 1, 0], [0, 0, 0, 1]], 4)
-    vectors = [conj_ad_wedge(gi, upper), conj_ad_wedge(gi, lower)]
+    I4 = Mat.identity(4)
+    radicals = [standard_radical(4, 2),
+                radical_from_subspace([[0, 0, 1, 0], [0, 0, 0, 1]], 4)]
     if tamper:
-        vectors = vectors[:1]
-    A = SubgroupSpec(4, (a,))
-    witnesses = [WitnessVector.from_wedge(g_q, v) for v in vectors]
-    ok, uncovered, cert = _analyze(g_q, A, witnesses)
+        radicals = radicals[:1]
+    witnesses = [replace(WitnessVector.from_radical(I4, r), label="") for r in radicals]
+    ok, uncovered, cert = _analyze(I4, SubgroupSpec(4, (a,)), witnesses)
     return DemoResult(
         ok=ok, certificate=cert, uncovered=uncovered, witnesses=tuple(witnesses)
     )

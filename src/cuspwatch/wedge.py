@@ -14,17 +14,11 @@ coefficient is positive.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 
 from .errors import DependentInput, NoUniqueLeadingTuple, PreconditionError
 from .lattice import primitive_int_vector
 from .matrix import Mat
 from .scalars import frac_str, parse_frac
-
-
-def k_subsets(m: int, k: int) -> list[tuple[int, ...]]:
-    """All increasing k-tuples from {1..m} in lexicographic order."""
-    return [tuple(c) for c in combinations(range(1, m + 1), k)]
 
 
 class WedgeVector:

@@ -171,6 +171,9 @@ def test_invdim_bordered():
     assert invdim(strip) == 1
     empty = BorderedSet(1, (((1,), 1), ((-1,), 1)), Gauge.zero())
     assert invdim(empty) == -math.inf
+    # the open region {x1 > 0, -x1 > 0} is empty though its closure is a line
+    touching = BorderedSet(2, (((1, 0), 0), ((-1, 0), 0)), Gauge.zero())
+    assert invdim(touching) == -math.inf
     with pytest.raises(PreconditionError):
         invdim(BorderedSet(1, (((1,), 0),), Gauge.linear(F(1, 4))))
 

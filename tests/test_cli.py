@@ -133,6 +133,13 @@ def test_merged_negative_values(capsys):
     assert data["ok"] is False and data["uncovered"] == ["-1"]
 
 
+def test_sl4_demo_takes_no_matrix(capsys):
+    # the demo reads its witnesses at the identity; it takes no conjugator
+    code, out, _ = run(capsys, "sl4", "demo", "--alpha", "-3,-1,1,3", "--matrix",
+                       "[[2,1,0,0],[1,1,0,0],[0,0,3,1],[0,0,2,1]]")
+    assert code == 2 and out == ""
+
+
 def test_sl4_grplus_and_xmember(capsys):
     code, out, _ = run(capsys, "sl4", "grplus", "--alpha", "-3,-1,1,3")
     assert code == 0 and out == '{"pair": [1, 3], "dim": 1}\n'
@@ -148,6 +155,10 @@ def test_bordered_checks(capsys):
     code, out, _ = run(capsys, "bordered", "check", "--what", "invdim",
                        "--phi", "[[1,0],[-1,0]]", "--c", "[0,-1]")
     assert code == 0 and json.loads(out) == {"result": 1}
+    # the open region {x1 > 0, -x1 > 0} is empty, though its closure is not
+    code, out, _ = run(capsys, "bordered", "check", "--what", "invdim",
+                       "--phi", "[[1,0],[-1,0]]", "--c", "[0,0]")
+    assert code == 0 and json.loads(out) == {"result": "-inf"}
     code, out, _ = run(capsys, "bordered", "check", "--what", "invdim",
                        "--points", "[[0,0]]", "--rays", "[[0,1],[0,-1]]")
     assert code == 0 and json.loads(out) == {"result": 1}

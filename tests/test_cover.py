@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,6 @@ from cuspwatch.cover import (
     build_cover,
     enumerate_local,
     good_restrictions,
-    independent_selection,
     verify_subcover,
 )
 from cuspwatch.errors import PreconditionError
@@ -133,21 +133,21 @@ def test_verify_subcover():
         verify_subcover(cov, 2, 0, far_core)
 
 
-def test_independent_selection():
-    A3 = SubgroupSpec.full_torus(3)
-    I3 = Mat.identity(3)
-    line = radical_from_subspace([[1, 0, 0]], 3)
-    plane = radical_from_subspace([[1, 0, 0], [0, 1, 0]], 3)
-    cov = build_cover(I3, A3, [line, plane], C0=0, gauge=Gauge.zero())
-    sel = independent_selection(cov)
-    assert [p.canonical() for p in sel] == [(-2, 1, 1), (-1, -1, 2)]
-    assert independent_selection(cov, mode="ambient") == sel
-    # a rank-one subgroup cannot carry two independent restrictions
-    two = build_cover(I2, A2, [UP, LO], C0=0, gauge=Gauge.zero())
-    assert independent_selection(two) is None
-    assert independent_selection([]) == ()
-    with pytest.raises(PreconditionError):
-        independent_selection(cov, mode="sideways")
+def test_copied_element_derives_its_region():
+    # the region is built from the stored fields, so a copy with another
+    # gauge or C0 cannot keep the original's stale region
+    g = Mat.rationalize([[2, 0], [0, "1/2"]])
+    e = build_cover(g, A2, [MIX])[0]
+    assert e.restricted.gauge == Gauge.linear(F(1, 2))
+    s = F(1, 8)
+    assert replace(e, gauge=Gauge.linear(s)).restricted.gauge == Gauge.linear(s)
+    c = F(-3, 2)
+    copy = replace(e, C0=c)
+    want = [LogLin(c, ((nu, 1),)) for nu in (F(1, 4), F(4))]
+    assert len(copy.restricted.constants) == len(want)
+    assert all((d - w).is_zero() for d, w in zip(copy.restricted.constants, want))
+    assert copy.zero_psi == e.zero_psi == ((Character((0, 0)), F(1)),)
+    assert e.zero_gauge().restricted.gauge.is_zero
 
 
 @settings(max_examples=20, deadline=None)

@@ -1,5 +1,7 @@
+import ast
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +12,6 @@ from cuspwatch.divergence import (
     DivergenceCertificate,
     FanCell,
     WitnessVector,
-    ad_matrix,
     build_certificate,
     check_certificate,
     cone_nonempty,
@@ -25,8 +26,7 @@ from cuspwatch.divergence import (
 from cuspwatch.errors import PreconditionError
 from cuspwatch.loglin import LogLin
 from cuspwatch.matrix import Mat
-from cuspwatch.radicals import enumerate_witnesses, radical_from_subspace, standard_radical
-from cuspwatch.wedge import WedgeVector
+from cuspwatch.radicals import cusp_profile, enumerate_witnesses, radical_from_subspace
 
 F = Fraction
 
@@ -36,29 +36,11 @@ UP = radical_from_subspace([[1, 0]], 2)
 LO = radical_from_subspace([[0, 1]], 2)
 
 
-def test_ad_matrix_is_multiplicative():
-    assert ad_matrix(Mat.identity(3)) == Mat.identity(8)
-    g = Mat.rationalize([[1, 2], [1, 3]])
-    h = Mat.rationalize([[2, 1], [3, 2]])
-    assert ad_matrix(g * h) == ad_matrix(g) * ad_matrix(h)
-
-
 def test_witness_from_radical_components():
     g = Mat.rationalize([[2, 0], [0, "1/2"]])
     w = WitnessVector.from_radical(g, UP)
     assert w.n == 2 and w.degree == 1
     assert [(c.canonical(), nu) for c, nu in w.components] == [((1, -1), F(4))]
-
-
-def test_witness_from_wedge_solves_dimension():
-    w = WitnessVector.from_wedge(I2, standard_radical(2, 1).p_ad, label="raw")
-    assert w.n == 2 and w.label == "raw"
-    assert [(c.canonical(), nu) for c, nu in w.components] == [((1, -1), F(1))]
-    with pytest.raises(PreconditionError):
-        WitnessVector.from_wedge(I2, WedgeVector.basis_element(4, (1,)))
-    # sl_10 has dimension 99
-    w = WitnessVector.from_wedge(Mat.identity(10), WedgeVector.basis_element(99, (1,)))
-    assert w.n == 10
 
 
 def test_certificate_both_coordinate_lines():
@@ -119,6 +101,39 @@ def test_ray_profile_exact_values():
     for d in ((), (-1, 0)):
         with pytest.raises(PreconditionError, match="coordinate length"):
             ray_profile(w, A2, d, [1])
+
+
+@st.composite
+def unimodular(draw, n):
+    """A product of up to three integer shears: an exact SL_n matrix."""
+    g = Mat.identity(n)
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.sampled_from([(i, j) for i in range(n) for j in range(n) if i != j]))
+        rows = [[int(a == b) for b in range(n)] for a in range(n)]
+        rows[i][j] = draw(st.integers(-2, 2))
+        g = g * Mat.rationalize(rows)
+    return g
+
+
+@st.composite
+def profile_cases(draw):
+    n = draw(st.sampled_from([2, 3]))
+    rw = draw(st.sampled_from(enumerate_witnesses(n, 1)))
+    d = tuple(draw(st.lists(st.integers(-3, 3), min_size=n - 1, max_size=n - 1)))
+    t = F(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
+    return draw(unimodular(n)), rw, d, t
+
+
+@settings(max_examples=25, deadline=None)
+@given(profile_cases())
+def test_ray_profile_matches_cusp_profile(case):
+    # both profiles read the one log-size loop: the value along exp(t * d)
+    # is the depth profile of the same witness at the point t * d
+    g, rw, d, t = case
+    A = SubgroupSpec.full_torus(g.nrows)
+    w = WitnessVector.from_radical(g, rw)
+    point = tuple(t * x for x in d)
+    assert ray_profile(w, A, d, [t])[0] == cusp_profile(g, A, [point], [rw]).values[0]
 
 
 def test_shrink_cone():
@@ -261,3 +276,18 @@ def test_fan_and_search_lp_count(monkeypatch):
         if cone_nonempty(ray_shrink_set(g, w, A3)):
             per_witness.append(w.label)
     assert [w.label for w in ws] == per_witness
+
+
+def test_divergence_conjugates_only_through_radicals():
+    # witnesses come from RadicalWitness.components_at; a second conjugation
+    # path would need the wedge kernel or the trace-zero coordinates
+    for node in ast.walk(ast.parse(Path(divergence.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+            assert node.module not in ("wedge", "cuspwatch.wedge")
+            if node.module in (None, "cuspwatch"):
+                assert "wedge" not in names
+            if node.module in ("radicals", "cuspwatch.radicals"):
+                assert not {"sl_coords", "coords_to_matrix"} & set(names)
+        elif isinstance(node, ast.Import):
+            assert "cuspwatch.wedge" not in [alias.name for alias in node.names]

@@ -188,12 +188,3 @@ def test_demo_tamper_detected():
     t = sl4_divergence_demo((-3, -1, 1, 3), tamper=True)
     assert not t.ok and t.uncovered == (F(-1),)
     assert sorted(t.to_json()) == ["ok", "uncovered"]
-
-
-def test_demo_with_conjugated_lattice():
-    gq = Mat.rationalize(
-        [[1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-    assert sl4_divergence_demo((-3, -1, 1, 3), g_q=gq).ok
-    with pytest.raises(PreconditionError):
-        sl4_divergence_demo((-3, -1, 1, 3), g_q=Mat.rationalize(
-            [[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]))
