@@ -10,10 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import gcd
 
 from .errors import DependentInput, PreconditionError
+from .lattice import _cleared
 from .matrix import Mat
 
 
@@ -163,9 +165,17 @@ class SubgroupSpec:
                 out[k] += coeff * row[k]
         return tuple(out)
 
+    @cached_property
+    def _int_basis(self) -> tuple:
+        """(integer rows, d) with basis = integer rows / d."""
+        return _cleared(self.basis)
+
     def restrict(self, char: Character) -> tuple:
         """Coefficients of the character as a functional in s-coordinates."""
-        return tuple(char.eval(row) for row in self.basis)
+        if char.n != self.n:
+            raise PreconditionError("direction length mismatch")
+        rows, d = self._int_basis
+        return tuple(Fraction(sum(c * x for c, x in zip(char.coeffs, row)), d) for row in rows)
 
     def to_json(self):
         from .scalars import frac_str

@@ -30,7 +30,6 @@ from .chars import Character, GridSpec, SubgroupSpec
 from .cover import build_cover, enumerate_local, good_restrictions, verify_subcover
 from .divergence import _analyze, search_witnesses
 from .errors import PreconditionError
-from .matrix import Mat
 from .radicals import (
     active_radicals,
     cusp_profile,

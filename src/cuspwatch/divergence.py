@@ -284,13 +284,15 @@ def search_witnesses(g: Mat, A: SubgroupSpec, height: int) -> list:
     if height < 0:
         raise PreconditionError("height must be nonnegative")
     out = []
-    nonempty = {}   # many witnesses share a shrink cone: one LP per distinct cone
+    # The cone depends only on the characters: one LP per character set.
+    # components_at gives sum-zero coefficients, so equal coefficient
+    # tuples are equal characters.
+    nonempty = {}
     for rw in enumerate_witnesses(g.nrows, height):
         w = WitnessVector.from_radical(g, rw)
-        fs = ray_shrink_set(g, w, A)
-        key = frozenset(f.coeffs for f in fs)
+        key = frozenset(ch.coeffs for ch, _ in w.components)
         if key not in nonempty:
-            nonempty[key] = cone_nonempty(fs)
+            nonempty[key] = cone_nonempty(ray_shrink_set(g, w, A))
         if nonempty[key]:
             out.append(w)
     return out

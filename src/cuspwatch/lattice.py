@@ -86,6 +86,13 @@ def clear_denominators(row) -> list[int]:
     return [x.numerator * (den // x.denominator) for x in fr]
 
 
+def _cleared(rows) -> tuple[list[list[int]], int]:
+    """(integer rows, d) with rows = integer rows / d, for rows of ints and
+    Fractions; d is the one lcm of all denominators."""
+    d = lcm(*(x.denominator for r in rows for x in r))
+    return [[x.numerator * (d // x.denominator) for x in r] for r in rows], d
+
+
 def saturation_pair(rows) -> tuple[list[list[int]], list[list[int]]]:
     """Saturated integral bases of a rational subspace and its annihilator.
 

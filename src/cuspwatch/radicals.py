@@ -23,11 +23,11 @@ from math import gcd
 
 from .chars import Character, SubgroupSpec
 from .errors import DependentInput, PreconditionError
-from .lattice import int_kernel, saturation_pair, lll_reduce
+from .lattice import _cleared, int_kernel, saturation_pair, lll_reduce
 from .loglin import LogLin
 from .matrix import Mat
 from .scalars import frac_str
-from .wedge import WedgeVector, apply_wedge_matrix, plucker, wedge_of_vectors
+from .wedge import WedgeVector, _int_minors, apply_wedge_matrix, plucker
 
 
 def sl_dim(n: int) -> int:
@@ -91,28 +91,33 @@ def coords_to_matrix(n: int, coords) -> Mat:
 
 
 @lru_cache(maxsize=8)
-def _cached_weights(n: int) -> tuple:
-    return tuple(sl_weights(n))
+def _position_weights(n: int) -> tuple:
+    """sl_weights(n) as int tuples; each sums to zero, so equal tuples are
+    equal characters."""
+    return tuple(ch.coeffs for ch in sl_weights(n))
 
 
-def wedge_index_weight(idx, n: int) -> Character:
-    """Summed diagonal weight of a multi-index over the trace-zero basis."""
-    weights = _cached_weights(n)
-    c = [0] * n
-    for pos in idx:
-        c = [x + y for x, y in zip(c, weights[pos - 1].coeffs)]
-    return Character(tuple(c))
+def _components(coeffs: dict, n: int, den=1) -> list:
+    """Per-weight sup norms of the wedge with coefficients coeffs / den,
+    sorted by character; one Fraction and one Character per weight.
+
+    Characters with one canonical form (a weight and its multiples) tie in
+    the sort and keep the order of their least index, so the indices are
+    read in increasing order."""
+    weights = _position_weights(n)
+    buckets: dict = {}
+    for idx, c in sorted(coeffs.items()):
+        key = tuple(map(sum, zip(*[weights[pos - 1] for pos in idx])))
+        a = abs(c)
+        if a > buckets.get(key, 0):
+            buckets[key] = a
+    out = [(Character(key), Fraction(a, den)) for key, a in buckets.items()]
+    return sorted(out, key=lambda t: t[0].sort_key())
 
 
 def weight_components(w: WedgeVector, n: int) -> list:
     """Per-weight sup norms of a wedge over the trace-zero basis."""
-    buckets: dict = {}
-    for idx, c in w.coeffs.items():
-        ch, a = wedge_index_weight(idx, n), abs(c)
-        cur = buckets.get(ch)
-        if cur is None or a > cur:
-            buckets[ch] = a
-    return sorted(buckets.items(), key=lambda t: t[0].sort_key())
+    return _components(w.coeffs, n)
 
 
 @dataclass(frozen=True)
@@ -135,8 +140,10 @@ class RadicalWitness:
         return conj_ad_wedge(Mat.identity(self.n), self).primitive()
 
     def components_at(self, g: Mat) -> list:
-        """Per-weight sup norms of the wedge conjugated by g."""
-        return weight_components(conj_ad_wedge(g, self), self.n)
+        """Per-weight sup norms of the wedge conjugated by g, bucketed from
+        its integer minors (see conj_ad_wedge) and divided once per weight."""
+        minors, den = _conj_minors(g, self)
+        return _components(minors, self.n, den)
 
     def height(self) -> Fraction:
         """Height of the subspace: sup norm of its primitive Plucker vector."""
@@ -191,18 +198,51 @@ def standard_radical(n: int, j: int) -> RadicalWitness:
     return radical_from_subspace(rows, n)
 
 
+@lru_cache(maxsize=32)
+def _conjugator(g: Mat) -> tuple:
+    """g and g^-T as integer rows G, H, and d with g = G / d_G, g^-T = H / d_H
+    and d = d_G * d_H."""
+    G, d_g = _cleared(g.rows)
+    H, d_h = _cleared(g.inverse().transpose().rows)
+    return G, H, d_g * d_h
+
+
+def _conj_minors(g: Mat, witness: RadicalWitness) -> tuple:
+    """(minors, den): the conjugated wedge is {I: minors[I] / den}.
+
+    Each conjugated basis element is the outer product of G b and H f (see
+    _conjugator) over d; its coordinates, off-diagonal entries and then
+    partial sums of the diagonal as in sl_coords, are integers over d, so
+    the k x k minors are integers over d^k.
+    """
+    G, H, d = _conjugator(g)
+    n = witness.n
+    gbs = [[sum(x * y for x, y in zip(r, b)) for r in G] for b in witness.rows]
+    fgs = [[sum(x * y for x, y in zip(r, f)) for r in H] for f in witness.ann_rows]
+    vecs = []
+    for x in gbs:
+        for y in fgs:
+            coords = [x[a] * y[b] for a in range(n) for b in range(n) if a != b]
+            acc = 0
+            for i in range(n - 1):
+                acc += x[i] * y[i]
+                coords.append(acc)
+            vecs.append(coords)
+    return _int_minors(vecs), d ** len(vecs)
+
+
 def conj_ad_wedge(g: Mat, witness: RadicalWitness) -> WedgeVector:
     """Wedge of the conjugated integral basis; the norm carrier.
 
     The integral basis of the nilpotent space is the outer products b f^T,
     b in rows and f in ann_rows (in that order), so its conjugate
-    g b f^T g^-1 is the outer product of g b and f^T g^-1.
+    g b f^T g^-1 is the outer product of g b and f^T g^-1. The minors are
+    taken over integers and divided once each (see _conj_minors); g and
+    g^-T are cleared of denominators once per g.
     """
-    gi_t = g.inverse().transpose()
-    gbs = [g.apply([Fraction(v) for v in b]) for b in witness.rows]
-    fgs = [gi_t.apply([Fraction(v) for v in f]) for f in witness.ann_rows]
-    vecs = [sl_coords(Mat([[x * y for y in fg] for x in gb])) for gb in gbs for fg in fgs]
-    return wedge_of_vectors(vecs, sl_dim(witness.n))
+    minors, den = _conj_minors(g, witness)
+    coeffs = {idx: Fraction(c, den) for idx, c in minors.items()}
+    return WedgeVector._built(sl_dim(witness.n), witness.dim, coeffs)
 
 
 @dataclass(frozen=True)
@@ -371,15 +411,22 @@ def _witnesses(n: int, height: int, js, candidates) -> list:
     return [found[k] for k in sorted(found)]
 
 
+@lru_cache(maxsize=16)
+def _enumerated(n: int, height: int, js: tuple) -> tuple:
+    return tuple(_witnesses(n, height, js, lambda j: _candidate_subspaces(n, j, height)))
+
+
 def enumerate_witnesses(n: int, height: int, js=None) -> list:
     """Every subspace witness with primitive Plucker height <= height.
 
     Deduplicates subspaces presented by different bases; sorted by type and
     Plucker data so the output order is reproducible. Height 0 is empty.
+    The enumeration runs once per (n, height, js); each call returns a new
+    list, so a caller may change it freely.
     """
     if js is None:
-        js = list(range(1, n))
-    return _witnesses(n, height, js, lambda j: _candidate_subspaces(n, j, height))
+        js = range(1, n)
+    return list(_enumerated(n, height, tuple(js)))
 
 
 def active_radicals(g: Mat, eps, height: int, js=None, method: str = "brute") -> list:
@@ -398,15 +445,15 @@ def active_radicals(g: Mat, eps, height: int, js=None, method: str = "brute") ->
     if js is None:
         js = list(range(1, n))
 
-    def candidates(j):
-        if method == "brute":
-            return _candidate_subspaces(n, j, height)
-        if method == "reduction":
-            return _reduction_candidates(g, j)
+    if method == "brute":
+        witnesses = enumerate_witnesses(n, height, js)
+    elif method == "reduction":
+        witnesses = _witnesses(n, height, js, lambda j: _reduction_candidates(g, j))
+    else:
         raise PreconditionError("unknown method %r" % (method,))
 
     out = []
-    for w in _witnesses(n, height, js, candidates):
+    for w in witnesses:
         if _prefilter_bound(g, w.p_std) >= eps:
             continue
         norm = conj_ad_wedge(g, w).norm_inf()

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .chars import SubgroupSpec
-from .divergence import DivergenceCertificate, WitnessVector, _analyze
+from .divergence import WitnessVector, _analyze
 from .errors import InternalError, PreconditionError
 from .matrix import Mat
 from .radicals import radical_from_subspace, standard_radical

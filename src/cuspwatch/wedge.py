@@ -9,6 +9,11 @@ surface of this package (leading tuples, Grassmannian strata, and so on).
 Primitive normalization scales a nonzero rational wedge vector so that all
 coefficients are coprime integers and the lexicographically first nonzero
 coefficient is positive.
+
+Every exterior product goes through one shuffle kernel, `_shuffle`, over
+coefficient dicts of any exact ring. `WedgeVector.wedge` runs it on
+Fractions; the minors of explicit vectors are taken over integers, the
+rows cleared of denominators once and each minor divided once at the end.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DependentInput, NoUniqueLeadingTuple, PreconditionError
-from .lattice import primitive_int_vector
+from .lattice import _cleared, primitive_int_vector
 from .matrix import Mat
 from .scalars import frac_str, parse_frac
 
@@ -130,16 +135,7 @@ class WedgeVector:
         kk = self.k + other.k
         if kk > m:
             raise PreconditionError(f"degree {kk} out of range for ambient dimension {m}")
-        out: dict[tuple[int, ...], Fraction] = {}
-        for i1, c1 in self.coeffs.items():
-            s1 = set(i1)
-            for i2, c2 in other.coeffs.items():
-                if not s1.isdisjoint(i2):
-                    continue
-                merged = tuple(sorted(i1 + i2))
-                term = c1 * c2 if _merge_sign(i1, i2) > 0 else -c1 * c2
-                out[merged] = out[merged] + term if merged in out else term
-        return WedgeVector._built(m, kk, out)
+        return WedgeVector._built(m, kk, _shuffle(self.coeffs, other.coeffs))
 
     def to_json(self) -> dict:
         return {
@@ -152,6 +148,30 @@ class WedgeVector:
     def from_json(obj: dict) -> "WedgeVector":
         coeffs = {tuple(i): parse_frac(c) for i, c in obj["coeffs"]}
         return WedgeVector(int(obj["m"]), int(obj["k"]), coeffs)
+
+
+def _shuffle(a: dict, b: dict) -> dict:
+    """Exterior product of coefficient dicts over any exact ring, with the
+    usual shuffle sign; zero coefficients are dropped."""
+    out = {}
+    for i1, c1 in a.items():
+        s1 = set(i1)
+        for i2, c2 in b.items():
+            if not s1.isdisjoint(i2):
+                continue
+            merged = tuple(sorted(i1 + i2))
+            term = c1 * c2 if _merge_sign(i1, i2) > 0 else -c1 * c2
+            out[merged] = out[merged] + term if merged in out else term
+    return {i: c for i, c in out.items() if c}
+
+
+def _int_minors(rows) -> dict:
+    """The nonzero k x k minors of k integer rows, keyed by increasing
+    1-based column tuples."""
+    out = {(): 1}
+    for row in rows:
+        out = _shuffle(out, {(i + 1,): c for i, c in enumerate(row) if c})
+    return out
 
 
 def _merge_sign(i1: tuple[int, ...], i2: tuple[int, ...]) -> int:
@@ -168,15 +188,19 @@ def wedge_of_vectors(vectors, m: int) -> WedgeVector:
     """Raw wedge v_1 ^ ... ^ v_k of explicit coordinate vectors.
 
     Coefficients are the k x k minors of the k x m coefficient matrix, one
-    per increasing column tuple. No normalization is applied.
+    per increasing column tuple. No normalization is applied. The rows are
+    cleared of denominators by one lcm, the integer minors come from the
+    shuffle kernel, and each is divided by den^k once.
     """
     vs = [list(map(Fraction, v)) for v in vectors]
     if any(len(v) != m for v in vs):
         raise PreconditionError("vector length mismatch")
-    w = WedgeVector(m, 0, {(): 1})
-    for v in vs:
-        w = w.wedge(WedgeVector._built(m, 1, {(i + 1,): c for i, c in enumerate(v)}))
-    return w
+    if len(vs) > m:
+        raise PreconditionError(f"degree {len(vs)} out of range for ambient dimension {m}")
+    ints, den = _cleared(vs)
+    minors = _int_minors(ints)
+    den **= len(vs)
+    return WedgeVector._built(m, len(vs), {i: Fraction(c, den) for i, c in minors.items()})
 
 
 def plucker(vectors, m: int | None = None) -> WedgeVector:

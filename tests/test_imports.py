@@ -1,0 +1,71 @@
+"""Every module-level import in the package is read by its module.
+
+An import whose name the module body never reads is dead code that still
+costs an import and suggests a dependency that is not there. This test
+parses every module of the package, except the `__init__.py` files whose
+imports are re-exports, and fails on a module-level import binding that no
+expression of the module reads.
+"""
+
+import ast
+from pathlib import Path
+
+import cuspwatch
+
+PACKAGE = Path(cuspwatch.__file__).parent
+
+
+def _module_imports(body):
+    for node in body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            for field in ("body", "orelse", "finalbody", "handlers"):
+                yield from _module_imports(getattr(node, field, []))
+
+
+def _unread_imports(tree):
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in _module_imports(tree.body):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in read:
+                yield node.lineno, name
+
+
+def test_detector_sees_every_form():
+    src = (
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import os.path\n"
+        "import json as js\n"
+        "from math import gcd, lcm\n"
+        "from .matrix import Mat\n"
+        "try:\n"
+        "    import numpy\n"
+        "except ImportError:\n"
+        "    numpy = None\n"
+        "if flag:\n"
+        "    from fractions import Fraction\n"
+        "def fn():\n"
+        "    import sys\n"
+        "    return lcm(2, 3), js.dumps(numpy)\n"
+        "class K:\n"
+        "    attr: Mat\n"
+    )
+    found = [name for _, name in _unread_imports(ast.parse(src))]
+    assert found == ["os", "os", "gcd", "Fraction"]
+
+
+def test_no_unread_module_level_imports():
+    modules = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
+    assert modules
+    found = [
+        "%s:%d: %s" % (path.relative_to(PACKAGE), line, name)
+        for path in modules
+        for line, name in _unread_imports(ast.parse(path.read_text(), str(path)))
+    ]
+    assert found == []

@@ -5,6 +5,8 @@ that code fills for the life of the process, which is how an unbounded
 cache starts. Memos in the package are bounded `functools.lru_cache`s or
 live on the object they describe. This test parses every module of the
 package and fails on such a binding outside function and class bodies.
+A second check fails on a functools cache without an explicit integer
+maxsize: `functools.cache`, a bare `lru_cache`, or `maxsize=None`.
 """
 
 import ast
@@ -79,5 +81,64 @@ def test_no_module_level_empty_containers():
         "%s:%d: %s" % (path.relative_to(PACKAGE), line, name)
         for path in modules
         for line, name in _empty_globals(ast.parse(path.read_text(), str(path)))
+    ]
+    assert found == []
+
+
+def _unbounded_caches(tree):
+    """(line, form) of each functools cache without an explicit integer
+    maxsize: `cache`, a bare `lru_cache`, `lru_cache()` or a None size."""
+    calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            for alias in node.names:
+                if alias.name == "cache":
+                    yield node.lineno, "cache"
+        if not isinstance(node, (ast.Name, ast.Attribute)):
+            continue
+        name = node.id if isinstance(node, ast.Name) else node.attr
+        if isinstance(node, ast.Attribute) and name == "cache":
+            yield node.lineno, "cache"
+        if name != "lru_cache":
+            continue
+        call = calls.get(id(node))
+        if call is None:
+            yield node.lineno, "lru_cache"
+            continue
+        size = call.args[0] if call.args else next(
+            (k.value for k in call.keywords if k.arg == "maxsize"), None)
+        if not (isinstance(size, ast.Constant) and type(size.value) is int):
+            yield node.lineno, "lru_cache"
+
+
+def test_cache_detector_sees_every_form():
+    src = (
+        "import functools\n"
+        "from functools import cache, lru_cache\n"
+        "@lru_cache(maxsize=8)\n"
+        "def a(): pass\n"
+        "@functools.lru_cache(16, typed=True)\n"
+        "def b(): pass\n"
+        "@lru_cache\n"
+        "def c(): pass\n"
+        "@lru_cache(maxsize=None)\n"
+        "def d(): pass\n"
+        "@functools.lru_cache(None)\n"
+        "def e(): pass\n"
+        "@functools.cache\n"
+        "def f(): pass\n"
+        "g = lru_cache(typed=True)(len)\n"
+    )
+    found = sorted(_unbounded_caches(ast.parse(src)))
+    assert found == [(2, "cache"), (7, "lru_cache"), (9, "lru_cache"),
+                     (11, "lru_cache"), (13, "cache"), (15, "lru_cache")]
+
+
+def test_every_lru_cache_has_an_integer_maxsize():
+    modules = sorted(PACKAGE.rglob("*.py"))
+    found = [
+        "%s:%d: %s" % (path.relative_to(PACKAGE), line, form)
+        for path in modules
+        for line, form in _unbounded_caches(ast.parse(path.read_text(), str(path)))
     ]
     assert found == []

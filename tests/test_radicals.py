@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cuspwatch import radicals
-from cuspwatch.chars import SubgroupSpec, subset_weight
+from cuspwatch.chars import Character, SubgroupSpec, subset_weight
 from cuspwatch.errors import DependentInput, PreconditionError
 from cuspwatch.lattice import lll_reduce
 from cuspwatch.loglin import LogLin
@@ -22,10 +22,11 @@ from cuspwatch.radicals import (
     radical_from_subspace,
     sl_coords,
     sl_dim,
+    sl_weights,
     standard_radical,
     weight_components,
 )
-from cuspwatch.wedge import plucker
+from cuspwatch.wedge import WedgeVector, plucker
 from test_bruhat import random_sl
 
 F = Fraction
@@ -236,6 +237,16 @@ def test_prefilter_bound_is_below_the_norm(seed):
             assert 0 < bound <= conj_ad_wedge(g, w).norm_inf()
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6), st.data())
+def test_prefilter_bound_is_below_the_norm_on_sl4_height_two(seed, data):
+    # all 1,578 witnesses of (4, 2) under one g take several seconds, so
+    # they are drawn: lines, planes and hyperplanes of height up to 2
+    g = random_sl(4, random.Random(seed), height=2, steps=4)
+    w = data.draw(st.sampled_from(enumerate_witnesses(4, 2)))
+    assert 0 < _prefilter_bound(g, w.p_std) <= conj_ad_wedge(g, w).norm_inf()
+
+
 @pytest.mark.parametrize("method", ["brute", "reduction"])
 @pytest.mark.parametrize("rows,height,epss", [
     ([[2, 1, 0], [1, 1, 0], [0, 0, 1]], 2, (F(1, 2), F(2), F(10))),
@@ -257,9 +268,63 @@ def test_one_plucker_call_per_candidate(monkeypatch):
         return plucker(*args, **kwargs)
 
     monkeypatch.setattr(radicals, "plucker", counting)
+    radicals._enumerated.cache_clear()
     assert len(enumerate_witnesses(4, 1)) == 202
     assert len(calls) == 202
     calls.clear()
+    assert len(enumerate_witnesses(4, 1)) == 202
+    assert calls == []      # a repeated call reads the memo
+    radicals._enumerated.cache_clear()
     g = Mat.rationalize([[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 3, 1], [0, 0, 2, 1]])
     active_radicals(g, F(2), 1, js=[1])
     assert len(calls) == 40
+    calls.clear()
+    active_radicals(g, F(2), 1, js=[1])
+    assert calls == []
+
+
+def test_enumerate_witnesses_returns_a_new_list():
+    first = enumerate_witnesses(3, 1)
+    want = list(first)
+    first.reverse()
+    first.append(standard_radical(3, 1))
+    assert enumerate_witnesses(3, 1) == want
+    assert enumerate_witnesses(3, 1, js=[1, 2]) == want
+
+
+def _reference_conj_ad_wedge(g, w):
+    """The Fraction construction: g^-T, trace-zero coordinates of each
+    conjugated outer product over Mat, and the Fraction shuffle product."""
+    gi_t = g.inverse().transpose()
+    gbs = [g.apply([F(v) for v in b]) for b in w.rows]
+    fgs = [gi_t.apply([F(v) for v in f]) for f in w.ann_rows]
+    m = sl_dim(w.n)
+    out = WedgeVector(m, 0, {(): 1})
+    for gb in gbs:
+        for fg in fgs:
+            coords = sl_coords(Mat([[x * y for y in fg] for x in gb]))
+            out = out.wedge(WedgeVector(m, 1, {(i + 1,): c for i, c in enumerate(coords)}))
+    return out
+
+
+def _reference_components(wedge, n):
+    """Per-weight sup norms, each index weight summed as a Character."""
+    weights = sl_weights(n)
+    buckets = {}
+    for idx, c in wedge.coeffs.items():
+        ch = Character(tuple([0] * n))
+        for pos in idx:
+            ch = ch + weights[pos - 1]
+        buckets[ch] = max(buckets.get(ch, F(0)), abs(c))
+    return sorted(buckets.items(), key=lambda t: t[0].sort_key())
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([2, 3, 4]), st.integers(min_value=0, max_value=10 ** 6), st.data())
+def test_integer_conjugation_matches_fraction_reference(n, seed, data):
+    g = random_sl(n, random.Random(seed), height=3, steps=6)
+    w = data.draw(st.sampled_from(enumerate_witnesses(n, 1)))
+    ref = _reference_conj_ad_wedge(g, w)
+    got = conj_ad_wedge(g, w)
+    assert got == ref and repr(got) == repr(ref)
+    assert repr(w.components_at(g)) == repr(_reference_components(ref, n))
