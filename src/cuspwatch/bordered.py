@@ -156,24 +156,45 @@ class BorderedSet:
     def constants(self) -> list:
         return [c for _, c in self.phi]
 
+    @cached_property
+    def _negated_logs(self) -> tuple:
+        """The log terms of -C_i for each LogLin constant, None for a rational one."""
+        return tuple((-c).logs if isinstance(c, LogLin) else None for c in self.constants)
+
+    def _margins(self, x):
+        """The margins one at a time. A LogLin constant at a rational point
+        gives its margin from its negated log terms, with no LogLin
+        subtraction."""
+        if len(x) != self.l:
+            raise PreconditionError("point dimension mismatch")
+        cut = self.gauge(_sup_norm(x))
+        for (f, c), logs in zip(self.phi, self._negated_logs):
+            q = f(x) - cut
+            if logs is None or isinstance(q, LogLin):
+                yield q - c
+            else:
+                yield LogLin._built(q - c.rat, logs)
+
     def margins(self, x) -> list:
         """phi_i(x) - C_i - gauge(|x|) for each i, exact scalars."""
-        cut = self.gauge(_sup_norm(x)) if len(x) else Fraction(0)
-        return [f(x) - c - cut for f, c in self.phi]
+        return list(self._margins(x))
 
     def rho(self, x):
         """Depth function: least margin at x."""
         best = None
-        for m in self.margins(x):
+        for m in self._margins(x):
             if best is None or m < best:
                 best = m
         return best
 
     def contains(self, x, closed: bool = False) -> bool:
-        if len(x) != self.l:
-            raise PreconditionError("point dimension mismatch")
-        s = sign(self.rho(x))
-        return s >= 0 if closed else s > 0
+        """Whether every margin is positive (nonnegative when closed), read
+        margin by margin up to the first that fails: the sign of rho."""
+        for m in self._margins(x):
+            s = sign(m)
+            if s < 0 or (s == 0 and not closed):
+                return False
+        return True
 
     def zero_gauge(self) -> "BorderedSet":
         return BorderedSet(self.l, self.phi, Gauge.zero())
@@ -467,11 +488,14 @@ class _ContractionPlan:
     rows, inverse Gram matrix) for each linearly independent subset of at
     most l rows, since in R^l a larger subset is always dependent. A part
     whose construction raises is not kept, so the error recurs on the next
-    call.
+    call. Besides these the plan keeps one entry, the last point projected
+    with its projection, so that the times asked at one point share one
+    projection.
     """
 
     def __init__(self, U: BorderedSet):
         self.U = U
+        self._last = None
 
     @cached_property
     def bounded(self) -> bool:
@@ -517,14 +541,25 @@ class _ContractionPlan:
                     out.append((combo, B, gram.inverse()))
         return out
 
-    def project(self, p) -> tuple:
+    def project(self, p: tuple) -> tuple:
+        """Exact Euclidean projection of p onto the peak polytope, reused
+        while the same point (by exact equality) is asked again."""
+        last = self._last
+        if last is not None and last[0] == p:
+            return last[1]
+        a = self._project(p)
+        self._last = (p, a)
+        return a
+
+    def _project(self, p) -> tuple:
         """Exact Euclidean projection of p onto the peak polytope
         {x : rows_i . x >= rhs_i}.
 
         Active-set enumeration: the projection satisfies x = p + B_S^T mu with
         mu >= 0 supported on an independent active subset S, B_S x = rhs_S. The
         minimizer is unique, so the first subset passing both checks is it,
-        whatever the order the subsets are tried in.
+        whatever the order the subsets are tried in. The rows of S hold with
+        equality by construction, so only the others are checked.
         """
         rows, rhs = self.peak
         l = len(p)
@@ -538,7 +573,7 @@ class _ContractionPlan:
             x = [p[d] + sum(mu[i] * B[i][d] for i in range(len(B))) for d in range(l)]
             if all(
                 sign(sum(r[d] * x[d] for d in range(l)) - b) >= 0
-                for r, b in zip(rows, rhs)
+                for i, (r, b) in enumerate(zip(rows, rhs)) if i not in combo
             ):
                 return tuple(x)
         raise InternalError("projection onto a nonempty polyhedron always exists")

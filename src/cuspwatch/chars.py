@@ -48,21 +48,30 @@ class Character:
         """Primitive sum-zero representative; used for display and keys only.
 
         Scaling is not applied to the working coefficients because distinct
-        multiples of a character are distinct weights.
+        multiples of a character are distinct weights. Computed on first use
+        and then kept.
         """
-        n = self.n
-        total = sum(self.coeffs)
-        v = [n * c - total for c in self.coeffs]
-        g = 0
-        for x in v:
-            g = gcd(g, abs(x))
-        if g == 0:
-            return tuple(0 for _ in v)
-        return tuple(x // g for x in v)
+        key = self.__dict__.get("_canonical")
+        if key is None:
+            n = self.n
+            total = sum(self.coeffs)
+            v = [n * c - total for c in self.coeffs]
+            g = 0
+            for x in v:
+                g = gcd(g, abs(x))
+            key = tuple(x // g for x in v) if g else tuple(0 for _ in v)
+            object.__setattr__(self, "_canonical", key)
+        return key
 
     def shifted(self) -> tuple:
-        c0 = self.coeffs[0]
-        return tuple(c - c0 for c in self.coeffs)
+        """The coefficients less the first, the key of equality and hashing;
+        computed on first use and then kept."""
+        key = self.__dict__.get("_shifted")
+        if key is None:
+            c0 = self.coeffs[0]
+            key = tuple(c - c0 for c in self.coeffs)
+            object.__setattr__(self, "_shifted", key)
+        return key
 
     def is_zero(self) -> bool:
         return all(c == self.coeffs[0] for c in self.coeffs)
@@ -70,7 +79,7 @@ class Character:
     def __eq__(self, other):
         if not isinstance(other, Character):
             return NotImplemented
-        return self.n == other.n and self.shifted() == other.shifted()
+        return self.shifted() == other.shifted()
 
     def __hash__(self):
         return hash(self.shifted())

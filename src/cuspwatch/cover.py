@@ -65,17 +65,22 @@ class CoverElement:
                       for nu, coeffs in zip(self.norms, self.restr) if any(coeffs))
         return BorderedSet(self.subgroup.dim, pairs, self.gauge) if pairs else None
 
+    @cached_property
+    def _log_norms(self) -> tuple:
+        """log(norm) of each component as LogLin's checked term tuple."""
+        return tuple(LogLin.log(nu).logs for nu in self.norms)
+
     def contains(self, s, closed: bool = False) -> bool:
         """Gauged membership, via bordered-set margins plus ball conditions."""
-        s = tuple(Fraction(frac(v)) for v in s)
+        s = tuple(frac(v) for v in s)
         if len(s) != self.subgroup.dim:
             raise PreconditionError("coordinate length mismatch")
-        cut = self.gauge(_sup_norm(s))
-        for _, nu in self.zero_psi:
-            val = LogLin(self.C0 + cut, ((nu, 1),))
-            sign = val.sign()
-            if sign > 0 or (sign == 0 and not closed):
-                return False
+        top = self.C0 + self.gauge(_sup_norm(s))
+        for coeffs, logs in zip(self.restr, self._log_norms):
+            if not any(coeffs):
+                sign = LogLin._built(top, logs).sign()
+                if sign > 0 or (sign == 0 and not closed):
+                    return False
         if self.restricted is None:
             return True
         return self.restricted.contains(s, closed=closed)
@@ -87,13 +92,13 @@ class CoverElement:
         point exp(D(s))*g stays at or under exp(-C0 - gauge(|s|)): the sign
         of  psi-restriction(s) shortfall plus log norm  decides each one.
         """
-        s = tuple(Fraction(frac(v)) for v in s)
+        s = tuple(frac(v) for v in s)
         if len(s) != self.subgroup.dim:
             raise PreconditionError("coordinate length mismatch")
-        cut = self.gauge(_sup_norm(s))
-        for coeffs, nu in zip(self.restr, self.norms):
-            lin = self.C0 + cut - sum(c * v for c, v in zip(coeffs, s))
-            sign = LogLin(lin, ((nu, 1),)).sign()
+        top = self.C0 + self.gauge(_sup_norm(s))
+        for coeffs, logs in zip(self.restr, self._log_norms):
+            lin = top - sum(c * v for c, v in zip(coeffs, s))
+            sign = LogLin._built(lin, logs).sign()
             if sign > 0 or (sign == 0 and strict):
                 return False
         return True

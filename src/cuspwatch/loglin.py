@@ -28,9 +28,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-import mpmath
-from mpmath import iv, mp
-
 from .errors import PrecisionExhausted
 from .scalars import frac_str, sign
 
@@ -51,7 +48,11 @@ def _log_enclosure(num: int, den: int, prec: int) -> tuple[Fraction, Fraction]:
     """Exact rationals lo <= log(num/den) <= hi, outward-rounded at prec bits.
 
     Keyed on the base's integer parts, which hash faster than a Fraction.
+    mpmath is imported here and in the decimal rendering, on first use, so a
+    run that signs no log term does not load it.
     """
+    from mpmath import iv
+
     old = iv.prec
     try:
         iv.prec = prec
@@ -317,6 +318,8 @@ class LogLin:
         return not self.logs or (self - LogLin(self.rat)).sign() == 0
 
     def _mpf(self):
+        from mpmath import mp
+
         acc = mp.mpf(self.rat.numerator) / mp.mpf(self.rat.denominator)
         for b, e in self.logs:
             coeff = mp.mpf(e.numerator) / mp.mpf(e.denominator)
@@ -324,14 +327,18 @@ class LogLin:
         return acc
 
     def __float__(self):
-        with mpmath.workprec(80):
+        from mpmath import mp
+
+        with mp.workprec(80):
             return float(self._mpf())
 
     def to_decimal(self, digits: int = 50) -> str:
         """Fixed-point decimal string with `digits` places after the point."""
         if digits < 1:
             raise ValueError("digits must be positive")
-        with mpmath.workdps(digits + 15):
+        from mpmath import mp
+
+        with mp.workdps(digits + 15):
             text = mp.nstr(self._mpf(), digits + 10, strip_zeros=False)
         with localcontext() as ctx:
             ctx.prec = digits + len(text) + 10

@@ -25,7 +25,7 @@ from .scalars import QuadScalar, frac_str, one_like, sign, zero_like
 class Mat:
     """An immutable exact matrix."""
 
-    __slots__ = ("rows", "nrows", "ncols")
+    __slots__ = ("rows", "nrows", "ncols", "_hash")
 
     def __init__(self, rows: Iterable[Iterable]):
         rs = tuple(tuple(r) for r in rows)
@@ -37,6 +37,7 @@ class Mat:
         object.__setattr__(self, "rows", rs)
         object.__setattr__(self, "nrows", len(rs))
         object.__setattr__(self, "ncols", w)
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Mat is immutable")
@@ -82,7 +83,10 @@ class Mat:
         return isinstance(other, Mat) and self.rows == other.rows
 
     def __hash__(self):
-        return hash(self.rows)
+        # hashing a Fraction costs a modular inverse, so the rows are hashed once
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(self.rows))
+        return self._hash
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in r) for r in self.rows)

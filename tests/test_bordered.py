@@ -405,6 +405,34 @@ def test_contract_step_matches_reference(data):
             assert got == want and U.rho(got) == U.rho(want)
 
 
+@st.composite
+def _sets_with_points(draw):
+    """A bordered set and a point, sometimes exactly on one of its margins."""
+    l = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 4))
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    vecs = draw(st.lists(st.tuples(*[coeff] * l).filter(any), min_size=m, max_size=m))
+    consts = draw(st.lists(_constant, min_size=m, max_size=m))
+    gauge = Gauge.linear(draw(st.sampled_from([F(0), F(1, 4), F(3, 2)])))
+    x = draw(_points(l))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, m - 1))
+        consts[i] = Functional(vecs[i])(x) - gauge(max(abs(v) for v in x))
+    return BorderedSet(l, tuple(zip(vecs, consts)), gauge), x
+
+
+@settings(max_examples=80, deadline=None)
+@given(_sets_with_points())
+def test_membership_reads_margin_signs(case):
+    U, x = case
+    cut = U.gauge(max(abs(v) for v in x))
+    want = [f(x) - c - cut for f, c in U.phi]
+    assert [(type(m), repr(m)) for m in U.margins(x)] == [(type(m), repr(m)) for m in want]
+    s = sign(U.rho(x))
+    assert U.contains(x) == (s > 0)
+    assert U.contains(x, closed=True) == (s >= 0)
+
+
 def _lp_counter(monkeypatch):
     calls = []
 
@@ -453,6 +481,45 @@ def test_contraction_plan_lp_count(monkeypatch):
             contract_step(U, x, t)
         assert is_bounded(U)
     assert calls == []
+
+
+def _diagonal_box():
+    # 0 < x - y < 2, 0 < x + y < 6: the depth peaks on the segment from
+    # (1, 0) to (3, 2), so points with different x + y project apart
+    phis = ((1, -1), (-1, 1), (1, 1), (-1, -1))
+    return BorderedSet(2, tuple(zip(phis, (0, -2, 0, -6))), Gauge.zero())
+
+
+def test_times_at_one_point_share_one_projection(monkeypatch):
+    calls = []
+    project = bordered._ContractionPlan._project
+
+    def counted(plan, p):
+        calls.append(p)
+        return project(plan, p)
+
+    monkeypatch.setattr(bordered._ContractionPlan, "_project", counted)
+    U = _diagonal_box()
+    for t in (F(1, 4), F(1, 2), F(3, 4), F(1)):
+        contract_step(U, (F(5), F(-3)), t)
+    assert len(calls) == 1
+    contract_step(U, (5, -3), F(1, 8))           # the same point, as ints
+    assert len(calls) == 1
+    contract_step(U, (F(-3), F(4)), F(1, 4))
+    assert len(calls) == 2
+
+
+def test_projection_memo_never_serves_a_stale_point():
+    U = _diagonal_box()
+    # consecutive points share a coordinate but not their projection, so a
+    # memo keyed on part of the point would show
+    points = [(F(0), F(3)), (F(0), F(4)), (F(-1), F(4)),
+              (LogLin(1, ((F(2), F(1)),)), F(-4))]
+    for _ in range(2):
+        for x in points:
+            for t in TIMES:
+                fresh = BorderedSet(U.l, U.phi, U.gauge)
+                assert contract_step(U, x, t) == contract_step(fresh, x, t)
 
 
 def test_contraction_plans_are_per_set():

@@ -2,7 +2,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cuspwatch.bordered import BorderedSet, Gauge
 from cuspwatch.chars import Character, SubgroupSpec
@@ -15,7 +15,7 @@ from cuspwatch.cover import (
 from cuspwatch.errors import PreconditionError
 from cuspwatch.loglin import LogLin
 from cuspwatch.matrix import Mat
-from cuspwatch.radicals import radical_from_subspace
+from cuspwatch.radicals import enumerate_witnesses, radical_from_subspace
 
 F = Fraction
 
@@ -161,3 +161,79 @@ def test_region_scales_with_norm(k, denom):
     # region is exactly {-2s >= log 4}
     expected = -2 * t - LogLin.log(4)
     assert e.contains((t,)) == (expected.sign() > 0)
+
+
+# ------------------------------------- component signs vs the reference
+#
+# The reference builds each component value through LogLin's checking
+# constructor, one LogLin(lin, ((nu, 1),)) per component and point, and
+# decides bordered membership by the generic margin arithmetic.
+
+def _ref_cut(e, s):
+    return e.gauge(max(abs(v) for v in s))
+
+
+def _ref_is_active(e, s, strict):
+    cut = _ref_cut(e, s)
+    for coeffs, nu in zip(e.restr, e.norms):
+        lin = e.C0 + cut - sum(c * v for c, v in zip(coeffs, s))
+        sign = LogLin(lin, ((nu, 1),)).sign()
+        if sign > 0 or (sign == 0 and strict):
+            return False
+    return True
+
+
+def _ref_contains(e, s, closed):
+    # a ball condition wants C0 + cut + log(nu) below zero, a margin above it
+    cut = _ref_cut(e, s)
+    signs = [-LogLin(e.C0 + cut, ((nu, 1),)).sign() for _, nu in e.zero_psi]
+    if e.restricted is not None:
+        signs += [(f(s) - c - cut).sign() for f, c in e.restricted.phi]
+    return all(v > 0 or (v == 0 and closed) for v in signs)
+
+
+_G3 = Mat.rationalize([[2, 0, 0], [0, 1, "1/2"], [0, 0, "1/2"]])
+_ELEMENTS = tuple(
+    build_cover(Mat.rationalize([[2, 0], [0, "1/2"]]), A2, [UP, LO, MIX])
+    + build_cover(_G3, SubgroupSpec.full_torus(3), enumerate_witnesses(3, 1), C0=-2)
+)
+_NORMS = [F(1, 4), F(1, 2), F(2, 3), F(1), F(3, 2), F(2), F(4)]
+
+
+@st.composite
+def _elements_with_points(draw):
+    """An element with drawn C0, gauge and norms (some below 1), and a point,
+    sometimes on the boundary of one component: norm 1 and zero shortfall."""
+    e = draw(st.sampled_from(_ELEMENTS))
+    coord = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    s = draw(st.tuples(*[coord] * e.subgroup.dim))
+    norms = draw(st.lists(st.sampled_from(_NORMS), min_size=len(e.norms),
+                          max_size=len(e.norms)))
+    gauge = draw(st.sampled_from([e.gauge, Gauge.zero()]))
+    C0 = draw(st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    if draw(st.booleans()):
+        zero = [k for k, c in enumerate(e.restr) if not any(c)]
+        if zero and draw(st.booleans()):
+            i = draw(st.sampled_from(zero))   # a ball condition
+        else:
+            i = draw(st.integers(0, len(norms) - 1))
+        norms[i] = F(1)
+        cut = gauge(max(abs(v) for v in s))
+        C0 = sum(c * v for c, v in zip(e.restr[i], s)) - cut
+    return replace(e, C0=C0, gauge=gauge, norms=tuple(norms)), s
+
+
+# a ball condition exactly at zero while every margin is positive, so the
+# open and closed readings of the ball condition alone decide membership
+_BALL_EDGE = (replace(build_cover(I2, A2, [MIX], gauge=Gauge.zero())[0],
+                      norms=(F(1, 4), F(1), F(1, 4))), (F(0),))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_elements_with_points())
+@example(_BALL_EDGE)
+def test_component_signs_match_the_checked_construction(case):
+    e, s = case
+    for flag in (True, False):
+        assert e.is_active(s, strict=flag) == _ref_is_active(e, s, flag)
+        assert e.contains(s, closed=flag) == _ref_contains(e, s, flag)

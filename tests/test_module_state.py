@@ -6,7 +6,10 @@ cache starts. Memos in the package are bounded `functools.lru_cache`s or
 live on the object they describe. This test parses every module of the
 package and fails on such a binding outside function and class bodies.
 A second check fails on a functools cache without an explicit integer
-maxsize: `functools.cache`, a bare `lru_cache`, or `maxsize=None`.
+maxsize: `functools.cache`, a bare `lru_cache`, or `maxsize=None`. A third
+fails on any `global` statement: rebinding a module-level name from a
+function is how a module-level memo of any shape, not only an empty
+container, keeps state between calls.
 """
 
 import ast
@@ -140,5 +143,41 @@ def test_every_lru_cache_has_an_integer_maxsize():
         "%s:%d: %s" % (path.relative_to(PACKAGE), line, form)
         for path in modules
         for line, form in _unbounded_caches(ast.parse(path.read_text(), str(path)))
+    ]
+    assert found == []
+
+
+def _global_statements(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Global):
+            for name in node.names:
+                yield node.lineno, name
+
+
+def test_global_detector_sees_every_form():
+    src = (
+        "_memo = None\n"
+        "def a():\n"
+        "    global _memo\n"
+        "    _memo = (1, 2)\n"
+        "class K:\n"
+        "    def b(self):\n"
+        "        global x, y\n"
+        "def c():\n"
+        "    def inner():\n"
+        "        global z\n"
+        "    return inner\n"
+        "global top\n"
+    )
+    found = sorted(_global_statements(ast.parse(src)))
+    assert found == [(3, "_memo"), (7, "x"), (7, "y"), (10, "z"), (12, "top")]
+
+
+def test_no_global_statements():
+    modules = sorted(PACKAGE.rglob("*.py"))
+    found = [
+        "%s:%d: %s" % (path.relative_to(PACKAGE), line, name)
+        for path in modules
+        for line, name in _global_statements(ast.parse(path.read_text(), str(path)))
     ]
     assert found == []
