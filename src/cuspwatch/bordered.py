@@ -36,7 +36,7 @@ from .scalars import frac, frac_str, sign
 
 
 def _coerce_scalar(v):
-    return v if isinstance(v, LogLin) else Fraction(frac(v))
+    return v if isinstance(v, LogLin) else frac(v)
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ class Functional:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "coeffs", tuple(Fraction(frac(c)) for c in self.coeffs)
+            self, "coeffs", tuple(frac(c) for c in self.coeffs)
         )
         if not self.coeffs:
             raise PreconditionError("functional needs at least one coefficient")
@@ -370,8 +370,8 @@ class ConvexSpec:
     l: int = 0
 
     def __post_init__(self):
-        pts = tuple(tuple(Fraction(frac(c)) for c in p) for p in self.points)
-        rys = tuple(tuple(Fraction(frac(c)) for c in r) for r in self.rays)
+        pts = tuple(tuple(frac(c) for c in p) for p in self.points)
+        rys = tuple(tuple(frac(c) for c in r) for r in self.rays)
         l = self.l
         for v in pts + rys:
             if l == 0:
@@ -589,7 +589,7 @@ def contract_step(U: BorderedSet, x, t):
     constant of the system, which is checked. The LPs and eliminations that
     depend only on U are done once per set, in its contraction plan.
     """
-    t = Fraction(frac(t))
+    t = frac(t)
     if not 0 <= t <= 1:
         raise PreconditionError("time parameter must lie in [0, 1]")
     if len(x) != U.l:

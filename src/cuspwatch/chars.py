@@ -64,14 +64,9 @@ class Character:
         return key
 
     def shifted(self) -> tuple:
-        """The coefficients less the first, the key of equality and hashing;
-        computed on first use and then kept."""
-        key = self.__dict__.get("_shifted")
-        if key is None:
-            c0 = self.coeffs[0]
-            key = tuple(c - c0 for c in self.coeffs)
-            object.__setattr__(self, "_shifted", key)
-        return key
+        """The coefficients less the first, the key of equality and hashing."""
+        c0 = self.coeffs[0]
+        return tuple(c - c0 for c in self.coeffs)
 
     def is_zero(self) -> bool:
         return all(c == self.coeffs[0] for c in self.coeffs)

@@ -143,7 +143,7 @@ def build_cover(g: Mat, A: SubgroupSpec, candidates, C0=0, gauge=None) -> list:
     candidates = list(candidates)
     if not candidates:
         raise PreconditionError("need at least one candidate witness")
-    C0 = Fraction(frac(C0))
+    C0 = frac(C0)
     data = [_element_data(g, A, w) for w in candidates]
     if gauge is None:
         pooled = []
@@ -169,10 +169,10 @@ def enumerate_local(g: Mat, A: SubgroupSpec, R, C0, H: int) -> list:
     inside the box; constant characters survive exactly when their cut
     level is nonpositive. The output is finite for every (R, H).
     """
-    R = Fraction(frac(R))
+    R = frac(R)
     if R < 0:
         raise PreconditionError("box radius must be nonnegative")
-    C0 = Fraction(frac(C0))
+    C0 = frac(C0)
     l = A.dim
     out = []
     for witness in enumerate_witnesses(g.nrows, H):
@@ -242,14 +242,14 @@ def verify_subcover(elements, R, delta, core: BorderedSet) -> CoverReport:
     in some element's closed gauged region. A desk-scale sanity check of a
     cover claim, not a proof.
     """
-    delta = Fraction(frac(delta))
+    delta = frac(delta)
     if delta <= 0:
         raise PreconditionError("grid step must be positive")
     l = core.l
     for e in elements:
         if e.subgroup.dim != l:
             raise PreconditionError("element dimension mismatch with core")
-    grid = GridSpec.box(l, Fraction(frac(R)), delta)
+    grid = GridSpec.box(l, frac(R), delta)
     gaps = []
     checked = 0
     for point in grid.points():

@@ -89,12 +89,8 @@ def ray_shrink_set(g: Mat, v, A: SubgroupSpec) -> list:
 
 def cone_nonempty(functionals) -> bool:
     """Exact: is there a direction with every functional >= 1 (so > 0)?"""
-    fs = list(functionals)
-    if not fs:
-        return False
-    rows = [[-c for c in f.coeffs] for f in fs]
-    ok, _ = lp_feasible(A_ub=rows, b_ub=[Fraction(-1)] * len(rows))
-    return ok
+    rows = [f.coeffs for f in functionals]
+    return bool(rows) and _sign_point(rows, (1,) * len(rows)) is not None
 
 
 @dataclass(frozen=True)

@@ -114,7 +114,7 @@ class LogLin:
     Not hashable: use sorted containers or explicit keys instead.
     """
 
-    __slots__ = ("rat", "logs", "_sign_memo")
+    __slots__ = ("rat", "logs")
 
     def __init__(self, rat=0, logs=()):
         object.__setattr__(self, "rat", _fraction(rat))
@@ -134,7 +134,6 @@ class LogLin:
             if e:
                 clean.append((b, e))
         object.__setattr__(self, "logs", tuple(clean))
-        object.__setattr__(self, "_sign_memo", None)
 
     @classmethod
     def _built(cls, rat: Fraction, logs: tuple) -> "LogLin":
@@ -144,7 +143,6 @@ class LogLin:
         v = object.__new__(cls)
         object.__setattr__(v, "rat", rat)
         object.__setattr__(v, "logs", logs)
-        object.__setattr__(v, "_sign_memo", None)
         return v
 
     def __setattr__(self, name, value):
@@ -224,14 +222,6 @@ class LogLin:
     # -- sign and order ----------------------------------------------------
 
     def sign(self) -> int:
-        memo = self._sign_memo
-        if memo is not None:
-            return memo
-        s = self._compute_sign()
-        object.__setattr__(self, "_sign_memo", s)
-        return s
-
-    def _compute_sign(self) -> int:
         rat, logs = self.rat, self.logs
         if not logs:
             return sign(rat)

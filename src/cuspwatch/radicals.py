@@ -18,7 +18,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 
 from .chars import Character, SubgroupSpec
@@ -27,7 +27,7 @@ from .lattice import _cleared, int_kernel, saturation_pair, lll_reduce
 from .loglin import LogLin
 from .matrix import Mat
 from .scalars import frac_str
-from .wedge import WedgeVector, _int_minors, apply_wedge_matrix, plucker
+from .wedge import WedgeVector, _int_minors, _shuffle, apply_wedge_matrix, plucker
 
 
 def sl_dim(n: int) -> int:
@@ -273,85 +273,24 @@ def _prefilter_bound(g: Mat, p_std: WedgeVector) -> Fraction:
 
 def _primitive_vectors(n: int, height: int):
     """Primitive integer vectors, first nonzero positive, sup norm <= height."""
-    def rec(prefix, started):
-        if len(prefix) == n:
-            if any(prefix):
-                yield tuple(prefix)
-            return
-        lo = 0 if not started else -height
-        for v in range(lo, height + 1):
-            yield from rec(prefix + [v], started or v != 0)
-
-    for vec in rec([], False):
-        if gcd(*vec) == 1:
-            yield vec
+    for v in product(range(-height, height + 1), repeat=n):
+        if gcd(*v) == 1 and next(filter(None, v)) > 0:
+            yield v
 
 
-def _plane_pluckers_4(height: int):
-    """Primitive decomposable wedge coordinates in dimension 4, height-bounded.
-
-    Coordinates ordered (w12, w13, w14, w23, w24, w34); decomposable means
-    w12*w34 - w13*w24 + w14*w23 = 0. Enumeration splits on the first
-    nonzero coordinate and solves the quadric for a dependent coordinate.
-    """
-    H = height
-
-    def emit(w):
-        if gcd(*w) == 1:
-            yield w
-
-    rng = range(-H, H + 1)
-    for w12 in range(1, H + 1):
-        for w13 in rng:
-            for w14 in rng:
-                for w23 in rng:
-                    for w24 in rng:
-                        num = w13 * w24 - w14 * w23
-                        if num % w12:
-                            continue
-                        w34 = num // w12
-                        if abs(w34) <= H:
-                            yield from emit((w12, w13, w14, w23, w24, w34))
-    for w13 in range(1, H + 1):
-        for w14 in rng:
-            for w23 in rng:
-                for w34 in rng:
-                    num = w14 * w23  # w12 = 0 forces w13*w24 = w14*w23
-                    if num % w13:
-                        continue
-                    w24 = num // w13
-                    if abs(w24) <= H:
-                        yield from emit((0, w13, w14, w23, w24, w34))
-    for w14 in range(1, H + 1):
-        # w12 = w13 = 0 forces w14*w23 = 0, so w23 = 0
-        for w24 in rng:
-            for w34 in rng:
-                yield from emit((0, 0, w14, 0, w24, w34))
-    for w23 in range(1, H + 1):
-        for w24 in rng:
-            for w34 in rng:
-                yield from emit((0, 0, 0, w23, w24, w34))
-    for w24 in range(1, H + 1):
-        for w34 in rng:
-            yield from emit((0, 0, 0, 0, w24, w34))
-    for w34 in range(1, H + 1):
-        yield from emit((0, 0, 0, 0, 0, w34))
+_PAIRS_4 = tuple(combinations(range(1, 5), 2))     # Plucker order w12, ..., w34
+_TRIPLES_4 = tuple(combinations(range(1, 5), 3))
 
 
-def _plane_from_plucker_4(w) -> list:
-    """Recover the 2-plane {v : v wedge w = 0} from decomposable coordinates."""
-    w12, w13, w14, w23, w24, w34 = w
-    # rows of the map v -> v ^ w in the basis e_ijk of Lambda^3
-    K = Mat.rationalize([
-        [w23, -w13, w12, 0],    # coefficient of e_123
-        [w24, -w14, 0, w12],    # e_124
-        [w34, 0, -w14, w13],    # e_134
-        [0, w34, -w24, w23],    # e_234
-    ])
-    ker = K.kernel_basis()
-    if len(ker) != 2:
-        raise DependentInput("coordinates are not decomposable")
-    return [list(v) for v in ker]
+def _planes_4(height: int):
+    """SL4 planes of height <= height. Each primitive w on the Plucker quadric
+    w12 w34 - w13 w24 + w14 w23 = 0 is spanned by the kernel of v -> v ^ w."""
+    for w in _primitive_vectors(6, height):
+        if w[0] * w[5] - w[1] * w[4] + w[2] * w[3] == 0:
+            coeffs = {pair: c for pair, c in zip(_PAIRS_4, w) if c}
+            images = [_shuffle({(i,): 1}, coeffs) for i in range(1, 5)]   # e_i ^ w
+            K = Mat.rationalize([[v.get(t, 0) for v in images] for t in _TRIPLES_4])
+            yield [list(v) for v in K.kernel_basis()]
 
 
 def _candidate_subspaces(n: int, j: int, height: int):
@@ -360,11 +299,9 @@ def _candidate_subspaces(n: int, j: int, height: int):
             yield [list(v)]
     elif j == n - 1:
         for f in _primitive_vectors(n, height):
-            rows = int_kernel([list(f)], n)
-            yield [list(r) for r in rows]
+            yield [list(r) for r in int_kernel([list(f)], n)]
     elif (n, j) == (4, 2):
-        for w in _plane_pluckers_4(height):
-            yield _plane_from_plucker_4(w)
+        yield from _planes_4(height)
     else:
         raise PreconditionError(
             "subspace enumeration implemented for j=1, j=n-1, and (n,j)=(4,2)"

@@ -23,8 +23,6 @@ from numbers import Rational
 
 from .errors import PreconditionError
 
-RatLike = int | Fraction
-
 
 def sign(x) -> int:
     """Exact sign -1, 0 or 1 of an int, Fraction, QuadScalar or LogLin."""

@@ -53,7 +53,7 @@ def _rational(x) -> Fraction:
     """A parsed JSON entry as a rational: an int that is not a bool, or a "p/q" string."""
     if isinstance(x, bool) or not isinstance(x, (int, str)):
         raise PreconditionError("JSON entry %s is not an integer or \"p/q\"" % json.dumps(x))
-    return Fraction(frac(x))
+    return frac(x)
 
 
 def parse_vectors(text: str) -> list:
@@ -74,7 +74,7 @@ def parse_csv_fracs(text: str) -> tuple:
     parts = [p for p in text.split(",") if p.strip()]
     if not parts:
         raise PreconditionError("expected comma-separated rationals")
-    return tuple(Fraction(frac(p)) for p in parts)
+    return tuple(frac(p) for p in parts)
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ class Quaternion:
 
     def __post_init__(self):
         for name in ("x0", "x1", "x2", "x3"):
-            object.__setattr__(self, name, Fraction(frac(getattr(self, name))))
+            object.__setattr__(self, name, frac(getattr(self, name)))
 
     @staticmethod
     def of(x0, x1=0, x2=0, x3=0) -> "Quaternion":
@@ -144,7 +144,7 @@ def _as_quad(x) -> QuadScalar:
         if x.d != 3:
             raise PreconditionError("entries must live over sqrt(3)")
         return x
-    return QuadScalar.rational(Fraction(frac(x)), 3)
+    return QuadScalar.rational(frac(x), 3)
 
 
 def iota_inverse_block(block) -> Quaternion | None:
@@ -232,7 +232,7 @@ def verify_periodicity(u: QuadScalar | None = None, m: Mat | None = None) -> boo
 
 
 def _check_alpha(alpha) -> tuple:
-    a = tuple(Fraction(frac(x)) for x in alpha)
+    a = tuple(frac(x) for x in alpha)
     if len(a) != 4:
         raise PreconditionError("need four exponents")
     if sum(a) != 0:
@@ -272,7 +272,7 @@ def x_membership(rows) -> tuple:
     rows = [list(r) for r in rows]
     if len(rows) != 2 or any(len(r) != 4 for r in rows):
         raise PreconditionError("need two spanning vectors in Q^4")
-    w = plucker([[Fraction(frac(x)) for x in r] for r in rows], 4)
+    w = plucker([[frac(x) for x in r] for r in rows], 4)
     return leading_tuple(w)
 
 

@@ -1,0 +1,88 @@
+"""Every module-level definition in the package is read somewhere.
+
+A function, class or assigned name that nothing reads is dead code: it is
+kept in step with the code around it, and it suggests a use that is not
+there. This test parses every module of the package and fails on a
+module-level function, class or assignment whose name no expression in
+`src`, `tests`, `scripts` or `perfbench` reads (as a name or as an
+attribute), outside the lines of its own definition. The scan goes by name
+alone, so a read of any object with the same name counts.
+"""
+
+import ast
+from pathlib import Path
+
+import cuspwatch
+
+PACKAGE = Path(cuspwatch.__file__).parent
+ROOT = PACKAGE.parents[1]
+READERS = ("src", "tests", "scripts", "perfbench")
+
+
+def _definitions(body):
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for n in ast.walk(target):
+                    if isinstance(n, ast.Name):
+                        yield n.id, node
+
+
+def _reads(trees):
+    """name -> [(key, line)] of every name or attribute load."""
+    out = {}
+    for key, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                out.setdefault(node.id, []).append((key, node.lineno))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                out.setdefault(node.attr, []).append((key, node.lineno))
+    return out
+
+
+def _unread_definitions(modules, trees):
+    """(module key, line, name) of each definition in modules (key -> tree)
+    that no tree in trees reads outside the definition's own lines."""
+    reads = _reads(trees)
+    for key, tree in modules.items():
+        for name, node in _definitions(tree.body):
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if not any(k != key or not node.lineno <= line <= node.end_lineno
+                       for k, line in reads.get(name, [])):
+                yield key, node.lineno, name
+
+
+def test_detector_sees_every_form():
+    mod = ast.parse(
+        "__all__ = ['used']\n"
+        "Alias = int | float\n"
+        "LIMIT: int = 3\n"
+        "a, (b, c) = 1, (2, 3)\n"
+        "def used():\n"
+        "    return b\n"
+        "def recursive(k):\n"
+        "    return recursive(k - 1) if k else Alias\n"
+        "class Node:\n"
+        "    def make(self):\n"
+        "        return Node()\n"
+        "def by_attribute():\n"
+        "    pass\n"
+    )
+    other = ast.parse("import mod\nmod.used()\nmod.by_attribute\nLIMIT = 4\nc\n")
+    found = [name for _, _, name in
+             _unread_definitions({"mod": mod}, {"mod": mod, "other": other})]
+    assert found == ["LIMIT", "a", "recursive", "Node"]
+
+
+def test_no_unread_module_level_definitions():
+    trees = {p: ast.parse(p.read_text(), str(p))
+             for d in READERS for p in sorted((ROOT / d).rglob("*.py"))}
+    modules = {p: tree for p, tree in trees.items() if p.is_relative_to(PACKAGE)}
+    assert modules
+    found = ["%s:%d: %s" % (path.relative_to(PACKAGE), line, name)
+             for path, line, name in _unread_definitions(modules, trees)]
+    assert found == []

@@ -1,6 +1,9 @@
+import hashlib
+import math
 import random
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -96,6 +99,55 @@ def test_enumerate_witnesses_sl4_counts():
     assert by_j == {1: 40, 2: 122, 3: 40}
     for x in ws:
         assert x.height() <= 1
+
+
+# (n, height): witness count per j and sha256 of
+# repr([(w.sort_key(), w.rows, w.ann_rows) for w in enumerate_witnesses(n, height)]),
+# recorded from the enumerator with hand-split Plucker cases for SL4 planes
+ENUMERATION_PINS = {
+    (2, 1): ({1: 4}, "79ac46e93ee7b77dcb1e7f73e6008846187c5845f798409711e0443bd4409059"),
+    (2, 2): ({1: 8}, "cd8660ec36f7617e8b8b2705ccd2aad3e1a2b2681671c5b41a08292230c82ebe"),
+    (2, 3): ({1: 16}, "f273631df282003612e9034ac14840d7b52da292feeefc09628852f2b559dc24"),
+    (2, 4): ({1: 24}, "9749fa3cc2546959d95885e3afb1505fd75cb2d814f50e7e1d6a6f66d08185cd"),
+    (2, 5): ({1: 40}, "7ecb61d33b18e2b3e12ed7c8805aa5a5647bb79393f0bcd213b296088b17acd7"),
+    (2, 6): ({1: 48}, "abcdbfa13d4f7b2560d670458ea4f93dfa6b8a3796ec61cc21495e2c7cf18356"),
+    (3, 1): ({1: 13, 2: 13}, "34fbafe220c5f6ace1048284d5e6688fd4e4f5a0fc188f4c5c963fa6f05db210"),
+    (3, 2): ({1: 49, 2: 49}, "af123ca9ff9983426bb942964170c1c19b2b799cfc8d18fc247683d8286d17d2"),
+    (3, 3): ({1: 145, 2: 145}, "1ef1d839cf774090a3bc2592059659c3dd871fa50c5fc98f4940f7a345095cfb"),
+    (4, 1): ({1: 40, 2: 122, 3: 40},
+             "ec1312e5085dab061bc582aa80caf96fcd664039866edb620fb50ac085ad0f42"),
+    (4, 2): ({1: 272, 2: 1034, 3: 272},
+             "598f66c257e4dfa64e4810c6bae85d9a0ccf4ea0723502aceb2801b328c87621"),
+}
+
+
+@pytest.mark.parametrize("n, height", sorted(ENUMERATION_PINS))
+def test_enumeration_matches_its_pins(n, height):
+    radicals._enumerated.cache_clear()
+    ws = enumerate_witnesses(n, height)
+    counts, digest = ENUMERATION_PINS[n, height]
+    assert dict(Counter(w.j for w in ws)) == counts
+    blob = repr([(w.sort_key(), w.rows, w.ann_rows) for w in ws]).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest
+
+
+@pytest.mark.parametrize("height", [1, 2])
+def test_sl4_planes_are_the_primitive_points_of_the_plucker_quadric(height):
+    rng = range(-height, height + 1)
+    want = {
+        w for w in product(rng, repeat=6)
+        if math.gcd(*w) == 1 and next(c for c in w if c) > 0
+        and w[0] * w[5] - w[1] * w[4] + w[2] * w[3] == 0
+    }
+    got = [tuple(plucker(rows).coeffs.get(t, 0) for t in combinations(range(1, 5), 2))
+           for rows in _candidate_subspaces(4, 2, height)]
+    assert len(got) == len(set(got))
+    assert set(got) == want
+
+
+def test_candidate_subspaces_reject_unsupported_types():
+    with pytest.raises(PreconditionError):
+        next(_candidate_subspaces(5, 2, 1))
 
 
 def test_active_radicals_diagonal():
