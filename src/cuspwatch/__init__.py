@@ -23,7 +23,6 @@ from .radicals import (
     cusp_profile,
 )
 from .bordered import (
-    Functional,
     Gauge,
     BorderedSet,
     ConvexSpec,
@@ -75,7 +74,7 @@ __all__ = [
     "WeylElement", "BruhatFactorization", "bruhat_factor", "weight_bound_check",
     "RadicalWitness", "standard_radical", "radical_from_subspace",
     "enumerate_witnesses", "active_radicals", "cusp_profile",
-    "Functional", "Gauge", "BorderedSet", "ConvexSpec", "conjunction",
+    "Gauge", "BorderedSet", "ConvexSpec", "conjunction",
     "positively_nontrivial", "is_bounded", "invdim", "is_k_trivial",
     "epsilon_bound", "contract_step", "intersect_nonempty",
     "CoverElement", "CoverReport", "build_cover", "enumerate_local",

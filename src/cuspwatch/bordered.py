@@ -39,40 +39,30 @@ def _coerce_scalar(v):
     return v if isinstance(v, LogLin) else frac(v)
 
 
-@dataclass(frozen=True)
-class Functional:
-    """Exact linear functional on Q^l, stored by its coefficient vector."""
+def _dot(row, x):
+    """row . x as the left fold row[0]*x[0] + row[1]*x[1] + ..., so a sum
+    with LogLin terms is built in one fixed order."""
+    total = row[0] * x[0]
+    for c, v in zip(row[1:], x[1:]):
+        total = total + c * v
+    return total
 
-    coeffs: tuple
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "coeffs", tuple(frac(c) for c in self.coeffs)
-        )
-        if not self.coeffs:
-            raise PreconditionError("functional needs at least one coefficient")
-
-    @staticmethod
-    def of(coeffs) -> "Functional":
-        if isinstance(coeffs, Functional):
-            return coeffs
-        return Functional(tuple(coeffs))
-
-    @property
-    def l(self) -> int:
-        return len(self.coeffs)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def __call__(self, x):
-        if len(x) != len(self.coeffs):
-            raise PreconditionError("point dimension mismatch")
-        total = self.coeffs[0] * x[0]
-        for c, v in zip(self.coeffs[1:], x[1:]):
-            total = total + c * v
-        return total
+def _functional_list(phi_list) -> list:
+    """The coefficient rows of a functional system as tuples of Fractions:
+    at least one row, all of one positive length, none zero."""
+    rows = [tuple(frac(c) for c in f) for f in phi_list]
+    if not rows:
+        raise PreconditionError("need at least one functional")
+    l = len(rows[0])
+    if l == 0:
+        raise PreconditionError("functional needs at least one coefficient")
+    for r in rows:
+        if len(r) != l:
+            raise PreconditionError("functionals of mixed dimension")
+        if not any(r):
+            raise PreconditionError("zero functional not allowed here")
+    return rows
 
 
 class Gauge:
@@ -132,21 +122,17 @@ class BorderedSet:
     """The region {x : phi_i(x) > C_i + gauge(|x|_inf)} in R^l."""
 
     l: int
-    phi: tuple        # pairs (Functional, constant); constants may be LogLin
+    phi: tuple        # pairs (coefficient row, constant); constants may be LogLin
     gauge: Gauge
 
     def __post_init__(self):
-        pairs = []
-        for f, c in self.phi:
-            f = Functional.of(f)
-            if f.l != self.l:
-                raise PreconditionError("functional dimension mismatch")
-            if f.is_zero:
-                raise PreconditionError("zero functional is not allowed in a bordered set")
-            pairs.append((f, _coerce_scalar(c)))
-        if not pairs:
-            raise PreconditionError("need at least one functional")
-        object.__setattr__(self, "phi", tuple(pairs))
+        pairs = tuple(self.phi)
+        rows = _functional_list(f for f, _ in pairs)
+        if len(rows[0]) != self.l:
+            raise PreconditionError("functional dimension mismatch")
+        object.__setattr__(
+            self, "phi", tuple((r, _coerce_scalar(c)) for r, (_, c) in zip(rows, pairs))
+        )
 
     @property
     def functionals(self) -> list:
@@ -169,7 +155,7 @@ class BorderedSet:
             raise PreconditionError("point dimension mismatch")
         cut = self.gauge(_sup_norm(x))
         for (f, c), logs in zip(self.phi, self._negated_logs):
-            q = f(x) - cut
+            q = _dot(f, x) - cut
             if logs is None or isinstance(q, LogLin):
                 yield q - c
             else:
@@ -222,19 +208,6 @@ def conjunction(sets) -> BorderedSet:
     return BorderedSet(l, tuple(pairs), gauge)
 
 
-def _functional_list(phi_list) -> list:
-    fs = [Functional.of(f) for f in phi_list]
-    if not fs:
-        raise PreconditionError("need at least one functional")
-    l = fs[0].l
-    for f in fs:
-        if f.l != l:
-            raise PreconditionError("functionals of mixed dimension")
-        if f.is_zero:
-            raise PreconditionError("zero functional not allowed here")
-    return fs
-
-
 def _positive_primitive(vec) -> tuple:
     return tuple(Fraction(v) for v in positive_primitive(vec))
 
@@ -247,26 +220,26 @@ def positively_nontrivial(phi_list):
     both certificates are verified exactly before returning.
     """
     fs = _functional_list(phi_list)
-    l, m = fs[0].l, len(fs)
+    l, m = len(fs[0]), len(fs)
     res = solve_lp(
         [Fraction(0)] * l,
-        A_ub=[[-c for c in f.coeffs] for f in fs],
+        A_ub=[[-c for c in f] for f in fs],
         b_ub=[Fraction(-1)] * m,
     )
     if res.status == "optimal":
         v = _positive_primitive(res.x)
-        if not all(sign(f(v)) > 0 for f in fs):
+        if not all(sign(_dot(f, v)) > 0 for f in fs):
             raise InternalError("Gordan point is not strictly positive")
         return True, v
     # infeasible: (0, ..., 0, 1) lies in the cone of the vectors (phi_i, 1)
-    lam = _cone_point([f.coeffs + (1,) for f in fs], (0,) * l + (1,))
+    lam = _cone_point([f + (1,) for f in fs], (0,) * l + (1,))
     if lam is None:
         raise InternalError("Gordan dual system is infeasible")
     lam = _positive_primitive(lam)
     if not (all(v >= 0 for v in lam) and any(v > 0 for v in lam)):
         raise InternalError("Gordan multipliers are not nonnegative and nonzero")
     for d in range(l):
-        if sum(lam[i] * fs[i].coeffs[d] for i in range(m)) != 0:
+        if sum(lam[i] * fs[i][d] for i in range(m)) != 0:
             raise InternalError("Gordan multipliers do not cancel")
     return False, lam
 
@@ -301,29 +274,37 @@ def _face_lp(vectors, fix_coord: int, side: int, l: int):
     return res.value
 
 
+def _independent_subsets(rows, l: int):
+    """(indices, rows) of each linearly independent subset of the rows with
+    at most l members (in R^l a larger one is always dependent), by size and
+    then in `combinations` order."""
+    for size in range(1, min(l, len(rows)) + 1):
+        for combo in combinations(range(len(rows)), size):
+            B = [rows[i] for i in combo]
+            if Mat(B).rank() == size:
+                yield combo, B
+
+
 @lru_cache(maxsize=128)
 def _separation(vecs: frozenset) -> Fraction:
     """epsilon_bound of the distinct coefficient vectors vecs."""
     vecs = sorted(vecs)
     l = len(vecs[0])
     best = None
-    for size in range(1, min(l, len(vecs)) + 1):
-        for rows in combinations(vecs, size):
-            if Mat.rationalize([list(r) for r in rows]).rank() < size:
-                continue
-            M = None
-            for d in range(l):
-                for side in (1, -1):
-                    val = _face_lp(rows, d, side, l)
-                    if val is not None and (M is None or val > M):
-                        M = val
-            if M is None:
-                raise InternalError("cone missed the unit sphere")
-            eps_sub = -M
-            if eps_sub <= 0:
-                raise InternalError("independent subset does not separate from the cone")
-            if best is None or eps_sub < best:
-                best = eps_sub
+    for _, rows in _independent_subsets(vecs, l):
+        M = None
+        for d in range(l):
+            for side in (1, -1):
+                val = _face_lp(rows, d, side, l)
+                if val is not None and (M is None or val > M):
+                    M = val
+        if M is None:
+            raise InternalError("cone missed the unit sphere")
+        eps_sub = -M
+        if eps_sub <= 0:
+            raise InternalError("independent subset does not separate from the cone")
+        if best is None or eps_sub < best:
+            best = eps_sub
     if best is None:
         raise InternalError("no independent subset of the functionals")
     return best / 2
@@ -340,7 +321,7 @@ def epsilon_bound(phi_list) -> Fraction:
     caller that sizes a gauge by eps and then asks is_bounded solves the
     LPs once.
     """
-    return _separation(frozenset(f.coeffs for f in _functional_list(phi_list)))
+    return _separation(frozenset(_functional_list(phi_list)))
 
 
 def is_bounded(U: BorderedSet) -> bool:
@@ -421,7 +402,7 @@ def invdim(S):
             raise PreconditionError("invariance dimension needs the zero-gauge polyhedron")
         if not intersect_nonempty([S])[0]:
             return -math.inf
-        return S.l - _span_dim([f.coeffs for f in S.functionals])
+        return S.l - _span_dim(S.functionals)
     if isinstance(S, ConvexSpec):
         if S.is_empty:
             return -math.inf
@@ -471,7 +452,7 @@ def _lex_inf_min(rows, rhs, l: int):
 def _depth_lp(l: int, pairs, cap: bool):
     """max t subject to phi(x) >= c + t for each pair (phi, c), and t <= 1
     when capped, as the LP result over (t, x)."""
-    A_ub = [[Fraction(1)] + [-v for v in f.coeffs] for f, _ in pairs]
+    A_ub = [[Fraction(1)] + [-v for v in f] for f, _ in pairs]
     b_ub = [-c for _, c in pairs]
     if cap:
         A_ub.append([Fraction(1)] + [Fraction(0)] * l)
@@ -502,7 +483,7 @@ class _ContractionPlan:
         U = self.U
         if U.gauge.is_zero:
             # a polyhedron: bounded iff empty or the phi_i positively span R^l
-            vecs = [f.coeffs for f in U.functionals]
+            vecs = U.functionals
             minus_sum = [-sum(col) for col in zip(*vecs)]
             if _span_dim(vecs) == U.l and _cone_point(vecs, minus_sum) is not None:
                 return True
@@ -523,7 +504,7 @@ class _ContractionPlan:
         res = _depth_lp(U.l, U.phi, cap=False)
         if res.status != "optimal":
             raise InternalError("a bounded system has a finite peak depth, LP is %s" % res.status)
-        return [list(f.coeffs) for f in U.functionals], [c + res.value for c in U.constants]
+        return [list(f) for f in U.functionals], [c + res.value for c in U.constants]
 
     @cached_property
     def lex_min(self) -> tuple:
@@ -531,14 +512,10 @@ class _ContractionPlan:
 
     @cached_property
     def faces(self) -> list:
-        rows = self.peak[0]
         out = []
-        for size in range(1, min(self.U.l, len(rows)) + 1):
-            for combo in combinations(range(len(rows)), size):
-                B = [rows[i] for i in combo]
-                if Mat(B).rank() == size:
-                    gram = Mat([[sum(a * b for a, b in zip(r, s)) for s in B] for r in B])
-                    out.append((combo, B, gram.inverse()))
+        for combo, B in _independent_subsets(self.peak[0], self.U.l):
+            gram = Mat([[sum(a * b for a, b in zip(r, s)) for s in B] for r in B])
+            out.append((combo, B, gram.inverse()))
         return out
 
     def project(self, p: tuple) -> tuple:

@@ -17,6 +17,7 @@ from math import gcd
 from .errors import DependentInput, PreconditionError
 from .lattice import _cleared
 from .matrix import Mat
+from .scalars import frac_str
 
 
 @dataclass(frozen=True)
@@ -48,20 +49,13 @@ class Character:
         """Primitive sum-zero representative; used for display and keys only.
 
         Scaling is not applied to the working coefficients because distinct
-        multiples of a character are distinct weights. Computed on first use
-        and then kept.
+        multiples of a character are distinct weights.
         """
-        key = self.__dict__.get("_canonical")
-        if key is None:
-            n = self.n
-            total = sum(self.coeffs)
-            v = [n * c - total for c in self.coeffs]
-            g = 0
-            for x in v:
-                g = gcd(g, abs(x))
-            key = tuple(x // g for x in v) if g else tuple(0 for _ in v)
-            object.__setattr__(self, "_canonical", key)
-        return key
+        n = self.n
+        total = sum(self.coeffs)
+        v = [n * c - total for c in self.coeffs]
+        g = gcd(*v) or 1
+        return tuple(x // g for x in v)
 
     def shifted(self) -> tuple:
         """The coefficients less the first, the key of equality and hashing."""
@@ -182,8 +176,6 @@ class SubgroupSpec:
         return tuple(Fraction(sum(c * x for c, x in zip(char.coeffs, row)), d) for row in rows)
 
     def to_json(self):
-        from .scalars import frac_str
-
         return {"n": self.n, "basis": [[frac_str(x) for x in r] for r in self.basis]}
 
 

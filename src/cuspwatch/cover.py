@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
-from .bordered import BorderedSet, Functional, Gauge, _sup_norm, epsilon_bound
+from .bordered import BorderedSet, Gauge, _sup_norm, epsilon_bound
 from .chars import Character, GridSpec, SubgroupSpec, ambient_independent
 from .errors import PreconditionError
 from .loglin import LogLin
@@ -38,9 +38,9 @@ class CoverElement:
     psi holds the negatives of the characters present in the conjugated
     wedge vector; norms holds the exact rational component norm at each.
     The cut value for psi is log(norm) + C0, stored exactly as that pair.
-    Functionals whose restriction to the subgroup vanishes cannot sit in a
-    bordered region, so they are kept aside and checked as norm-ball
-    conditions. Both parts derive from the stored fields on first use, so a
+    A character whose restriction to the subgroup is the zero row cannot
+    sit in a bordered region, so it is kept aside and checked as a
+    norm-ball condition. Both parts derive from the stored fields on first use, so a
     `dataclasses.replace` copy never keeps a stale region.
     """
 
@@ -61,7 +61,7 @@ class CoverElement:
     @cached_property
     def restricted(self):
         """BorderedSet over the nonzero restrictions at (C0, gauge), or None."""
-        pairs = tuple((Functional(coeffs), LogLin(self.C0, ((nu, 1),)))
+        pairs = tuple((coeffs, LogLin(self.C0, ((nu, 1),)))
                       for nu, coeffs in zip(self.norms, self.restr) if any(coeffs))
         return BorderedSet(self.subgroup.dim, pairs, self.gauge) if pairs else None
 

@@ -21,14 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bordered import Functional
 from .chars import SubgroupSpec
 from .errors import PreconditionError
 from .lattice import positive_primitive
 from .lp import lp_feasible
 from .matrix import Mat
 from .radicals import RadicalWitness, _log_size, enumerate_witnesses
-from .scalars import sign
+from .scalars import frac_str, sign
 
 
 @dataclass(frozen=True)
@@ -54,8 +53,6 @@ class WitnessVector:
         )
 
     def to_json(self):
-        from .scalars import frac_str
-
         return {
             "n": self.n,
             "degree": self.degree,
@@ -78,18 +75,18 @@ def _coerce_witness(g: Mat, w) -> WitnessVector:
 def ray_shrink_set(g: Mat, v, A: SubgroupSpec) -> list:
     """The open cone of directions shrinking the conjugated witness.
 
-    Returned as the list of restricted functionals whose joint strict
-    positivity defines the cone: one entry per present character, negated.
-    A character restricting to zero contributes the zero functional, which
-    makes the cone empty, as it must be.
+    Returned as the list of restricted coefficient rows whose joint strict
+    positivity defines the cone: one row per present character, negated.
+    A character restricting to zero contributes the zero row, which makes
+    the cone empty, as it must be.
     """
     w = _coerce_witness(g, v)
-    return [Functional(A.restrict(-ch)) for ch, _ in w.components]
+    return [A.restrict(-ch) for ch, _ in w.components]
 
 
-def cone_nonempty(functionals) -> bool:
-    """Exact: is there a direction with every functional >= 1 (so > 0)?"""
-    rows = [f.coeffs for f in functionals]
+def cone_nonempty(rows) -> bool:
+    """Exact: is there a direction with every row . x >= 1 (so > 0)?"""
+    rows = list(rows)
     return bool(rows) and _sign_point(rows, (1,) * len(rows)) is not None
 
 
@@ -108,8 +105,6 @@ class DivergenceCertificate:
     fan: tuple
 
     def to_json(self):
-        from .scalars import frac_str
-
         return {
             "witnesses": [w.to_json() for w in self.witnesses],
             "hyperplanes": [[frac_str(c) for c in h] for h in self.hyperplanes],

@@ -19,7 +19,7 @@ from math import lcm
 from typing import Callable, Iterable, Sequence
 
 from .errors import PreconditionError
-from .scalars import QuadScalar, frac_str, one_like, sign, zero_like
+from .scalars import QuadScalar, frac, frac_str, one_like, parse_frac, sign, zero_like
 
 
 class Mat:
@@ -64,7 +64,6 @@ class Mat:
     @staticmethod
     def rationalize(rows) -> "Mat":
         """Build a Fraction matrix, coercing ints/strings."""
-        from .scalars import frac
         return Mat([[frac(x) for x in r] for r in rows])
 
     # -- basics ---------------------------------------------------------------
@@ -210,7 +209,6 @@ class Mat:
 
     @staticmethod
     def from_json(obj) -> "Mat":
-        from .scalars import parse_frac
         rows = []
         for r in obj:
             row = []

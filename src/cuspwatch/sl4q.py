@@ -22,7 +22,7 @@ from .chars import SubgroupSpec
 from .divergence import WitnessVector, _analyze
 from .errors import InternalError, PreconditionError
 from .matrix import Mat
-from .radicals import radical_from_subspace, standard_radical
+from .radicals import coords_to_matrix, radical_from_subspace, sl_dim, standard_radical
 from .scalars import QuadScalar, frac, frac_str
 from .wedge import leading_tuple, plucker
 
@@ -282,8 +282,6 @@ def _stabilizer_dim() -> int:
     Conditions: the lower-left and upper-right 2x2 blocks vanish; computed
     as 15 minus the rank of the explicit constraint system.
     """
-    from .radicals import coords_to_matrix, sl_dim
-
     conditions = [(2, 0), (3, 0), (2, 1), (3, 1), (0, 2), (0, 3), (1, 2), (1, 3)]
     dim = sl_dim(4)
     rows = []

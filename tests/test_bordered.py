@@ -12,7 +12,6 @@ from cuspwatch import bordered
 from cuspwatch.bordered import (
     BorderedSet,
     ConvexSpec,
-    Functional,
     Gauge,
     conjunction,
     contract_step,
@@ -111,20 +110,28 @@ def test_positive_alternative_branches():
     assert not ok and lam == (F(1), F(1), F(1))
 
 
+@pytest.mark.parametrize("system", [[], [()], [(0, 0)], [(1, 0), (1,)]])
+def test_malformed_functional_rows_are_rejected(system):
+    # no rows, an empty row, a zero row, rows of mixed length
+    with pytest.raises(PreconditionError):
+        positively_nontrivial(system)
+    with pytest.raises(PreconditionError):
+        epsilon_bound(system)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(
     st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(lambda t: any(t)),
     min_size=1, max_size=4,
 ))
 def test_positive_alternative_certificates(system):
-    fs = [Functional.of(f) for f in system]
     ok, cert = positively_nontrivial(system)
     if ok:
-        assert all(f(cert) > 0 for f in fs)
+        assert all(sum(a * v for a, v in zip(f, cert)) > 0 for f in system)
     else:
         assert all(c >= 0 for c in cert) and any(c > 0 for c in cert)
         for d in range(2):
-            assert sum(c * f.coeffs[d] for c, f in zip(cert, fs)) == 0
+            assert sum(c * f[d] for c, f in zip(cert, system)) == 0
 
 
 # ------------------------------------------------- separation constant
@@ -239,7 +246,7 @@ def test_contract_step_rejects():
 
 def _ref_depth_polytope(U):
     l = U.l
-    rows = [list(f.coeffs) for f in U.functionals]
+    rows = [list(f) for f in U.functionals]
     consts = list(U.constants)
     A_ub = [[F(1)] + [-v for v in r] for r in rows]
     res = solve_lp([F(1)] + [F(0)] * l, A_ub=A_ub, b_ub=[-c for c in consts])
@@ -379,7 +386,7 @@ def _positively_span(vecs, l):
 
 
 def _ref_nonempty(U):
-    A_ub = [[F(1)] + [-v for v in f.coeffs] for f in U.functionals]
+    A_ub = [[F(1)] + [-v for v in f] for f in U.functionals]
     A_ub.append([F(1)] + [F(0)] * U.l)
     b_ub = [-c for c in U.constants] + [F(1)]
     return sign(solve_lp([F(1)] + [F(0)] * U.l, A_ub=A_ub, b_ub=b_ub).value) > 0
@@ -390,7 +397,7 @@ def _ref_nonempty(U):
 def test_contract_step_matches_reference(data):
     U = data.draw(_bounded_sets())
     if (U.gauge.is_zero and _ref_nonempty(U)
-            and not _positively_span([f.coeffs for f in U.functionals], U.l)):
+            and not _positively_span(U.functionals, U.l)):
         # a nonempty polyhedron with a recession direction
         assert not is_bounded(U)
         with pytest.raises(PreconditionError):
@@ -417,7 +424,7 @@ def _sets_with_points(draw):
     x = draw(_points(l))
     if draw(st.booleans()):
         i = draw(st.integers(0, m - 1))
-        consts[i] = Functional(vecs[i])(x) - gauge(max(abs(v) for v in x))
+        consts[i] = sum(a * v for a, v in zip(vecs[i], x)) - gauge(max(abs(v) for v in x))
     return BorderedSet(l, tuple(zip(vecs, consts)), gauge), x
 
 
@@ -426,7 +433,7 @@ def _sets_with_points(draw):
 def test_membership_reads_margin_signs(case):
     U, x = case
     cut = U.gauge(max(abs(v) for v in x))
-    want = [f(x) - c - cut for f, c in U.phi]
+    want = [sum(a * v for a, v in zip(f, x)) - c - cut for f, c in U.phi]
     assert [(type(m), repr(m)) for m in U.margins(x)] == [(type(m), repr(m)) for m in want]
     s = sign(U.rho(x))
     assert U.contains(x) == (s > 0)
@@ -561,7 +568,7 @@ def test_contraction_plan_faces_are_the_independent_subsets():
     phis = [(1, 0), (0, 1), (2, 0), (-1, 0), (0, -1)]
     consts = (F(0), F(0), F(1), F(-3), F(-3))
     U = BorderedSet(2, tuple(zip(phis, consts)), Gauge.zero())
-    rows = [list(f.coeffs) for f in U.functionals]
+    rows = [list(f) for f in U.functionals]
     want = {c for size in (1, 2) for c in combinations(range(len(rows)), size)
             if Mat.rationalize([rows[i] for i in c]).rank() == size}
     faces = U._plan.faces

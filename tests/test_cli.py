@@ -319,6 +319,9 @@ PHI3 = "[[1,0],[0,1],[-1,-1]]"
     ("bordered", "check", "--what", "bounded", "--phi", "[[1]]", "--c", "true"),
     # a character coefficient that is not an integer
     ("cover", "goodres", "--subgroup", "[[1,-1]]", "--psi", '[["1/2",0]]', "--l", "1"),
+    # functional rows that are empty, zero, or of mixed length
+    *(("bordered", "check", "--what", what, "--phi", phi)
+      for what in ("nontrivial", "bounded") for phi in ("[[]]", "[[0,0]]", "[[1,0],[1]]")),
 ])
 def test_malformed_rationals_are_input_errors(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -188,7 +188,7 @@ def _ref_contains(e, s, closed):
     cut = _ref_cut(e, s)
     signs = [-LogLin(e.C0 + cut, ((nu, 1),)).sign() for _, nu in e.zero_psi]
     if e.restricted is not None:
-        signs += [(f(s) - c - cut).sign() for f, c in e.restricted.phi]
+        signs += [(sum(a * v for a, v in zip(f, s)) - c - cut).sign() for f, c in e.restricted.phi]
     return all(v > 0 or (v == 0 and closed) for v in signs)
 
 
