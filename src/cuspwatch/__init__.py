@@ -12,7 +12,7 @@ from .scalars import QuadScalar, frac, frac_str, parse_frac
 from .matrix import Mat
 from .wedge import WedgeVector, plucker, leading_tuple
 from .loglin import LogLin
-from .chars import Character, SubgroupSpec, GridSpec, ambient_independent
+from .chars import Character, SubgroupSpec, ambient_independent
 from .bruhat import WeylElement, BruhatFactorization, bruhat_factor, weight_bound_check
 from .radicals import (
     RadicalWitness,
@@ -70,7 +70,7 @@ from .errors import PreconditionError, DependentInput, GaugeTooSteep, InternalEr
 __all__ = [
     "QuadScalar", "frac", "frac_str", "parse_frac", "Mat",
     "WedgeVector", "plucker", "leading_tuple",
-    "LogLin", "Character", "SubgroupSpec", "GridSpec", "ambient_independent",
+    "LogLin", "Character", "SubgroupSpec", "ambient_independent",
     "WeylElement", "BruhatFactorization", "bruhat_factor", "weight_bound_check",
     "RadicalWitness", "standard_radical", "radical_from_subspace",
     "enumerate_witnesses", "active_radicals", "cusp_profile",

@@ -31,21 +31,12 @@ from .errors import GaugeTooSteep, InternalError, PreconditionError
 from .lattice import positive_primitive
 from .loglin import LogLin
 from .lp import solve_lp
-from .matrix import Mat
+from .matrix import Mat, _dot
 from .scalars import frac, frac_str, sign
 
 
 def _coerce_scalar(v):
     return v if isinstance(v, LogLin) else frac(v)
-
-
-def _dot(row, x):
-    """row . x as the left fold row[0]*x[0] + row[1]*x[1] + ..., so a sum
-    with LogLin terms is built in one fixed order."""
-    total = row[0] * x[0]
-    for c, v in zip(row[1:], x[1:]):
-        total = total + c * v
-    return total
 
 
 def _functional_list(phi_list) -> list:

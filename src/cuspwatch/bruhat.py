@@ -48,27 +48,19 @@ class WeylElement:
     def n(self) -> int:
         return self.rep.nrows
 
+    def _columns(self) -> list:
+        """(row, entry) of the one nonzero entry of each column."""
+        m, n = self.rep, self.n
+        return [next((i, m[i, j]) for i in range(n) if m[i, j] != 0) for j in range(n)]
+
     @property
     def perm(self) -> tuple:
         """1-based images: rep maps e_k to (sign) e_perm[k-1]."""
-        out = []
-        for j in range(self.n):
-            for i in range(self.n):
-                if self.rep[i, j] != 0:
-                    out.append(i + 1)
-                    break
-        return tuple(out)
+        return tuple(i + 1 for i, _ in self._columns())
 
     @property
     def signs(self) -> tuple:
-        out = []
-        for j in range(self.n):
-            for i in range(self.n):
-                v = self.rep[i, j]
-                if v != 0:
-                    out.append(sign(v))
-                    break
-        return tuple(out)
+        return tuple(sign(v) for _, v in self._columns())
 
     @classmethod
     def identity(cls, n: int) -> "WeylElement":

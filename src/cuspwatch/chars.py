@@ -179,42 +179,16 @@ class SubgroupSpec:
         return {"n": self.n, "basis": [[frac_str(x) for x in r] for r in self.basis]}
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Rational product grid: per axis (lo, hi, step) inclusive of ends."""
-
-    axes: tuple
-
-    def __post_init__(self):
-        cleaned = []
-        for lo, hi, step in self.axes:
-            lo, hi, step = Fraction(lo), Fraction(hi), Fraction(step)
-            if step <= 0 or hi < lo:
-                raise PreconditionError("grid axis needs step > 0 and hi >= lo")
-            cleaned.append((lo, hi, step))
-        object.__setattr__(self, "axes", tuple(cleaned))
-
-    @classmethod
-    def box(cls, dim: int, radius, step) -> "GridSpec":
-        r = Fraction(radius)
-        return cls(tuple((-r, r, Fraction(step)) for _ in range(dim)))
-
-    def axis_points(self, k: int):
-        lo, hi, step = self.axes[k]
-        pts = []
-        t = lo
-        while t <= hi:
-            pts.append(t)
-            t += step
-        return pts
-
-    def points(self):
-        per_axis = [self.axis_points(k) for k in range(len(self.axes))]
-        return product(*per_axis)
-
-    def __len__(self):
-        total = 1
-        for k in range(len(self.axes)):
-            total *= len(self.axis_points(k))
-        return total
+def box_points(dim: int, radius, step):
+    """The grid points of the sup-norm box [-radius, radius]^dim: on every
+    axis -radius, -radius + step, ... up to radius, in product order."""
+    r, step = Fraction(radius), Fraction(step)
+    if step <= 0 or r < 0:
+        raise PreconditionError("grid axis needs step > 0 and hi >= lo")
+    axis = []
+    t = -r
+    while t <= r:
+        axis.append(t)
+        t += step
+    return product(axis, repeat=dim)
 

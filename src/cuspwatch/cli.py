@@ -26,7 +26,7 @@ from .bordered import (
     positively_nontrivial,
 )
 from .bruhat import bruhat_factor
-from .chars import Character, GridSpec, SubgroupSpec
+from .chars import Character, SubgroupSpec, box_points
 from .cover import build_cover, enumerate_local, good_restrictions, verify_subcover
 from .divergence import _analyze, search_witnesses
 from .errors import PreconditionError
@@ -38,8 +38,8 @@ from .radicals import (
     radical_from_subspace,
 )
 from .scalars import frac, frac_str
-from .serialize import (RunManifest, _rational, dumps, parse_csv_fracs, parse_matrix,
-                        parse_vectors, reject_float)
+from .serialize import (_rational, dumps, parse_csv_fracs, parse_matrix,
+                        parse_vectors, reject_float, run_manifest)
 from .sl4q import gr_plus, sl4_divergence_demo, verify_periodicity, x_membership
 
 USAGE = """usage: cuspwatch <command> <action> [options]
@@ -116,11 +116,11 @@ def _bordered_pairs(phi_text: str, c_text: str | None):
     return tuple((tuple(r), c) for r, c in zip(rows, consts))
 
 
-def _grid(spec: str, dim: int) -> GridSpec:
+def _grid(spec: str, dim: int):
     parts = spec.split(":")
     if len(parts) != 2:
         raise PreconditionError("grid must be RADIUS:STEP, e.g. 2:1/2")
-    return GridSpec.box(dim, frac(parts[0]), frac(parts[1]))
+    return box_points(dim, frac(parts[0]), frac(parts[1]))
 
 
 def _run_bruhat(argv) -> object:
@@ -164,7 +164,7 @@ def _run_radicals(argv) -> object:
     if not witnesses:
         raise PreconditionError("no witnesses at this height bound")
     table = cusp_profile(
-        g, A, _grid(args.grid, A.dim).points(), witnesses, digits=args.digits
+        g, A, _grid(args.grid, A.dim), witnesses, digits=args.digits
     )
     return args, table
 
@@ -352,7 +352,7 @@ def _emit(command: str, argv, args, result) -> None:
         digits = getattr(args, "digits", None)
         if digits is None:
             digits = default_digits()
-        manifest = RunManifest.for_argv([command] + list(argv), __version__, digits)
+        manifest = run_manifest([command] + list(argv), __version__, digits)
         text = dumps(manifest) + "\n" + text
     sys.stdout.write(text)
 

@@ -22,7 +22,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .bordered import BorderedSet, Gauge, _sup_norm, epsilon_bound
-from .chars import Character, GridSpec, SubgroupSpec, ambient_independent
+from .chars import Character, SubgroupSpec, ambient_independent, box_points
 from .errors import PreconditionError
 from .loglin import LogLin
 from .lp import lp_feasible
@@ -249,10 +249,9 @@ def verify_subcover(elements, R, delta, core: BorderedSet) -> CoverReport:
     for e in elements:
         if e.subgroup.dim != l:
             raise PreconditionError("element dimension mismatch with core")
-    grid = GridSpec.box(l, frac(R), delta)
     gaps = []
     checked = 0
-    for point in grid.points():
+    for point in box_points(l, frac(R), delta):
         if core.contains(point, closed=True):
             continue
         checked += 1

@@ -125,34 +125,31 @@ def _witness_faces(g: Mat, A: SubgroupSpec, witnesses):
     A witness shrinks on a face exactly when each of its characters is
     strictly negative there; a character lambda = c * h (h primitive,
     c != 0) is negative on a face iff the face sign of h is -sign(c).
-    A witness with a character restricting to zero shrinks nowhere.
+    The first form met of h and -h is kept as the hyperplane. A witness
+    with a character restricting to zero, or needing a hyperplane both
+    ways, shrinks nowhere: its demand is None.
     """
     ws = [_coerce_witness(g, w) for w in witnesses]
     hyps: list = []
+    table = {}   # h -> (k, -1) and -h -> (k, 1), for hyps[k] = h
     demands = []
     for w in ws:
         need = {}
-        dead = False
         for ch, _ in w.components:
             r = tuple(A.restrict(ch))
             if all(c == 0 for c in r):
-                dead = True
+                need = None
                 break
             h = positive_primitive(r)
-            if h not in hyps and tuple(-x for x in h) not in hyps:
+            if h not in table:
+                table[h] = (len(hyps), -1)
+                table[tuple(-x for x in h)] = (len(hyps), 1)
                 hyps.append(h)
-            if h in hyps:
-                k = hyps.index(h)
-                c = 1
-            else:
-                k = hyps.index(tuple(-x for x in h))
-                c = -1
-            want = -c
-            if need.get(k, want) != want:
-                dead = True   # needs h both positive and negative: impossible
+            k, want = table[h]
+            if need.setdefault(k, want) != want:
+                need = None   # needs h both positive and negative: impossible
                 break
-            need[k] = want
-        demands.append(None if dead else need)
+        demands.append(need)
     return ws, hyps, demands
 
 

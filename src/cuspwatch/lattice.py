@@ -11,6 +11,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import PreconditionError
+from .matrix import _dot
 
 
 def row_hnf(rows: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
@@ -137,6 +138,8 @@ def lll_reduce(rows) -> tuple[list[list[Fraction]], list[list[int]]]:
     reduced = T * rows. Input rows must be linearly independent.
     """
     B = [[Fraction(x) for x in r] for r in rows]
+    if not all(B):   # a row in R^0 is the zero vector
+        raise PreconditionError("dependent rows in LLL input")
     k_n = len(B)
     T = [[1 if i == j else 0 for j in range(k_n)] for i in range(k_n)]
 
@@ -147,13 +150,13 @@ def lll_reduce(rows) -> tuple[list[list[Fraction]], list[list[int]]]:
         for i in range(k_n):
             v = list(B[i])
             for j in range(i):
-                num = _dotf(B[i], star[j])
+                num = _dot(B[i], star[j])
                 if norms[j] == 0:
                     raise PreconditionError("dependent rows in LLL input")
                 mu[i][j] = num / norms[j]
                 v = [a - mu[i][j] * b for a, b in zip(v, star[j])]
             star.append(v)
-            norms.append(_dotf(v, v))
+            norms.append(_dot(v, v))
             if norms[i] == 0:
                 raise PreconditionError("dependent rows in LLL input")
         return star, mu, norms
@@ -175,10 +178,6 @@ def lll_reduce(rows) -> tuple[list[list[Fraction]], list[list[int]]]:
             star, mu, norms = gram_schmidt()
             k = max(k - 1, 1)
     return B, T
-
-
-def _dotf(a, b) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
 def _nearest_int(x: Fraction) -> int:

@@ -17,8 +17,9 @@ order:
   a rational other than 1 is transcendental), and doubling the precision
   of the enclosures terminates with a certified sign.
 
-Comparisons and decimal rendering all route through that sign computation,
-which keeps every downstream decision exact.
+Comparisons (`_cmp`, from which `scalars._Ordered` reads the order) and
+decimal rendering all route through that sign computation, which keeps
+every downstream decision exact.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from functools import lru_cache
 from math import lcm
 
 from .errors import PrecisionExhausted
-from .scalars import frac_str, sign
+from .scalars import _Ordered, frac_str, sign
 
 _START_PREC = 128
 _MAX_PREC = 1 << 22
@@ -106,7 +107,7 @@ def _merge(a: tuple, b: tuple) -> tuple:
     return tuple(out)
 
 
-class LogLin:
+class LogLin(_Ordered):
     """q + sum of e * log(nu) with q, e rational and nu positive rational.
 
     Instances are immutable value objects with exact arithmetic against
@@ -281,26 +282,7 @@ class LogLin:
         c = self._cmp(other)
         return NotImplemented if c is NotImplemented else c != 0
 
-    def __lt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c < 0
-
-    def __le__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c <= 0
-
-    def __gt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c > 0
-
-    def __ge__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c >= 0
-
     __hash__ = None  # exact equality crosses representations; no stable hash
-
-    def __abs__(self):
-        return -self if self.sign() < 0 else self
 
     # -- rendering ---------------------------------------------------------
 

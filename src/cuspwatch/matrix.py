@@ -224,6 +224,8 @@ class Mat:
 
 
 def _dot(r, c):
+    """r . c as the left fold r[0]*c[0] + r[1]*c[1] + ..., so a sum with
+    LogLin terms is built in one fixed order."""
     it = zip(r, c)
     a, b = next(it)
     acc = a * b

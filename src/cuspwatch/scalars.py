@@ -5,7 +5,8 @@ already guarantees the normalized p/q invariants (gcd(p, q) = 1, q > 0), so
 we do not wrap it. This module adds the quadratic field Q(sqrt(d)) for a
 fixed square-free d, the "p/q" string codec used by all JSON surfaces, and
 the one exact sign dispatch over the package's scalar types (`sign`,
-`zero_like`, `one_like`).
+`zero_like`, `one_like`), and the one order read from a sign (`_Ordered`,
+shared by `QuadScalar` and `loglin.LogLin`).
 
 >>> u = QuadScalar.of(2, 1, 3)          # 2 + sqrt(3)
 >>> (u * u.conj()).is_one()             # norm one unit
@@ -87,8 +88,35 @@ def _square_free(d: int) -> bool:
     return d == 1 or isqrt(d) ** 2 != d
 
 
+class _Ordered:
+    """The exact order of a scalar class, read from its `_cmp(other)`: the
+    sign of self - other, or NotImplemented for a foreign type. Absolute
+    values are read from the class's `sign`."""
+
+    __slots__ = ()
+
+    def __lt__(self, other):
+        c = self._cmp(other)
+        return NotImplemented if c is NotImplemented else c < 0
+
+    def __le__(self, other):
+        c = self._cmp(other)
+        return NotImplemented if c is NotImplemented else c <= 0
+
+    def __gt__(self, other):
+        c = self._cmp(other)
+        return NotImplemented if c is NotImplemented else c > 0
+
+    def __ge__(self, other):
+        c = self._cmp(other)
+        return NotImplemented if c is NotImplemented else c >= 0
+
+    def __abs__(self):
+        return -self if self.sign() < 0 else self
+
+
 @dataclass(frozen=True)
-class QuadScalar:
+class QuadScalar(_Ordered):
     """Element a + b*sqrt(d) of the real quadratic field Q(sqrt(d)).
 
     d is a fixed positive square-free integer carried on every element;
@@ -215,24 +243,11 @@ class QuadScalar:
         lhs, rhs = self.a * self.a, self.d * self.b * self.b
         return sa if lhs > rhs else sb if lhs < rhs else 0
 
-    def __lt__(self, other):
+    def _cmp(self, other) -> int:
         o = self._coerce(other)
-        return (self - o).sign() < 0
-
-    def __le__(self, other):
-        o = self._coerce(other)
-        return (self - o).sign() <= 0
-
-    def __gt__(self, other):
-        o = self._coerce(other)
-        return (self - o).sign() > 0
-
-    def __ge__(self, other):
-        o = self._coerce(other)
-        return (self - o).sign() >= 0
-
-    def __abs__(self):
-        return -self if self.sign() < 0 else self
+        if o is NotImplemented:
+            return NotImplemented
+        return (self - o).sign()
 
     def __repr__(self):
         if self.b == 0:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError
@@ -77,28 +76,13 @@ def parse_csv_fracs(text: str) -> tuple:
     return tuple(frac(p) for p in parts)
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    command_line: tuple
-    parameter_hash: str
-    version: str
-    precision_digits: int
-
-    @staticmethod
-    def for_argv(argv, version: str, digits: int) -> "RunManifest":
-        canon = json.dumps(list(argv), separators=(",", ":"))
-        h = hashlib.sha256(canon.encode("utf-8")).hexdigest()
-        return RunManifest(
-            command_line=tuple(argv),
-            parameter_hash=h,
-            version=version,
-            precision_digits=digits,
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "command_line": list(self.command_line),
-            "parameter_hash": self.parameter_hash,
-            "version": self.version,
-            "precision_digits": self.precision_digits,
-        }
+def run_manifest(argv, version: str, digits: int) -> dict:
+    """The manifest line of a run: its command line, that line's sha256,
+    the package version and the decimal precision of the output."""
+    canon = json.dumps(list(argv), separators=(",", ":"))
+    return {
+        "command_line": list(argv),
+        "parameter_hash": hashlib.sha256(canon.encode("utf-8")).hexdigest(),
+        "version": version,
+        "precision_digits": digits,
+    }

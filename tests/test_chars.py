@@ -5,9 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from cuspwatch.chars import (
     Character,
-    GridSpec,
     SubgroupSpec,
     ambient_independent,
+    box_points,
     subset_weight,
 )
 from cuspwatch.errors import DependentInput, PreconditionError
@@ -80,11 +80,12 @@ def test_one_parameter_restrict():
 
 
 def test_grid_box():
-    g = GridSpec.box(2, 1, F(1, 2))
-    pts = list(g.points())
+    pts = list(box_points(2, 1, F(1, 2)))
     assert len(pts) == 25
     assert (F(-1), F(-1)) in pts and (F(1), F(1)) in pts
-    assert len(g) == 25
+    for radius, step in ((1, 0), (-1, 1)):
+        with pytest.raises(PreconditionError, match="grid axis needs step > 0 and hi >= lo"):
+            box_points(2, radius, step)
 
 
 ints = st.integers(min_value=-5, max_value=5)

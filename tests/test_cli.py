@@ -333,6 +333,9 @@ def test_malformed_rationals_are_input_errors(capsys, argv):
     ("bruhat", "factor", "--matrix", "[[0,1],[-1,0]]", "--csv", "--manifest"),
     ("radicals", "profile", "--matrix", DIAG2, "--grid", "1:1", "--digits", "0",
      "--manifest"),
+    # a grid step that is not positive, a negative grid radius
+    ("radicals", "profile", "--matrix", DIAG2, "--grid=1:0", "--manifest"),
+    ("radicals", "profile", "--matrix", DIAG2, "--grid=-1:1", "--manifest"),
 ])
 def test_rejected_input_prints_no_manifest(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -6,7 +6,8 @@ there. This test parses every module of the package and fails on a
 module-level function, class or assignment whose name no expression in
 `src`, `tests`, `scripts` or `perfbench` reads (as a name or as an
 attribute), outside the lines of its own definition. The scan goes by name
-alone, so a read of any object with the same name counts.
+alone, so a read of any object with the same name counts. A second test
+fails on a function or class name that two modules of the package define.
 """
 
 import ast
@@ -86,3 +87,14 @@ def test_no_unread_module_level_definitions():
     found = ["%s:%d: %s" % (path.relative_to(PACKAGE), line, name)
              for path, line, name in _unread_definitions(modules, trees)]
     assert found == []
+
+
+def test_no_function_or_class_name_is_defined_in_two_modules():
+    # one implementation per job: a second module-level definition of a
+    # name is a copy of a helper that should be imported instead
+    where = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                where.setdefault(node.name, []).append(str(path.relative_to(PACKAGE)))
+    assert {name: mods for name, mods in where.items() if len(mods) > 1} == {}

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cuspwatch.divergence as divergence
-from cuspwatch.chars import SubgroupSpec
+from cuspwatch.chars import Character, SubgroupSpec
 from cuspwatch.divergence import (
     DivergenceCertificate,
     FanCell,
@@ -291,3 +291,23 @@ def test_divergence_conjugates_only_through_radicals():
                 assert not {"sl_coords", "coords_to_matrix"} & set(names)
         elif isinstance(node, ast.Import):
             assert "cuspwatch.wedge" not in [alias.name for alias in node.names]
+
+
+def _witness(*coeffs):
+    return WitnessVector(3, 1, tuple((Character(c), F(1)) for c in coeffs))
+
+
+def test_witness_faces_table_on_hand_built_witnesses():
+    # on the SL3 torus (1,-1,0) restricts to h = (2,-1), (0,1,-1) to
+    # (-1,2), (1,0,-1) to (1,1) and the constant (1,1,1) to zero
+    ws = [
+        _witness((1, -1, 0), (0, 1, -1)),
+        _witness((-2, 2, 0)),                           # -2h: h kept, sign +1 demanded
+        _witness((1, -1, 0), (-1, 1, 0), (1, 0, -1)),   # h both ways
+        _witness((1, 1, 1), (1, 0, -1)),                # zero restriction first
+    ]
+    got, hyps, demands = _witness_faces(Mat.identity(3), A3, ws)
+    assert all(a is b for a, b in zip(got, ws)) and len(got) == len(ws)
+    # the dead witnesses' later characters add no hyperplane (1, 1)
+    assert hyps == [(2, -1), (-1, 2)]
+    assert demands == [{0: -1, 1: -1}, {0: 1}, None, None]

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from operator import ge, gt, le, lt
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,6 +7,8 @@ from hypothesis import given, strategies as st
 from cuspwatch.errors import PreconditionError
 from cuspwatch.loglin import LogLin
 from cuspwatch.scalars import QuadScalar, frac, frac_str, one_like, parse_frac, sign, zero_like
+
+F = Fraction
 
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=20
@@ -152,3 +155,54 @@ def test_quad_accepts_square_free_d(d):
     x = QuadScalar.of(2, -1, d)
     assert QuadScalar.from_json(x.to_json()) == x
     assert sign(x) == (1 if d < 4 else -1)
+
+
+def _real(x) -> float:
+    if isinstance(x, QuadScalar):
+        return float(x.a) + float(x.b) * x.d ** 0.5
+    return float(x)
+
+
+# values of both exact ordered types, compared with ints, Fractions and their
+# own type; no two values lie within 1e-3 of each other unless equal, so
+# floats give the expected order
+ORDERED = {
+    LogLin: [LogLin(F(1, 2)), LogLin.log(2), LogLin.log(2, -1), LogLin(1, ((F(3, 2), 2),))],
+    QuadScalar: [QuadScalar.rational(F(1, 2), 3), QuadScalar.of(-1, 1, 3),
+                 QuadScalar.of(1, -1, 3), QuadScalar.of(2, F(-1, 2), 3)],
+}
+PLAIN = [0, 1, -1, F(1, 2), F(-3, 4), F(7, 10)]
+
+
+@pytest.mark.parametrize("kind", sorted(ORDERED, key=lambda t: t.__name__))
+def test_order_and_abs_of_exact_ordered_types(kind):
+    values = ORDERED[kind]
+    for x in values:
+        for y in PLAIN + values:
+            fx, fy = _real(x), _real(y)
+            for op in (lt, le, gt, ge):
+                assert op(x, y) == op(fx, fy) and op(y, x) == op(fy, fx)
+        a = abs(x)
+        assert type(a) is kind and a == (x if _real(x) >= 0 else -x)
+
+
+@pytest.mark.parametrize("x", [LogLin.log(2), QuadScalar.of(1, 1, 3)])
+@pytest.mark.parametrize("other", [None, "1"])
+def test_order_against_a_foreign_type_raises_type_error(x, other):
+    for op in (lt, le, gt, ge):
+        with pytest.raises(TypeError):
+            op(x, other)
+        with pytest.raises(TypeError):
+            op(other, x)
+
+
+def test_quad_order_across_fields_is_a_precondition_error():
+    with pytest.raises(PreconditionError):
+        QuadScalar.of(0, 1, 2) < QuadScalar.of(0, 1, 3)
+
+
+def test_hashing_of_exact_ordered_types():
+    with pytest.raises(TypeError):
+        hash(LogLin(F(3, 4)))
+    assert hash(QuadScalar.rational(F(3, 4), 5)) == hash(F(3, 4))
+    assert QuadScalar.rational(F(3, 4), 5) in {F(3, 4)}
