@@ -15,9 +15,8 @@ from itertools import product
 from math import gcd
 
 from .errors import DependentInput, PreconditionError
-from .lattice import _cleared
 from .matrix import Mat
-from .scalars import frac_str
+from .scalars import _cleared, frac_str
 
 
 @dataclass(frozen=True)
@@ -108,7 +107,7 @@ def ambient_independent(chars) -> bool:
     if not rows:
         return True
     if any(len(r) == 0 for r in rows):
-        return all(False for _ in rows)  # n = 1 has no nonzero characters
+        return False  # n = 1 has no nonzero characters
     m = Mat.from_rows([[Fraction(x) for x in r] for r in rows])
     return m.rank() == len(rows)
 

@@ -57,8 +57,6 @@ commands:
 common flags: --csv (tables only), --manifest (prepend a run manifest line)
 """
 
-COMMANDS = ("bruhat", "radicals", "bordered", "cover", "diverge", "sl4")
-
 # flags whose values may start with "-" (negative rationals); argparse only
 # accepts those in --flag=value form, so merge the split form up front
 _VALUE_FLAGS = (
@@ -359,7 +357,7 @@ def _emit(command: str, argv, args, result) -> None:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if not argv or argv[0] not in COMMANDS:
+    if not argv or argv[0] not in _RUNNERS:
         sys.stderr.write(USAGE)
         return 64
     command, rest = argv[0], _merge_value_flags(argv[1:])

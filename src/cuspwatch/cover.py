@@ -174,30 +174,17 @@ def enumerate_local(g: Mat, A: SubgroupSpec, R, C0, H: int) -> list:
         raise PreconditionError("box radius must be nonnegative")
     C0 = frac(C0)
     l = A.dim
+    box = [[Fraction(sgn if i == k else 0) for i in range(l)]
+           for k in range(l) for sgn in (1, -1)]
     out = []
     for witness in enumerate_witnesses(g.nrows, H):
-        psi, norms, restr = _element_data(g, A, witness)
-        ok = True
-        rows, rhs = [], []
-        for coeffs, nu in zip(restr, norms):
-            d = LogLin(C0, ((nu, 1),))
-            if all(c == 0 for c in coeffs):
-                if d.sign() > 0:
-                    ok = False
-                    break
-            else:
-                rows.append([-c for c in coeffs])
-                rhs.append(-d)
-        if not ok:
+        e = CoverElement(witness, A, C0, Gauge.zero(), *_element_data(g, A, witness))
+        if any(LogLin(C0, ((nu, 1),)).sign() > 0 for _, nu in e.zero_psi):
             continue
-        for k in range(l):
-            for sgn in (1, -1):
-                row = [Fraction(0)] * l
-                row[k] = Fraction(sgn)
-                rows.append(row)
-                rhs.append(R)
-        feasible, _ = lp_feasible(A_ub=rows, b_ub=rhs)
-        if feasible:
+        phi = e.restricted.phi if e.restricted is not None else ()
+        rows = [[-c for c in f] for f, _ in phi] + box
+        rhs = [-c for _, c in phi] + [R] * len(box)
+        if lp_feasible(A_ub=rows, b_ub=rhs)[0]:
             out.append(witness)
     return out
 

@@ -269,8 +269,6 @@ def ray_profile(w, A: SubgroupSpec, direction, times) -> list:
 
 def search_witnesses(g: Mat, A: SubgroupSpec, height: int) -> list:
     """Subspace witnesses of bounded height with a nonempty shrink cone."""
-    if height < 0:
-        raise PreconditionError("height must be nonnegative")
     out = []
     # The cone depends only on the characters: one LP per character set.
     # components_at gives sum-zero coefficients, so equal coefficient

@@ -8,10 +8,11 @@ reduction-assisted search mode.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import PreconditionError
 from .matrix import _dot
+from .scalars import _cleared
 
 
 def row_hnf(rows: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
@@ -81,28 +82,15 @@ def int_kernel(rows: list[list[int]], n: int | None = None) -> list[list[int]]:
     return out
 
 
-def clear_denominators(row) -> list[int]:
-    fr = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
-    den = lcm(*(x.denominator for x in fr))
-    return [x.numerator * (den // x.denominator) for x in fr]
-
-
-def _cleared(rows) -> tuple[list[list[int]], int]:
-    """(integer rows, d) with rows = integer rows / d, for rows of ints and
-    Fractions; d is the one lcm of all denominators."""
-    d = lcm(*(x.denominator for r in rows for x in r))
-    return [[x.numerator * (d // x.denominator) for x in r] for r in rows], d
-
-
 def saturation_pair(rows) -> tuple[list[list[int]], list[list[int]]]:
     """Saturated integral bases of a rational subspace and its annihilator.
 
-    Given rational rows spanning V inside Q^n, returns (B, F) where B's rows
-    are a Z-basis of V intersected with Z^n and F's rows are a Z-basis of
-    {f in Z^n : f . v = 0 for all v in V}. Both lattices are saturated, so
-    B extends to a basis of Z^n.
+    Given rows of ints and Fractions spanning V inside Q^n, returns (B, F)
+    where B's rows are a Z-basis of V intersected with Z^n and F's rows are
+    a Z-basis of {f in Z^n : f . v = 0 for all v in V}. Both lattices are
+    saturated, so B extends to a basis of Z^n.
     """
-    mat = [clear_denominators(r) for r in rows]
+    mat = [_cleared([r])[0][0] for r in rows]
     if not mat:
         raise PreconditionError("no spanning rows given")
     n = len(mat[0])
@@ -113,7 +101,7 @@ def saturation_pair(rows) -> tuple[list[list[int]], list[list[int]]]:
 
 def positive_primitive(seq) -> tuple[int, ...]:
     """Scale a nonzero rational vector by a positive rational to coprime ints."""
-    ints = clear_denominators(seq)
+    [ints], _ = _cleared([seq])
     g = gcd(*ints)
     if g == 0:
         raise PreconditionError("zero vector has no primitive form")

@@ -27,10 +27,9 @@ from __future__ import annotations
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
 from .errors import PrecisionExhausted
-from .scalars import _Ordered, frac_str, sign
+from .scalars import _Ordered, _cleared, frac_str, sign
 
 _START_PREC = 128
 _MAX_PREC = 1 << 22
@@ -71,12 +70,10 @@ def _fraction(x) -> Fraction:
 
 def _log_argument(logs) -> Fraction:
     """P = prod b^(e*s), s the lcm of the exponent denominators."""
-    s = 1
-    for _, e in logs:
-        s = lcm(s, e.denominator)
+    [es], _ = _cleared([[e for _, e in logs]])
     P = Fraction(1)
-    for b, e in logs:
-        P *= b ** int(e * s)
+    for (b, _), e in zip(logs, es):
+        P *= b ** e
     return P
 
 
@@ -150,12 +147,6 @@ class LogLin(_Ordered):
         raise AttributeError("LogLin is immutable")
 
     # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def of(x) -> "LogLin":
-        if isinstance(x, LogLin):
-            return x
-        return LogLin(Fraction(x))
 
     @staticmethod
     def log(nu, coeff=1) -> "LogLin":

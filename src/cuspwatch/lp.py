@@ -5,12 +5,13 @@ objective coefficients must be rational; right-hand sides may be Fraction
 or LogLin, in which case basic-variable values and the objective value are
 LogLin. The tableau is a list of augmented rows [body | rhs] pivoted
 fraction-free by `matrix._pivot`, and its last row holds the reduced
-costs. Each constraint row is scaled by the lcm of its denominators, so
-the body is integer and holds d times the true tableau, with d > 0 the
-last pivot; every division in a pivot is exact. Scaling a row rescales its
-slack and artificial by a positive factor, which keeps every sign and
-every ratio-test winner, so the pivots are those of the rational tableau.
-Bland's rule guarantees termination without cycling.
+costs. Each constraint row is cleared of denominators by
+`scalars._cleared`, so the body is integer and holds d times the true
+tableau, with d > 0 the last pivot; every division in a pivot is exact.
+Scaling a row rescales its slack and artificial by a positive factor,
+which keeps every sign and every ratio-test winner, so the pivots are
+those of the rational tableau. Bland's rule guarantees termination
+without cycling.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from math import lcm
 
 from .loglin import LogLin
 from .matrix import _pivot
-from .scalars import sign
+from .scalars import _cleared, sign
 
 
 @dataclass(frozen=True)
@@ -82,11 +83,6 @@ def _quotient(v, d):
     return Fraction(v, d) if type(v) is int else v / d
 
 
-def _integral(row, m):
-    """m times the Fractions of row, as ints; m must clear their denominators."""
-    return [v.numerator * (m // v.denominator) for v in row]
-
-
 def solve_lp(c, A_ub=(), b_ub=(), A_eq=(), b_eq=()) -> LPResult:
     """Maximize c . x subject to A_ub x <= b_ub and A_eq x = b_eq, x free."""
     n = len(c)
@@ -96,9 +92,9 @@ def solve_lp(c, A_ub=(), b_ub=(), A_eq=(), b_eq=()) -> LPResult:
 
     # rows m * [x+ | x- | slacks | rhs] with rhs >= 0, m the least positive
     # integer that makes the row integral (the rhs too unless it is a
-    # LogLin); the slack entries stay +-1, so slack i stands for m times the
-    # true slack; a row needs an artificial column unless it is a <= row
-    # whose own +1 slack can start basic
+    # LogLin, which is multiplied by m); the slack entries stay +-1, so
+    # slack i stands for m times the true slack; a row needs an artificial
+    # column unless it is a <= row whose own +1 slack can start basic
     a, arts, unit = [], [], [1] * (2 * n)
     for i, (row, b) in enumerate(list(zip(A_ub, b_ub, strict=True))
                                  + list(zip(A_eq, b_eq, strict=True))):
@@ -106,13 +102,7 @@ def solve_lp(c, A_ub=(), b_ub=(), A_eq=(), b_eq=()) -> LPResult:
             raise ValueError("constraint row width does not match objective")
         b = b if isinstance(b, LogLin) else Fraction(b)
         flip = sign(b) < 0
-        row = [Fraction(v) for v in row]
-        if isinstance(b, LogLin):
-            m = lcm(*(v.denominator for v in row))
-            row, b = _integral(row, m), b * m
-        else:
-            m = lcm(*(v.denominator for v in row + [b]))
-            *row, b = _integral(row + [b], m)
+        [[*row, b]], m = _cleared([[Fraction(v) for v in row] + [b]])
         body = row + [-x for x in row] + [0] * nslack
         if i < nslack:
             body[2 * n + i] = 1
@@ -158,7 +148,7 @@ def solve_lp(c, A_ub=(), b_ub=(), A_eq=(), b_eq=()) -> LPResult:
         a = [a[r][:base_cols] + a[r][-1:] for r in keep]
         basis = [basis[r] for r in keep]
 
-    cost = _integral(c, lcm(*(v.denominator for v in c)))
+    [cost], _ = _cleared([c])
     status, d = _run(a, basis, cost + [-v for v in cost] + [0] * nslack, d, unit)
     if status != "optimal":
         return LPResult("unbounded", None, None)

@@ -15,11 +15,10 @@ package are a property of wedge multi-indices, not of Mat.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Callable, Iterable, Sequence
 
 from .errors import PreconditionError
-from .scalars import QuadScalar, frac, frac_str, one_like, parse_frac, sign, zero_like
+from .scalars import QuadScalar, _cleared, frac, frac_str, one_like, parse_frac, sign, zero_like
 
 
 class Mat:
@@ -237,15 +236,15 @@ def _dot(r, c):
 def _gauss_jordan(a: list, ncols: int) -> tuple[tuple[int, ...], object]:
     """Reduce the augmented rows a in place to reduced row echelon form.
 
-    Each row without QuadScalar entries is first scaled by the lcm of its
-    denominators, so its rational entries become integers (any other
-    entry, such as a LogLin, is multiplied by the same factor). Pivots are
-    taken in the first ncols columns only, each the first nonzero entry of
-    its column at or below the current row, and `_pivot` eliminates
-    fraction-free; every row is divided by the last pivot at the end. The
-    remaining columns may hold LogLin values. Returns the pivot columns and
-    the determinant of the leading ncols columns (zero when a column has no
-    pivot).
+    Each row without QuadScalar entries is first cleared of denominators
+    by `scalars._cleared`, so its rational entries become integers (any
+    other entry, such as a LogLin, is multiplied by the same factor).
+    Pivots are taken in the first ncols columns only, each the first
+    nonzero entry of its column at or below the current row, and `_pivot`
+    eliminates fraction-free; every row is divided by the last pivot at the
+    end. The remaining columns may hold LogLin values. Returns the pivot
+    columns and the determinant of the leading ncols columns (zero when a
+    column has no pivot).
     """
     m = len(a)
     zero = zero_like(a[0][0])
@@ -253,10 +252,8 @@ def _gauss_jordan(a: list, ncols: int) -> tuple[tuple[int, ...], object]:
     for i, row in enumerate(a):
         if any(isinstance(x, QuadScalar) for x in row):
             continue
-        k = lcm(*(x.denominator for x in row if type(x) is Fraction))
+        (a[i],), k = _cleared([row])
         scale *= k
-        a[i] = [x.numerator * (k // x.denominator) if isinstance(x, (int, Fraction)) else x * k
-                for x in row]
     d, negated = 1, False
     pivots = []
     r = 0

@@ -23,10 +23,10 @@ from math import gcd
 
 from .chars import Character, SubgroupSpec
 from .errors import DependentInput, PreconditionError
-from .lattice import _cleared, int_kernel, saturation_pair, lll_reduce
+from .lattice import int_kernel, saturation_pair, lll_reduce
 from .loglin import LogLin
 from .matrix import Mat
-from .scalars import frac_str
+from .scalars import _cleared, frac_str
 from .wedge import WedgeVector, _int_minors, _shuffle, apply_wedge_matrix, plucker
 
 
@@ -176,12 +176,13 @@ def radical_from_subspace(rows, n: int | None = None) -> RadicalWitness:
         raise PreconditionError("no spanning rows")
     if n is None:
         n = len(rows[0])
-    j = Mat.rationalize(rows).rank()
+    R = Mat.rationalize(rows)
+    j = R.rank()
     if j != len(rows):
         raise DependentInput("spanning rows are dependent")
     if not 1 <= j <= n - 1:
         raise PreconditionError("need a proper nonzero subspace")
-    B, F = saturation_pair(rows)
+    B, F = saturation_pair(R.rows)
     return RadicalWitness(
         n=n,
         j=j,
@@ -339,6 +340,8 @@ def _witnesses(n: int, height: int, js, candidates) -> list:
     Subspaces presented by different bases are kept once, the first
     presentation winning; sorted by sort_key so the order is reproducible.
     """
+    if height < 0:
+        raise PreconditionError("height must be nonnegative")
     found = {}
     for j in js:
         for rows in candidates(j):

@@ -5,8 +5,9 @@ already guarantees the normalized p/q invariants (gcd(p, q) = 1, q > 0), so
 we do not wrap it. This module adds the quadratic field Q(sqrt(d)) for a
 fixed square-free d, the "p/q" string codec used by all JSON surfaces, and
 the one exact sign dispatch over the package's scalar types (`sign`,
-`zero_like`, `one_like`), and the one order read from a sign (`_Ordered`,
-shared by `QuadScalar` and `loglin.LogLin`).
+`zero_like`, `one_like`), the one order read from a sign (`_Ordered`,
+shared by `QuadScalar` and `loglin.LogLin`), and the one routine that
+clears rational rows of denominators (`_cleared`).
 
 >>> u = QuadScalar.of(2, 1, 3)          # 2 + sqrt(3)
 >>> (u * u.conj()).is_one()             # norm one unit
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from numbers import Rational
 
 from .errors import PreconditionError
@@ -45,6 +46,16 @@ def one_like(x):
     if isinstance(x, QuadScalar):
         return QuadScalar.rational(1, x.d)
     return Fraction(1)
+
+
+def _cleared(rows) -> tuple[list[list], int]:
+    """(rows * d, d) for d the least positive integer that clears every
+    Fraction entry of the rows; those entries come back as ints, and any
+    other entry, such as an int or a LogLin, is multiplied by d. Strings
+    must be parsed first: d times a str repeats it."""
+    d = lcm(*[x.denominator for r in rows for x in r if type(x) is Fraction])
+    return [[x.numerator * (d // x.denominator) if type(x) is Fraction else x * d for x in r]
+            for r in rows], d
 
 
 def frac(x, y=None) -> Fraction:

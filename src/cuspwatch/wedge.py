@@ -21,9 +21,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DependentInput, NoUniqueLeadingTuple, PreconditionError
-from .lattice import _cleared, primitive_int_vector
+from .lattice import primitive_int_vector
 from .matrix import Mat
-from .scalars import frac_str, parse_frac
+from .scalars import _cleared, frac_str, parse_frac
 
 
 class WedgeVector:

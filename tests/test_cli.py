@@ -330,6 +330,21 @@ def test_malformed_rationals_are_input_errors(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ("radicals", "search", "--matrix", DIAG2, "--eps", "1/10", "--height=-1"),
+    ("radicals", "search", "--matrix", DIAG2, "--eps", "1/10", "--height=-1",
+     "--mode", "reduction"),
+    ("radicals", "profile", "--matrix", DIAG2, "--grid", "1:1", "--height=-1"),
+    ("cover", "local", "--matrix", I2, "--height=-1"),
+    ("cover", "build", "--matrix", I2, "--height=-1"),
+    ("diverge", "search", "--matrix", I2, "--height=-1"),
+])
+def test_negative_height_is_an_input_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: height must be nonnegative\n"
+
+
+@pytest.mark.parametrize("argv", [
     ("bruhat", "factor", "--matrix", "[[0,1],[-1,0]]", "--csv", "--manifest"),
     ("radicals", "profile", "--matrix", DIAG2, "--grid", "1:1", "--digits", "0",
      "--manifest"),

@@ -96,6 +96,11 @@ def test_enumerate_local_frozen():
         enumerate_local(I2, A2, -1, 0, 3)
 
 
+def test_enumerate_local_rejects_negative_height():
+    with pytest.raises(PreconditionError, match="height must be nonnegative"):
+        enumerate_local(I2, A2, 1, 0, -1)
+
+
 def test_enumerate_local_counts_stabilize():
     # once the box bound passes the witness heights, growing H adds nothing
     base = [w.rows for w in enumerate_local(I2, A2, 1, 0, 3)]

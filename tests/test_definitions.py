@@ -7,7 +7,9 @@ module-level function, class or assignment whose name no expression in
 `src`, `tests`, `scripts` or `perfbench` reads (as a name or as an
 attribute), outside the lines of its own definition. The scan goes by name
 alone, so a read of any object with the same name counts. A second test
-fails on a function or class name that two modules of the package define.
+fails on a function or class name that two modules of the package define,
+and a third on a copy of the denominator-clearing expression outside
+`scalars._cleared`.
 """
 
 import ast
@@ -98,3 +100,59 @@ def test_no_function_or_class_name_is_defined_in_two_modules():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 where.setdefault(node.name, []).append(str(path.relative_to(PACKAGE)))
     assert {name: mods for name, mods in where.items() if len(mods) > 1} == {}
+
+
+def _is_clearing(node) -> bool:
+    """Whether node is x.numerator * (d // x.denominator), in either order
+    of the factors and under any names."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)):
+        return False
+    for num, quo in ((node.left, node.right), (node.right, node.left)):
+        if (isinstance(num, ast.Attribute) and num.attr == "numerator"
+                and isinstance(quo, ast.BinOp) and isinstance(quo.op, ast.FloorDiv)
+                and isinstance(quo.right, ast.Attribute) and quo.right.attr == "denominator"):
+            return True
+    return False
+
+
+def _clearing_functions(tree) -> list:
+    """Names of the innermost functions holding the clearing expression,
+    in source order; None stands for module level."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if _is_clearing(node) and where not in found:
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, None)
+    return found
+
+
+def test_clearing_detector_sees_every_form():
+    mod = ast.parse(
+        "top = [v.numerator * (m // v.denominator) for v in row]\n"
+        "def per_row(row, k):\n"
+        "    return [x.numerator * (k // x.denominator) for x in row]\n"
+        "def swapped(x, d):\n"
+        "    return (d // x.denominator) * x.numerator\n"
+        "def outer(rows, d):\n"
+        "    def inner(x):\n"
+        "        return x.numerator * (d // x.denominator)\n"
+        "    return [inner(x) for r in rows for x in r]\n"
+        "def not_clearing(x, d):\n"
+        "    return x.numerator * d // x.denominator + x.numerator * (d / x.denominator)\n"
+    )
+    assert _clearing_functions(mod) == [None, "per_row", "swapped", "inner"]
+
+
+def test_denominators_are_cleared_in_one_function():
+    # one integer boundary: every rational row becomes integer through
+    # scalars._cleared, so a second copy of its expression is a helper to
+    # import instead
+    sites = [(path.stem, name) for path in sorted(PACKAGE.rglob("*.py"))
+             for name in _clearing_functions(ast.parse(path.read_text(), str(path)))]
+    assert sites == [("scalars", "_cleared")]

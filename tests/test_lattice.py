@@ -3,7 +3,6 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from cuspwatch.lattice import (
-    clear_denominators,
     int_kernel,
     lll_reduce,
     positive_primitive,
@@ -11,19 +10,29 @@ from cuspwatch.lattice import (
     row_hnf,
     saturation_pair,
 )
+from cuspwatch.loglin import LogLin
 from cuspwatch.matrix import Mat
+from cuspwatch.scalars import _cleared
 
 F = Fraction
 
 
 def test_clear_denominators():
-    assert clear_denominators([F(1, 2), F(1, 3)]) == [3, 2]
-    assert clear_denominators([F(2), F(4)]) == [2, 4]
-    assert clear_denominators([]) == []
-    assert clear_denominators([0, F(0)]) == [0, 0]
-    assert clear_denominators([3, -6]) == [3, -6]
-    assert clear_denominators([2, F(-1, 4), "5/6"]) == [24, -3, 10]
-    assert all(type(v) is int for v in clear_denominators([True, F(1, 2), 3]))
+    # one row at a time, as saturation_pair and positive_primitive clear
+    assert _cleared([[F(1, 2), F(1, 3)]]) == ([[3, 2]], 6)
+    assert _cleared([[F(2), F(4)]]) == ([[2, 4]], 1)
+    assert _cleared([[]]) == ([[]], 1)
+    assert _cleared([[0, F(0)]]) == ([[0, 0]], 1)
+    assert _cleared([[3, -6]]) == ([[3, -6]], 1)
+    assert _cleared([[2, F(-1, 4)]]) == ([[8, -1]], 4)
+    [ints], _ = _cleared([[True, F(1, 2), 3]])
+    assert ints == [2, 1, 6] and all(type(v) is int for v in ints)
+    # an entry that is not rational is multiplied by d
+    [row], d = _cleared([[F(1, 2), F(1, 3), LogLin(F(1, 5), ((3, 1),))]])
+    assert d == 6 and row[:2] == [3, 2]
+    assert row[2] == LogLin(F(6, 5), ((3, 6),))
+    # several rows share one d
+    assert _cleared([[F(1, 2)], [F(1, 3), 1]]) == ([[3], [2, 6]], 6)
 
 
 def test_positive_primitive_keeps_sign():

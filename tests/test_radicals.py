@@ -74,6 +74,21 @@ def test_radical_from_subspace_basis_invariance():
     assert a.p_ad == b.p_ad
 
 
+def test_radical_from_subspace_reads_rational_strings():
+    assert radical_from_subspace([["1/2", "1"]], 2) == radical_from_subspace([[1, 2]], 2)
+    assert (radical_from_subspace([[2, "-1/4", "5/6"]], 3)
+            == radical_from_subspace([[24, -3, 10]], 3))
+
+
+def test_negative_height_is_rejected():
+    g = Mat.rationalize([[5, 0], [0, F(1, 5)]])
+    for call in (lambda: enumerate_witnesses(2, -1),
+                 lambda: active_radicals(g, F(1, 10), -1),
+                 lambda: active_radicals(g, F(1, 10), -1, method="reduction")):
+        with pytest.raises(PreconditionError, match="height must be nonnegative"):
+            call()
+
+
 def test_radical_from_subspace_rejects_dependent():
     with pytest.raises(DependentInput):
         radical_from_subspace([[1, 2, 0], [2, 4, 0]], 3)
