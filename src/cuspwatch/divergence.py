@@ -7,10 +7,12 @@ certifies divergence when those open shrink cones jointly cover the unit
 sphere of the subgroup. Coverage is decided exactly on the sign-pattern
 fan of the arrangement cut out by all the restricted characters: every
 realizable sign pattern, lower-dimensional faces included, must admit a
-witness whose characters are all strictly negative on it. The patterns are
-assigned depth first, one hyperplane at a time, and a prefix that no point
-realizes is pruned with its whole subtree; the cells come out in the same
-order as a run over all 3^h patterns would give.
+witness whose characters are all strictly negative on it. The patterns
+are enumerated without an LP, from the arrangement's rays (cocircuits)
+and their compositions, and come out in the order a run over all 3^h
+patterns would give. A face's owner is read off its pattern; an LP is
+solved only for a direction that is returned: one per certificate cell,
+and one for the first face that no witness owns.
 
 Witnesses come only from `RadicalWitness.components_at`: `radicals` alone
 conjugates a witness and sizes it, ray profiles included.
@@ -20,14 +22,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .chars import SubgroupSpec
 from .errors import PreconditionError
-from .lattice import positive_primitive
+from .lattice import int_kernel, positive_primitive
 from .lp import lp_feasible
-from .matrix import Mat
+from .matrix import Mat, _dot
 from .radicals import RadicalWitness, _log_size, enumerate_witnesses
-from .scalars import frac_str, sign
+from .scalars import frac_str
 
 
 @dataclass(frozen=True)
@@ -155,19 +158,15 @@ def _witness_faces(g: Mat, A: SubgroupSpec, witnesses):
 
 def _sign_point(hyps, pattern):
     """A point with the given signs on the first len(pattern) hyperplanes,
-    or None; nonzero signs are enforced as >= 1, and a pattern without one
-    is realized by the origin."""
+    or None; nonzero signs are enforced as >= 1."""
     A_ub, b_ub, A_eq, b_eq = [], [], [], []
     for h, s in zip(hyps, pattern):
-        row = [Fraction(x) for x in h]
         if s == 0:
-            A_eq.append(row)
-            b_eq.append(Fraction(0))
+            A_eq.append(h)
+            b_eq.append(0)
         else:
-            A_ub.append([-s * x for x in row])
-            b_ub.append(Fraction(-1))
-    if not A_ub:
-        return tuple(Fraction(0) for _ in hyps[0])
+            A_ub.append([-s * x for x in h])
+            b_ub.append(-1)
     ok, x = lp_feasible(A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq)
     return x if ok else None
 
@@ -180,46 +179,69 @@ def _face_direction(hyps, pattern):
     return positive_primitive(x)
 
 
-def _fan_faces(hyps):
-    """Each realizable nonzero sign pattern with its direction, in the order
-    of product((1, 0, -1), repeat=len(hyps)).
+def _fan_patterns(hyps):
+    """Every nonzero sign pattern that a point realizes on the essential
+    arrangement hyps, in the order of product((1, 0, -1), repeat=len(hyps)).
 
-    Depth first over sign prefixes, children in the order 1, 0, -1, so the
-    leaves come out in product order. A prefix is kept only when a point
-    realizes it; the parent's point already realizes the child carrying its
-    own sign on the next hyperplane, so that child needs no LP. Every leaf
-    solves its full-pattern LP, which fixes the cell's direction.
+    Any l - 1 hyperplanes of rank l - 1 meet in a line spanned by an
+    integer kernel vector v; its two rays carry the patterns of the signs
+    of h . v and of -h . v (the cocircuits). Every other face is a
+    composition of rays, (X o Y)_i = X_i if X_i != 0 else Y_i (Bjorner, Las
+    Vergnas, Sturmfels, White & Ziegler, Oriented Matroids, 1999, ch. 4), so
+    the patterns are the closure of the rays under composition; no LP is
+    solved. A pattern is held as the bit masks of its positive and negative
+    hyperplanes.
     """
-    h = len(hyps)
+    l = len(hyps[0])
+    rays = set()
+    for sub in combinations(hyps, l - 1):
+        ker = int_kernel([list(h) for h in sub], l)
+        if len(ker) != 1:
+            continue
+        pos = neg = 0
+        for i, h in enumerate(hyps):
+            s = _dot(h, ker[0])
+            if s > 0:
+                pos |= 1 << i
+            elif s < 0:
+                neg |= 1 << i
+        rays.update(((pos, neg), (neg, pos)))
+    full = (1 << len(hyps)) - 1
+    faces = set(rays)
+    todo = list(rays)
+    while todo:
+        pos, neg = todo.pop()
+        zero = full & ~(pos | neg)
+        for p, n in rays:
+            if (p | n) & zero:
+                face = (pos | p & zero, neg | n & zero)
+                if face not in faces:
+                    faces.add(face)
+                    todo.append(face)
+    # 1 > 0 > -1, so descending order is product order
+    return sorted(
+        (tuple((pos >> i & 1) - (neg >> i & 1) for i in range(len(hyps)))
+         for pos, neg in faces),
+        reverse=True,
+    )
 
-    def walk(prefix, x):
-        i = len(prefix)
-        if i + 1 == h:
-            for s in (1, 0, -1):
-                d = _face_direction(hyps, prefix + (s,))
-                if d is not None:
-                    yield prefix + (s,), d
-            return
-        own = sign(sum(a * b for a, b in zip(hyps[i], x)))
-        for s in (1, 0, -1):
-            y = x if s == own else _sign_point(hyps, prefix + (s,))
-            if y is not None:
-                yield from walk(prefix + (s,), y)
 
-    return walk((), _sign_point(hyps, ()))
-
-
-def _analyze(g: Mat, A: SubgroupSpec, witnesses):
+def _owned_faces(g: Mat, A: SubgroupSpec, witnesses):
+    """(ws, hyps, faces, uncovered): faces lists (pattern, owner) for every
+    face of the fan, owner the first witness whose demand the pattern meets;
+    when some face has no owner, faces is None and uncovered a direction
+    no witness shrinks along. The owner test reads only the pattern, so the
+    one LP solved here is the uncovered face's."""
     ws, hyps, demands = _witness_faces(g, A, witnesses)
     l = A.dim
     if not hyps:
         unit = tuple(1 if i == 0 else 0 for i in range(l))
-        return False, unit, None
+        return ws, hyps, None, unit
     H = Mat.rationalize([list(h) for h in hyps])
     if H.rank() < l:
-        return False, tuple(positive_primitive(H.kernel_basis()[0])), None
-    cells = []
-    for pattern, d in _fan_faces(hyps):
+        return ws, hyps, None, tuple(positive_primitive(H.kernel_basis()[0]))
+    faces = []
+    for pattern in _fan_patterns(hyps):
         owner = None
         for idx, need in enumerate(demands):
             if need is None:
@@ -228,10 +250,23 @@ def _analyze(g: Mat, A: SubgroupSpec, witnesses):
                 owner = idx
                 break
         if owner is None:
-            return False, d, None
-        cells.append(FanCell(pattern=pattern, direction=d, witness_index=owner))
+            return ws, hyps, None, _face_direction(hyps, pattern)
+        faces.append((pattern, owner))
+    return ws, hyps, faces, None
+
+
+def _analyze(g: Mat, A: SubgroupSpec, witnesses):
+    """(ok, uncovered, certificate); a certificate solves one LP per cell,
+    for the cell's direction."""
+    ws, hyps, faces, uncovered = _owned_faces(g, A, witnesses)
+    if faces is None:
+        return False, uncovered, None
+    cells = tuple(
+        FanCell(pattern=pattern, direction=_face_direction(hyps, pattern), witness_index=owner)
+        for pattern, owner in faces
+    )
     cert = DivergenceCertificate(
-        subgroup=A, witnesses=tuple(ws), hyperplanes=tuple(hyps), fan=tuple(cells)
+        subgroup=A, witnesses=tuple(ws), hyperplanes=tuple(hyps), fan=cells
     )
     return True, None, cert
 
@@ -242,8 +277,8 @@ def check_certificate(g: Mat, A: SubgroupSpec, witnesses):
     Exact fan decision over all realizable sign patterns of the restricted
     characters; on failure the second value is an uncovered direction.
     """
-    ok, uncovered, _ = _analyze(g, A, witnesses)
-    return ok, uncovered
+    _, _, faces, uncovered = _owned_faces(g, A, witnesses)
+    return faces is not None, uncovered
 
 
 def build_certificate(g: Mat, A: SubgroupSpec, witnesses):

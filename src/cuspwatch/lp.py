@@ -100,9 +100,13 @@ def solve_lp(c, A_ub=(), b_ub=(), A_eq=(), b_eq=()) -> LPResult:
                                  + list(zip(A_eq, b_eq, strict=True))):
         if len(row) != n:
             raise ValueError("constraint row width does not match objective")
-        b = b if isinstance(b, LogLin) else Fraction(b)
+        # ints and Fractions go to _cleared as they are; anything else,
+        # such as a str or a bool, is read as a Fraction first
+        row = [v if type(v) is int or type(v) is Fraction else Fraction(v) for v in row]
+        if not (type(b) is int or type(b) is Fraction or isinstance(b, LogLin)):
+            b = Fraction(b)
         flip = sign(b) < 0
-        [[*row, b]], m = _cleared([[Fraction(v) for v in row] + [b]])
+        [[*row, b]], m = _cleared([row + [b]])
         body = row + [-x for x in row] + [0] * nslack
         if i < nslack:
             body[2 * n + i] = 1

@@ -2,7 +2,7 @@
 
 Each test exercises one advertised guarantee of the toolkit on randomized
 or frozen instances and emits exactly one verdict line, so a full run
-reads as a ten-line scoreboard.  Verdicts are printed straight to the
+reads as a scoreboard of one line per check.  Verdicts are printed straight to the
 real stdout (bypassing capture) and the assertion fires afterwards, which
 keeps the scoreboard complete even when something breaks.
 
@@ -32,7 +32,12 @@ from cuspwatch.bordered import (
 from cuspwatch.bruhat import bruhat_factor, weight_bound_check
 from cuspwatch.chars import Character, SubgroupSpec, subset_weight
 from cuspwatch.cover import build_cover, enumerate_local, good_restrictions
-from cuspwatch.divergence import build_certificate, check_certificate, ray_profile
+from cuspwatch.divergence import (
+    build_certificate,
+    check_certificate,
+    ray_profile,
+    search_witnesses,
+)
 from cuspwatch.matrix import Mat
 from cuspwatch.radicals import (
     enumerate_witnesses,
@@ -541,3 +546,29 @@ def test_contraction_monotonicity(verdict):
     verdict("acceptance 10: contraction monotonicity", bad,
              "%d sets x %d trajectories, rational times, %.1fs"
              % (sets, trajectories // max(sets, 1), dt))
+
+
+# ------------------------------------------------------------------ 11
+
+
+def test_sl4_full_torus_divergence_fans(verdict):
+    # the full torus of SL4 acts on R^3; witnesses of height 1 cut it with
+    # 25 and 34 restricted character hyperplanes, and neither family covers
+    bad = []
+    t0 = time.monotonic()
+    g = Mat.rationalize([[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 3, 1], [0, 0, 2, 1]])
+    T4 = SubgroupSpec.full_torus(4)
+    lines_and_hyperplanes = [w for w in enumerate_witnesses(4, 1) if w.j != 2]
+    searched = search_witnesses(g, T4, 1)
+    for ws, size, expected in ((lines_and_hyperplanes, 80, (False, (2, 2, -3))),
+                               (searched, 54, (False, (0, 0, -1)))):
+        if len(ws) != size:
+            bad.append("%d witnesses, expected %d" % (len(ws), size))
+        got = check_certificate(g, T4, ws)
+        if got != expected:
+            bad.append("%d witnesses gave %r, expected %r" % (size, got, expected))
+    dt = time.monotonic() - t0
+    if dt >= 15.0:
+        bad.append("ran %.1fs, cap 15s" % dt)
+    verdict("acceptance 11: SL4 full-torus divergence fans", bad,
+             "80 and 54 witnesses, both uncovered, %.1fs" % dt)

@@ -267,15 +267,17 @@ def test_diverge_check_builds_the_fan_once(capsys, monkeypatch):
     lines = [[[1, 0, 0]], [[0, 1, 0]], [[0, 0, 1]]]
     ws = [radical_from_subspace(rows, 3) for rows in lines]
     g = Mat.identity(3)
-    assert divergence.check_certificate(g, SubgroupSpec.full_torus(3), ws) == (True, None)
-    one_check = len(calls)
+    # a covered family costs check_certificate no LP; building the fan
+    # solves one per cell
+    assert divergence.build_certificate(g, SubgroupSpec.full_torus(3), ws) is not None
+    one_build = len(calls)
     del calls[:]
     argv = ["diverge", "check", "--matrix", "[[1,0,0],[0,1,0],[0,0,1]]"]
     for rows in lines:
         argv += ["--subspace", json.dumps(rows)]
     code, out, _ = run(capsys, *argv)
     assert code == 0 and json.loads(out)["ok"] is True
-    assert one_check > 0 and len(calls) == one_check
+    assert one_build > 0 and len(calls) == one_build
 
 
 def test_exit_codes(capsys):

@@ -18,15 +18,16 @@ from cuspwatch.divergence import (
     ray_profile,
     ray_shrink_set,
     search_witnesses,
-    _analyze,
     _face_direction,
-    _fan_faces,
+    _fan_patterns,
+    _sign_point,
     _witness_faces,
 )
 from cuspwatch.errors import PreconditionError
 from cuspwatch.loglin import LogLin
 from cuspwatch.matrix import Mat
 from cuspwatch.radicals import cusp_profile, enumerate_witnesses, radical_from_subspace
+from cuspwatch.scalars import sign
 
 F = Fraction
 
@@ -196,7 +197,7 @@ def test_fan_cells_really_shrink_their_witness(num, den):
         assert (vals[0] - vals[1]).sign() > 0
 
 
-# -- the depth-first fan against brute enumeration of all 3^h patterns ------
+# -- the cocircuit fan against the depth-first walk and brute enumeration --
 
 A3 = SubgroupSpec.full_torus(3)
 I3 = Mat.identity(3)
@@ -212,11 +213,37 @@ def _brute_faces(hyps):
     ]
 
 
+def _walk_faces(hyps):
+    """Depth first over sign prefixes, children in the order 1, 0, -1, so the
+    leaves come out in product order. A prefix is kept only when a point
+    realizes it; the parent's point already realizes the child carrying its
+    own sign on the next hyperplane, so that child needs no LP."""
+    h = len(hyps)
+
+    def walk(prefix, x):
+        i = len(prefix)
+        if i + 1 == h:
+            for s in (1, 0, -1):
+                d = _face_direction(hyps, prefix + (s,))
+                if d is not None:
+                    yield prefix + (s,), d
+            return
+        own = sign(sum(a * b for a, b in zip(hyps[i], x)))
+        for s in (1, 0, -1):
+            y = x if s == own else _sign_point(hyps, prefix + (s,))
+            if y is not None:
+                yield from walk(prefix + (s,), y)
+
+    return list(walk((), (0,) * len(hyps[0])))
+
+
 def _brute_analyze(g, A, witnesses):
-    """_analyze with one LP for every one of the 3^h sign patterns."""
+    """(ok, uncovered, certificate) with one LP for every one of the 3^h
+    sign patterns."""
     ws, hyps, demands = _witness_faces(g, A, witnesses)
     if not hyps or Mat.rationalize([list(h) for h in hyps]).rank() < A.dim:
-        return _analyze(g, A, witnesses)
+        ok, uncovered = check_certificate(g, A, witnesses)
+        return ok, uncovered, build_certificate(g, A, witnesses)
     cells = []
     for pattern, d in _brute_faces(hyps):
         owners = [
@@ -230,17 +257,40 @@ def _brute_analyze(g, A, witnesses):
 
 
 @st.composite
-def arrangements(draw):
-    l = draw(st.sampled_from([2, 3]))
+def arrangements(draw, dims=(1, 2, 3), size=4):
+    """An essential arrangement in R^l, with repeated and parallel rows."""
+    l = draw(st.sampled_from(dims))
     vec = st.tuples(*[st.integers(-3, 3)] * l).filter(any)
-    return draw(st.lists(vec, min_size=1, max_size=6))
+    rows = draw(st.lists(vec, min_size=l, max_size=size).filter(
+        lambda rs: Mat.rationalize([list(r) for r in rs]).rank() == l))
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.sampled_from([-2, -1, 1, 2]))
+        rows.insert(draw(st.integers(0, len(rows))),
+                    tuple(k * x for x in draw(st.sampled_from(rows))))
+    return rows
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=25, deadline=None)
 @given(arrangements())
 def test_fan_faces_match_brute_enumeration(hyps):
     # same realizable patterns, same directions, same order
-    assert list(_fan_faces(hyps)) == _brute_faces(hyps)
+    got = [(p, _face_direction(hyps, p)) for p in _fan_patterns(hyps)]
+    assert got == _walk_faces(hyps) == _brute_faces(hyps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrangements(dims=(1, 2, 3, 4), size=7))
+def test_fan_patterns_euler_characteristic(hyps):
+    # the faces of an essential arrangement in R^l tile the sphere S^(l-1):
+    # sum over k of (-1)^(k-1) f_k, f_k the faces of dimension k, is
+    # 1 + (-1)^(l-1); a face's zero hyperplanes have rank l - k
+    l = len(hyps[0])
+    f = [0] * (l + 1)
+    for pattern in _fan_patterns(hyps):
+        zero = [list(h) for h, s in zip(hyps, pattern) if s == 0]
+        f[l - (Mat.rationalize(zero).rank() if zero else 0)] += 1
+    assert f[0] == 0
+    assert sum((-1) ** (k - 1) * f[k] for k in range(1, l + 1)) == 1 + (-1) ** (l - 1)
 
 
 @settings(max_examples=12, deadline=None)
@@ -269,6 +319,16 @@ def test_fan_and_search_lp_count(monkeypatch):
     assert check_certificate(g, A3, ws) == (True, None)
     assert cert is not None and len(cert.fan) == 24
     assert len(calls) <= 1554 // 2
+    # the fan itself: one LP per printed direction, none to decide coverage
+    for run, expected in (
+        (lambda: build_certificate(g, A3, ws), len(cert.fan)),
+        (lambda: check_certificate(g, A3, ws), 0),
+        (lambda: check_certificate(g, A3, ws[:2]), 1),
+    ):
+        calls.clear()
+        run()
+        assert len(calls) == expected
+    assert not check_certificate(g, A3, ws[:2])[0]
     # one LP per distinct shrink cone selects the witnesses one LP each would
     per_witness = []
     for rw in enumerate_witnesses(3, 2):

@@ -78,6 +78,17 @@ def test_lp_feasible():
     assert x[0] + x[1] <= 0
 
 
+def test_entries_of_any_rational_form_solve_alike():
+    # ints and Fractions pass straight to the tableau; strs and bools are
+    # read as Fractions first, so every form gives the same answer
+    exact = solve_lp([F(1), F(1)], A_ub=[[F(1, 2), F(1)], [F(1), F(1, 3)]],
+                     b_ub=[F(3, 2), F(2)], A_eq=[[F(1), F(-1)]], b_eq=[F(0)])
+    mixed = solve_lp([1, 1], A_ub=[["1/2", True], [1, F(1, 3)]],
+                     b_ub=["3/2", 2], A_eq=[[True, -1]], b_eq=[False])
+    assert exact.status == "optimal" and mixed == exact
+    assert all(type(x) is Fraction for x in mixed.x)
+
+
 coeff = st.integers(min_value=-4, max_value=4)
 
 
