@@ -174,7 +174,7 @@ def _sign_point(hyps, pattern):
 def _face_direction(hyps, pattern):
     """A primitive direction with the given full sign pattern, or None."""
     x = _sign_point(hyps, pattern)
-    if x is None or not any(pattern):
+    if x is None:
         return None
     return positive_primitive(x)
 
@@ -212,6 +212,8 @@ def _fan_patterns(hyps):
     while todo:
         pos, neg = todo.pop()
         zero = full & ~(pos | neg)
+        if not zero:
+            continue
         for p, n in rays:
             if (p | n) & zero:
                 face = (pos | p & zero, neg | n & zero)

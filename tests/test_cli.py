@@ -258,12 +258,18 @@ def test_diverge_commands(capsys):
 def test_diverge_check_builds_the_fan_once(capsys, monkeypatch):
     inner = divergence.lp_feasible
     calls = []
+    fans = []
 
     def counted(*args, **kwargs):
         calls.append(1)
         return inner(*args, **kwargs)
 
+    def enumerated(hyps, inner=divergence._fan_patterns):
+        fans.append(1)
+        return inner(hyps)
+
     monkeypatch.setattr(divergence, "lp_feasible", counted)
+    monkeypatch.setattr(divergence, "_fan_patterns", enumerated)
     lines = [[[1, 0, 0]], [[0, 1, 0]], [[0, 0, 1]]]
     ws = [radical_from_subspace(rows, 3) for rows in lines]
     g = Mat.identity(3)
@@ -272,12 +278,16 @@ def test_diverge_check_builds_the_fan_once(capsys, monkeypatch):
     assert divergence.build_certificate(g, SubgroupSpec.full_torus(3), ws) is not None
     one_build = len(calls)
     del calls[:]
+    del fans[:]
     argv = ["diverge", "check", "--matrix", "[[1,0,0],[0,1,0],[0,0,1]]"]
     for rows in lines:
         argv += ["--subspace", json.dumps(rows)]
     code, out, _ = run(capsys, *argv)
     assert code == 0 and json.loads(out)["ok"] is True
     assert one_build > 0 and len(calls) == one_build
+    # a covered check solves no LP, so only the enumeration count tells one
+    # fan from a check followed by a build
+    assert len(fans) == 1
 
 
 def test_exit_codes(capsys):
