@@ -91,28 +91,51 @@ def coords_to_matrix(n: int, coords) -> Mat:
 
 
 @lru_cache(maxsize=8)
-def _position_weights(n: int) -> tuple:
-    """sl_weights(n) as int tuples; each sums to zero, so equal tuples are
-    equal characters."""
-    return tuple(ch.coeffs for ch in sl_weights(n))
+def _position_codes(n: int) -> tuple:
+    """Integer code of each basis label's weight (1-based; slot 0 unused).
+
+    A weight c has the code sum c_i (2n)^i. Over distinct labels a summed
+    weight has entries of size at most n - 1, so the codes of an index sum
+    to the code of its weight, and equal codes are equal weight tuples;
+    each weight sums to zero, so equal tuples are equal characters."""
+    base = 2 * n
+    return (0,) + tuple(sum(c * base ** i for i, c in enumerate(ch.coeffs))
+                        for ch in sl_weights(n))
+
+
+@lru_cache(maxsize=1024)
+def _weight_entry(n: int, code: int) -> tuple:
+    """(Character, sort key) of the weight with the given code, read off as
+    balanced base-2n digits; shared by every bucket of that weight."""
+    base = 2 * n
+    coeffs = []
+    for _ in range(n):
+        digit = (code + n) % base - n
+        coeffs.append(digit)
+        code = (code - digit) // base
+    ch = Character(tuple(coeffs))
+    return ch, ch.sort_key()
 
 
 def _components(coeffs: dict, n: int, den=1) -> list:
     """Per-weight sup norms of the wedge with coefficients coeffs / den,
-    sorted by character; one Fraction and one Character per weight.
+    sorted by character; one Fraction per weight.
 
+    Each index is bucketed by the sum of its position codes, and each
+    bucket's Character and sort key come from a table shared across calls.
     Characters with one canonical form (a weight and its multiples) tie in
     the sort and keep the order of their least index, so the indices are
     read in increasing order."""
-    weights = _position_weights(n)
+    codes = _position_codes(n)
     buckets: dict = {}
     for idx, c in sorted(coeffs.items()):
-        key = tuple(map(sum, zip(*[weights[pos - 1] for pos in idx])))
+        key = sum(map(codes.__getitem__, idx))
         a = abs(c)
         if a > buckets.get(key, 0):
             buckets[key] = a
-    out = [(Character(key), Fraction(a, den)) for key, a in buckets.items()]
-    return sorted(out, key=lambda t: t[0].sort_key())
+    out = [(_weight_entry(n, key), a) for key, a in buckets.items()]
+    out.sort(key=lambda t: t[0][1])
+    return [(ch, Fraction(a, den)) for (ch, _), a in out]
 
 
 def weight_components(w: WedgeVector, n: int) -> list:

@@ -11,13 +11,19 @@ coefficients are coprime integers and the lexicographically first nonzero
 coefficient is positive.
 
 Every exterior product goes through one shuffle kernel, `_shuffle`, over
-coefficient dicts of any exact ring. `WedgeVector.wedge` runs it on
-Fractions; the minors of explicit vectors are taken over integers, the
-rows cleared of denominators once and each minor divided once at the end.
+coefficient dicts of any exact ring. It reads the sign of e_I ^ e_J by
+bisecting each index of J into I: the entries of I above it are its
+inversions, and an equal entry just below the bisection point makes the
+term vanish. A one-index J is spliced in at that point; a longer J is
+merged by sorting. `WedgeVector.wedge` runs it on Fractions; the minors of
+explicit vectors are taken over integers, the rows cleared of
+denominators once and each minor divided once at the end, and
+`apply_wedge_matrix` takes its column minors the same way.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from fractions import Fraction
 
 from .errors import DependentInput, NoUniqueLeadingTuple, PreconditionError
@@ -152,16 +158,26 @@ class WedgeVector:
 
 def _shuffle(a: dict, b: dict) -> dict:
     """Exterior product of coefficient dicts over any exact ring, with the
-    usual shuffle sign; zero coefficients are dropped."""
+    usual shuffle sign; zero coefficients are dropped.
+
+    For each index x of i2, p = bisect(i1, x) entries of i1 are <= x: x is
+    already in i1 when i1[p - 1] == x, and otherwise it passes the
+    len(i1) - p larger entries of i1, so those counts summed over i2 are
+    the inversions of i1 + i2 and give the sign."""
     out = {}
     for i1, c1 in a.items():
-        s1 = set(i1)
+        n1 = len(i1)
         for i2, c2 in b.items():
-            if not s1.isdisjoint(i2):
-                continue
-            merged = tuple(sorted(i1 + i2))
-            term = c1 * c2 if _merge_sign(i1, i2) > 0 else -c1 * c2
-            out[merged] = out[merged] + term if merged in out else term
+            inv = 0
+            for x in i2:
+                p = bisect(i1, x)
+                if p and i1[p - 1] == x:
+                    break
+                inv += n1 - p
+            else:
+                merged = i1[:p] + i2 + i1[p:] if len(i2) == 1 else tuple(sorted(i1 + i2))
+                term = -c1 * c2 if inv & 1 else c1 * c2
+                out[merged] = out[merged] + term if merged in out else term
     return {i: c for i, c in out.items() if c}
 
 
@@ -172,16 +188,6 @@ def _int_minors(rows) -> dict:
     for row in rows:
         out = _shuffle(out, {(i + 1,): c for i, c in enumerate(row) if c})
     return out
-
-
-def _merge_sign(i1: tuple[int, ...], i2: tuple[int, ...]) -> int:
-    """Sign of the permutation sorting the concatenation i1 + i2."""
-    inv = 0
-    for a in i1:
-        for b in i2:
-            if a > b:
-                inv += 1
-    return -1 if inv % 2 else 1
 
 
 def wedge_of_vectors(vectors, m: int) -> WedgeVector:
@@ -225,16 +231,21 @@ def apply_wedge_matrix(mat: Mat, w: WedgeVector) -> WedgeVector:
 
     Each support tuple J contributes w_J times the wedge of columns J of
     mat, so cost scales with |support| rather than with the full exterior
-    power matrix.
+    power matrix. mat and w are cleared of denominators once each, the
+    column minors are taken over integers, and each image coefficient is
+    divided once.
     """
     if mat.ncols != w.m:
         raise PreconditionError("ambient dimension mismatch")
-    out: dict[tuple[int, ...], Fraction] = {}
-    for J, cJ in w.coeffs.items():
-        image = wedge_of_vectors([mat.col(j - 1) for j in J], mat.nrows)
-        for I, minor in image.coeffs.items():
-            out[I] = out.get(I, Fraction(0)) + cJ * minor
-    return WedgeVector._built(mat.nrows, w.k, out)
+    M, d = _cleared(mat.rows)
+    cols = list(zip(*M))
+    (cs,), e = _cleared([list(w.coeffs.values())])
+    out: dict[tuple[int, ...], int] = {}
+    for J, cJ in zip(w.coeffs, cs):
+        for I, minor in _int_minors([cols[j - 1] for j in J]).items():
+            out[I] = out.get(I, 0) + cJ * minor
+    den = e * d ** w.k
+    return WedgeVector._built(mat.nrows, w.k, {I: Fraction(c, den) for I, c in out.items() if c})
 
 
 def leading_tuple(w: WedgeVector) -> tuple[int, ...]:

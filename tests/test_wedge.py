@@ -8,6 +8,7 @@ from cuspwatch.errors import DependentInput, NoUniqueLeadingTuple, PreconditionE
 from cuspwatch.matrix import Mat
 from cuspwatch.wedge import (
     WedgeVector,
+    _shuffle,
     apply_wedge_matrix,
     leading_tuple,
     plucker,
@@ -152,3 +153,66 @@ def test_built_products_match_checked_construction(data):
         _same_as_checked(w)
     if not prod.is_zero():
         _same_as_checked(prod.primitive())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_apply_wedge_matrix_is_a_sum_of_minors(data):
+    # Cauchy-Binet: the image coefficient at I is the sum over the support
+    # of w_J det(mat[I, J]), with mixed int and Fraction entries in mat and
+    # Fraction coefficients in w, so both are cleared of denominators
+    r = data.draw(st.integers(1, 4))
+    m = data.draw(st.integers(1, 4))
+    k = data.draw(st.integers(1, min(r, m)))
+    mat = Mat(data.draw(st.lists(st.lists(st.one_of(small, rational), min_size=m, max_size=m),
+                                 min_size=r, max_size=r)))
+    w = WedgeVector(m, k, {J: data.draw(rational) for J in combinations(range(1, m + 1), k)})
+    got = apply_wedge_matrix(mat, w)
+    for I in combinations(range(r), k):
+        want = sum((c * mat.submatrix(I, [j - 1 for j in J]).det() for J, c in w.coeffs.items()), F(0))
+        assert got.coeff([i + 1 for i in I]) == want
+    _same_as_checked(got)
+
+
+def _reference_shuffle(a, b):
+    """Exterior product read off the concatenated index lists: a repeated
+    index kills the term, and the sign is that of the swaps an explicit
+    bubble sort of the concatenation makes."""
+    out = {}
+    for i1, c1 in a.items():
+        for i2, c2 in b.items():
+            seq = list(i1 + i2)
+            if len(set(seq)) < len(seq):
+                continue
+            swaps = 0
+            for end in range(len(seq) - 1, 0, -1):
+                for t in range(end):
+                    if seq[t] > seq[t + 1]:
+                        seq[t], seq[t + 1] = seq[t + 1], seq[t]
+                        swaps += 1
+            key = tuple(seq)
+            out[key] = out.get(key, 0) + (-1) ** swaps * c1 * c2
+    return {i: c for i, c in out.items() if c}
+
+
+def _coefficient_dicts(m, k, coeff):
+    """Dicts on increasing k-tuples in 1..m; with m small, the two operands
+    of a product often share an index."""
+    idx = st.lists(st.integers(1, m), min_size=k, max_size=k, unique=True).map(
+        lambda t: tuple(sorted(t)))
+    return st.dictionaries(idx, coeff, max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_shuffle_matches_the_sorting_reference(data):
+    m = data.draw(st.integers(1, 7), label="m")
+    coeff = data.draw(st.sampled_from([small, rational]), label="ring")
+    k = data.draw(st.integers(0, min(3, m)), label="left degree")
+    # a degree-1 right operand takes the insertion branch, higher ones the sorted merge
+    l = data.draw(st.integers(1, min(3, m)), label="right degree")
+    left = data.draw(_coefficient_dicts(m, k, coeff), label="left")
+    right = data.draw(_coefficient_dicts(m, l, coeff), label="right")
+    got = _shuffle(left, right)
+    assert got == _reference_shuffle(left, right)
+    assert all(c != 0 for c in got.values())
