@@ -135,15 +135,18 @@ def _witness_faces(g: Mat, A: SubgroupSpec, witnesses):
     ws = [_coerce_witness(g, w) for w in witnesses]
     hyps: list = []
     table = {}   # h -> (k, -1) and -h -> (k, 1), for hyps[k] = h
+    forms = {}   # ch.coeffs -> h, or None for a zero restriction
     demands = []
     for w in ws:
         need = {}
         for ch, _ in w.components:
-            r = tuple(A.restrict(ch))
-            if all(c == 0 for c in r):
+            if ch.coeffs not in forms:
+                r = A.restrict(ch)
+                forms[ch.coeffs] = positive_primitive(r) if any(r) else None
+            h = forms[ch.coeffs]
+            if h is None:
                 need = None
                 break
-            h = positive_primitive(r)
             if h not in table:
                 table[h] = (len(hyps), -1)
                 table[tuple(-x for x in h)] = (len(hyps), 1)
@@ -230,18 +233,20 @@ def _fan_patterns(hyps):
 
 def _owned_faces(g: Mat, A: SubgroupSpec, witnesses):
     """(ws, hyps, faces, uncovered): faces lists (pattern, owner) for every
-    face of the fan, owner the first witness whose demand the pattern meets;
-    when some face has no owner, faces is None and uncovered a direction
-    no witness shrinks along. The owner test reads only the pattern, so the
-    one LP solved here is the uncovered face's."""
+    face of the fan, owner the first witness whose demand the pattern meets.
+    When some face has no owner, faces is None and uncovered() gives a
+    direction no witness shrinks along. The owner test reads only the
+    pattern, and only uncovered() solves an LP, for the first unowned face,
+    so a caller that returns no direction solves none."""
     ws, hyps, demands = _witness_faces(g, A, witnesses)
     l = A.dim
     if not hyps:
         unit = tuple(1 if i == 0 else 0 for i in range(l))
-        return ws, hyps, None, unit
+        return ws, hyps, None, lambda: unit
     H = Mat.rationalize([list(h) for h in hyps])
     if H.rank() < l:
-        return ws, hyps, None, tuple(positive_primitive(H.kernel_basis()[0]))
+        free = tuple(positive_primitive(H.kernel_basis()[0]))
+        return ws, hyps, None, lambda: free
     faces = []
     for pattern in _fan_patterns(hyps):
         owner = None
@@ -252,25 +257,29 @@ def _owned_faces(g: Mat, A: SubgroupSpec, witnesses):
                 owner = idx
                 break
         if owner is None:
-            return ws, hyps, None, _face_direction(hyps, pattern)
+            return ws, hyps, None, lambda: _face_direction(hyps, pattern)
         faces.append((pattern, owner))
     return ws, hyps, faces, None
 
 
-def _analyze(g: Mat, A: SubgroupSpec, witnesses):
-    """(ok, uncovered, certificate); a certificate solves one LP per cell,
-    for the cell's direction."""
-    ws, hyps, faces, uncovered = _owned_faces(g, A, witnesses)
-    if faces is None:
-        return False, uncovered, None
+def _certificate(A: SubgroupSpec, ws, hyps, faces) -> DivergenceCertificate:
+    """The certificate of owned faces; one LP per cell, for its direction."""
     cells = tuple(
         FanCell(pattern=pattern, direction=_face_direction(hyps, pattern), witness_index=owner)
         for pattern, owner in faces
     )
-    cert = DivergenceCertificate(
+    return DivergenceCertificate(
         subgroup=A, witnesses=tuple(ws), hyperplanes=tuple(hyps), fan=cells
     )
-    return True, None, cert
+
+
+def _analyze(g: Mat, A: SubgroupSpec, witnesses):
+    """(ok, uncovered, certificate), as check_certificate and
+    build_certificate would give them, from one fan."""
+    ws, hyps, faces, uncovered = _owned_faces(g, A, witnesses)
+    if faces is None:
+        return False, uncovered(), None
+    return True, None, _certificate(A, ws, hyps, faces)
 
 
 def check_certificate(g: Mat, A: SubgroupSpec, witnesses):
@@ -280,13 +289,14 @@ def check_certificate(g: Mat, A: SubgroupSpec, witnesses):
     characters; on failure the second value is an uncovered direction.
     """
     _, _, faces, uncovered = _owned_faces(g, A, witnesses)
-    return faces is not None, uncovered
+    return (True, None) if faces is not None else (False, uncovered())
 
 
 def build_certificate(g: Mat, A: SubgroupSpec, witnesses):
-    """The checked fan as a reusable object, or None when coverage fails."""
-    ok, _, cert = _analyze(g, A, witnesses)
-    return cert if ok else None
+    """The checked fan as a reusable object, or None when coverage fails;
+    a failed check solves no LP."""
+    ws, hyps, faces, _ = _owned_faces(g, A, witnesses)
+    return None if faces is None else _certificate(A, ws, hyps, faces)
 
 
 def ray_profile(w, A: SubgroupSpec, direction, times) -> list:

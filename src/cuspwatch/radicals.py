@@ -10,6 +10,16 @@ norm under conjugation detects cusp excursions.
 Basis of the trace-zero matrices: all elementary E_ab (a != b) in
 lexicographic order of (a, b), then H_i = E_ii - E_(i+1)(i+1). Coordinates
 of a diagonal part are partial sums of the diagonal entries.
+
+The short-radical search decides every candidate over integers. With
+g = G / d_g and the rows b of a witness's saturated basis, it forms the
+integer rows G b once and reads two things from them: the prefilter
+max |Lambda^j(g) p_std|^n, from their j x j minors, and the conjugated
+wedge's sup norm, from the minors of the outer products of G b with the
+cleared conjugated annihilator. Both are compared with eps = p / q by
+cross-multiplication, so a Fraction is built only for a returned radical.
+The prefilter rests on a saturation identity: the minors of the rows b
+are +-p_std (see active_radicals).
 """
 
 from __future__ import annotations
@@ -27,7 +37,7 @@ from .lattice import int_kernel, saturation_pair, lll_reduce
 from .loglin import LogLin
 from .matrix import Mat
 from .scalars import _cleared, frac_str
-from .wedge import WedgeVector, _int_minors, _shuffle, apply_wedge_matrix, plucker
+from .wedge import WedgeVector, _int_minors, _shuffle, plucker
 
 
 def sl_dim(n: int) -> int:
@@ -224,25 +234,26 @@ def standard_radical(n: int, j: int) -> RadicalWitness:
 
 @lru_cache(maxsize=32)
 def _conjugator(g: Mat) -> tuple:
-    """g and g^-T as integer rows G, H, and d with g = G / d_G, g^-T = H / d_H
-    and d = d_G * d_H."""
+    """g and g^-T as integer rows G, H, with d_g and d such that g = G / d_g,
+    g^-T = H / d_H and d = d_g * d_H."""
     G, d_g = _cleared(g.rows)
     H, d_h = _cleared(g.inverse().transpose().rows)
-    return G, H, d_g * d_h
+    return G, H, d_g, d_g * d_h
 
 
-def _conj_minors(g: Mat, witness: RadicalWitness) -> tuple:
-    """(minors, den): the conjugated wedge is {I: minors[I] / den}.
+def _moved(M, rows) -> list:
+    """The integer rows M b, for each integer row b of rows."""
+    return [[sum(x * y for x, y in zip(r, b)) for r in M] for b in rows]
 
-    Each conjugated basis element is the outer product of G b and H f (see
-    _conjugator) over d; its coordinates, off-diagonal entries and then
-    partial sums of the diagonal as in sl_coords, are integers over d, so
-    the k x k minors are integers over d^k.
-    """
-    G, H, d = _conjugator(g)
-    n = witness.n
-    gbs = [[sum(x * y for x, y in zip(r, b)) for r in G] for b in witness.rows]
-    fgs = [[sum(x * y for x, y in zip(r, f)) for r in H] for f in witness.ann_rows]
+
+def _sup(minors: dict) -> int:
+    return max(map(abs, minors.values()))
+
+
+def _ad_minors(gbs, fgs, n: int) -> dict:
+    """Integer minors of the outer products x y^T, x in gbs and y in fgs
+    (in that order), each in the coordinates of sl_coords: off-diagonal
+    entries, then partial sums of the diagonal."""
     vecs = []
     for x in gbs:
         for y in fgs:
@@ -252,7 +263,19 @@ def _conj_minors(g: Mat, witness: RadicalWitness) -> tuple:
                 acc += x[i] * y[i]
                 coords.append(acc)
             vecs.append(coords)
-    return _int_minors(vecs), d ** len(vecs)
+    return _int_minors(vecs)
+
+
+def _conj_minors(g: Mat, witness: RadicalWitness) -> tuple:
+    """(minors, den): the conjugated wedge is {I: minors[I] / den}.
+
+    Each conjugated basis element is the outer product of G b and H f (see
+    _conjugator) over d; its coordinates are integers over d, so the
+    k x k minors are integers over d^k.
+    """
+    G, H, _, d = _conjugator(g)
+    minors = _ad_minors(_moved(G, witness.rows), _moved(H, witness.ann_rows), witness.n)
+    return minors, d ** witness.dim
 
 
 def conj_ad_wedge(g: Mat, witness: RadicalWitness) -> WedgeVector:
@@ -262,7 +285,8 @@ def conj_ad_wedge(g: Mat, witness: RadicalWitness) -> WedgeVector:
     b in rows and f in ann_rows (in that order), so its conjugate
     g b f^T g^-1 is the outer product of g b and f^T g^-1. The minors are
     taken over integers and divided once each (see _conj_minors); g and
-    g^-T are cleared of denominators once per g.
+    g^-T are cleared of denominators once per g. active_radicals reads the
+    same minors without building this wedge.
     """
     minors, den = _conj_minors(g, witness)
     coeffs = {idx: Fraction(c, den) for idx, c in minors.items()}
@@ -280,7 +304,7 @@ def _validate_sl(g: Mat) -> None:
         raise PreconditionError("need a matrix with determinant exactly 1")
 
 
-def _prefilter_bound(g: Mat, p_std: WedgeVector) -> Fraction:
+def _prefilter_bound(g: Mat, witness: RadicalWitness) -> Fraction:
     """Cheap lower bound for the conjugated wedge norm: max_R |W_R|^n.
 
     W is the image of the subspace wedge under Lambda^j(g). The nilpotent
@@ -291,8 +315,14 @@ def _prefilter_bound(g: Mat, p_std: WedgeVector) -> Fraction:
     Complement duality of a saturated subspace and its annihilator gives
     det(A_R) = W_R and det(B_comp) = +-W_R, and it survives conjugation by a
     g of determinant one, so that coefficient is +-W_R^n.
+
+    W is read from the integer rows G b (see _conjugator): the rows b are a
+    saturated basis, so their minors are +-p_std, and W = +-minors(G b) /
+    d_g^j. active_radicals makes the same comparison over integers.
     """
-    return apply_wedge_matrix(g, p_std).norm_inf() ** p_std.m
+    G, _, d_g, _ = _conjugator(g)
+    top = _sup(_int_minors(_moved(G, witness.rows)))
+    return Fraction(top, d_g ** witness.j) ** witness.n
 
 
 def _primitive_vectors(n: int, height: int):
@@ -399,6 +429,25 @@ def active_radicals(g: Mat, eps, height: int, js=None, method: str = "brute") ->
     `method="brute"` enumerates every candidate; `method="reduction"` only
     proposes candidates from a reduced basis and verifies them exactly, so
     it is fast but is only as complete as its proposal set.
+
+    Each candidate is decided over integers, with eps = p / q and g = G / d_g
+    (see _conjugator), from the integer rows G b of its saturated basis B:
+
+    - prefilter: with M the largest |minor| of the rows G b, the candidate
+      is dropped when q M^n >= p d_g^(j n), which is
+      _prefilter_bound(g, w) >= eps with no root and no Fraction;
+    - norm: with top the largest |minor| of the conjugated basis over its
+      denominator den (see _conj_minors), it is kept when q top < p den,
+      and its norm is then Fraction(top, den), the sup norm of
+      conj_ad_wedge(g, w).
+
+    The prefilter's identity Lambda^j(g) p_std = +-minors(G B) / d_g^j
+    holds because B is saturated: its rows extend to a unimodular U, and
+    Laplace expansion of det U = +-1 along them writes 1 as an integer
+    combination of the j x j minors of B, so those minors are coprime. They
+    are the coordinates of the wedge of B, which spans the same line as
+    p_std, so they are +-p_std, and Lambda^j(g) maps that wedge to the
+    wedge of the rows g b = G b / d_g.
     """
     _validate_sl(g)
     eps = Fraction(eps)
@@ -415,13 +464,17 @@ def active_radicals(g: Mat, eps, height: int, js=None, method: str = "brute") ->
     else:
         raise PreconditionError("unknown method %r" % (method,))
 
+    G, H, d_g, d = _conjugator(g)
+    p, q = eps.numerator, eps.denominator
     out = []
     for w in witnesses:
-        if _prefilter_bound(g, w.p_std) >= eps:
-            continue
-        norm = conj_ad_wedge(g, w).norm_inf()
-        if norm < eps:
-            out.append(ActiveRadical(witness=w, norm=norm))
+        gbs = _moved(G, w.rows)
+        if q * _sup(_int_minors(gbs)) ** n >= p * d_g ** (w.j * n):
+            continue    # _prefilter_bound(g, w) >= eps
+        top = _sup(_ad_minors(gbs, _moved(H, w.ann_rows), n))
+        den = d ** w.dim
+        if q * top < p * den:
+            out.append(ActiveRadical(witness=w, norm=Fraction(top, den)))
     return out
 
 

@@ -329,6 +329,7 @@ def test_fan_and_search_lp_count(monkeypatch):
         (lambda: build_certificate(g, A3, ws), len(cert.fan)),
         (lambda: check_certificate(g, A3, ws), 0),
         (lambda: check_certificate(g, A3, ws[:2]), 1),
+        (lambda: build_certificate(g, A3, ws[:2]), 0),
     ):
         calls.clear()
         run()

@@ -4,11 +4,12 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuspwatch import radicals
+from cuspwatch import radicals, wedge
 from cuspwatch.chars import Character, SubgroupSpec, subset_weight
 from cuspwatch.errors import DependentInput, PreconditionError
 from cuspwatch.lattice import lll_reduce
@@ -29,7 +30,7 @@ from cuspwatch.radicals import (
     standard_radical,
     weight_components,
 )
-from cuspwatch.wedge import WedgeVector, plucker
+from cuspwatch.wedge import WedgeVector, _int_minors, apply_wedge_matrix, plucker
 from test_bruhat import random_sl
 
 F = Fraction
@@ -300,7 +301,7 @@ def test_prefilter_bound_is_below_the_norm(seed):
     for n, height in ((3, 2), (4, 1)):
         g = random_sl(n, rng, height=2, steps=4)
         for w in enumerate_witnesses(n, height):
-            bound = _prefilter_bound(g, w.p_std)
+            bound = _prefilter_bound(g, w)
             assert 0 < bound <= conj_ad_wedge(g, w).norm_inf()
 
 
@@ -311,7 +312,79 @@ def test_prefilter_bound_is_below_the_norm_on_sl4_height_two(seed, data):
     # they are drawn: lines, planes and hyperplanes of height up to 2
     g = random_sl(4, random.Random(seed), height=2, steps=4)
     w = data.draw(st.sampled_from(enumerate_witnesses(4, 2)))
-    assert 0 < _prefilter_bound(g, w.p_std) <= conj_ad_wedge(g, w).norm_inf()
+    assert 0 < _prefilter_bound(g, w) <= conj_ad_wedge(g, w).norm_inf()
+
+
+def test_saturated_rows_wedge_to_the_plucker_vector():
+    # the integer prefilter reads Lambda^j(g) p_std as +-minors(G b) / d_g^j,
+    # which holds because the minors of a saturated basis are +-p_std
+    for n, heights in ((2, range(1, 7)), (3, range(1, 4)), (4, range(1, 3))):
+        for height in heights:
+            for w in enumerate_witnesses(n, height):
+                minors = {idx: F(c) for idx, c in _int_minors(w.rows).items()}
+                assert minors in (w.p_std.coeffs, (-w.p_std).coeffs)
+
+
+@settings(max_examples=2, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6))
+def test_prefilter_bound_matches_the_image_of_the_plucker_vector(seed):
+    rng = random.Random(seed)
+    for n, height in ((3, 2), (4, 1)):
+        g = random_sl(n, rng, height=2, steps=4)
+        for w in enumerate_witnesses(n, height):
+            ref = apply_wedge_matrix(g, w.p_std).norm_inf() ** n
+            assert _prefilter_bound(g, w) == ref
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.sampled_from([(3, 2), (4, 1)]), st.integers(min_value=0, max_value=10 ** 6),
+       st.data())
+def test_integer_decision_matches_reference_at_its_boundaries(shape, seed, data):
+    # eps at a witness's exact norm (the strict < drops it), at its prefilter
+    # bound (the >= rejects it before its norm is taken) and just above its
+    # norm (it is kept); the reference measures every witness
+    n, height = shape
+    g = random_sl(n, random.Random(seed), height=2, steps=4)
+    ws = enumerate_witnesses(n, height)
+    w = data.draw(st.sampled_from(ws))
+    norm = conj_ad_wedge(g, w).norm_inf()
+    above = norm + F(1, 10 ** 9)
+    ref = _reference_active(g, above, height, "brute")
+    bounds = [_prefilter_bound(g, x) for x in ws]
+    for eps in (_prefilter_bound(g, w), norm, above):
+        want = [(rows, nu) for rows, nu in ref if nu < eps]
+        with patch.object(radicals, "_ad_minors", wraps=radicals._ad_minors) as norms:
+            got = [(a.witness.rows, a.norm) for a in active_radicals(g, eps, height)]
+        assert got == want
+        assert norms.call_count == sum(b < eps for b in bounds)
+        assert (w.rows in [rows for rows, _ in got]) == (eps == above)
+        lines = [(a.witness.rows, a.norm) for a in active_radicals(g, eps, height, js=[1])]
+        assert lines == [(rows, nu) for rows, nu in want if len(rows) == 1]
+
+
+def test_active_radicals_decides_over_integers(monkeypatch):
+    # an SL4 g with denominators, where the prefilter rejects some witnesses
+    # and the norm others: the search builds no wedge and one Fraction per
+    # returned radical, besides eps
+    g = random_sl(4, random.Random(0), height=2, steps=4)
+    want = active_radicals(g, F(2), 2)
+    assert 0 < len(want) < len(enumerate_witnesses(4, 2))
+
+    def boom(*args, **kwargs):
+        raise AssertionError("the search left the integer path")
+
+    made = []
+
+    def counting(*args):
+        made.append(args)
+        return F(*args)
+
+    monkeypatch.setattr(radicals, "conj_ad_wedge", boom)
+    monkeypatch.setattr(wedge, "apply_wedge_matrix", boom)
+    monkeypatch.setattr(WedgeVector, "_built", boom)
+    monkeypatch.setattr(radicals, "Fraction", counting)
+    assert active_radicals(g, F(2), 2) == want
+    assert len(made) == 1 + len(want)
 
 
 @pytest.mark.parametrize("method", ["brute", "reduction"])
