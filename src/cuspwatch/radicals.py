@@ -20,6 +20,14 @@ cleared conjugated annihilator. Both are compared with eps = p / q by
 cross-multiplication, so a Fraction is built only for a returned radical.
 The prefilter rests on a saturation identity: the minors of the rows b
 are +-p_std (see active_radicals).
+
+Lines and hyperplanes are sized without minors. With u = G v for a line's
+primitive row v (w = H f for a hyperplane's primitive normal f), the
+conjugated wedge has one component per multiset A of size n over 1..n
+whose factors u_a are all nonzero: weight chi_A = sum_(a in A) e_a -
+(1, ..., 1) (-chi_A for a hyperplane) and norm prod |u_a| / |det G|
+(prod |w_a| / |det H|); see _closed_components. Planes are sized from the
+integer minors of _conj_minors.
 """
 
 from __future__ import annotations
@@ -28,8 +36,8 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
-from math import gcd
+from itertools import combinations, combinations_with_replacement, product
+from math import gcd, prod
 
 from .chars import Character, SubgroupSpec
 from .errors import DependentInput, PreconditionError
@@ -173,8 +181,12 @@ class RadicalWitness:
         return conj_ad_wedge(Mat.identity(self.n), self).primitive()
 
     def components_at(self, g: Mat) -> list:
-        """Per-weight sup norms of the wedge conjugated by g, bucketed from
-        its integer minors (see conj_ad_wedge) and divided once per weight."""
+        """Per-weight sup norms of the wedge conjugated by g, sorted by
+        character. Lines and hyperplanes read them from a closed form (see
+        _closed_components); planes bucket the integer minors of the
+        conjugated wedge (see conj_ad_wedge), divided once per weight."""
+        if self.j == 1 or self.j == self.n - 1:
+            return _closed_components(g, self)
         minors, den = _conj_minors(g, self)
         return _components(minors, self.n, den)
 
@@ -278,6 +290,101 @@ def _conj_minors(g: Mat, witness: RadicalWitness) -> tuple:
     return minors, d ** witness.dim
 
 
+@lru_cache(maxsize=32)
+def _cleared_dets(g: Mat) -> tuple:
+    """|det G| and |det H| for the integer rows of _conjugator: G = d_g g
+    and H = d_H g^-T, so det G = d_g^n det g and det H = d_H^n / det g."""
+    _, _, d_g, d = _conjugator(g)
+    n, det = g.nrows, abs(g.det())
+    return int(d_g ** n * det), int((d // d_g) ** n / det)
+
+
+@lru_cache(maxsize=8)
+def _monomials(n: int, sign: int) -> tuple:
+    """(A, Character) for each multiset A of size n over 0..n-1, with the
+    weight sign * chi_A, chi_A = sum_(a in A) e_a - (1, ..., 1); sorted by
+    the characters' sort keys, which are pairwise distinct (see
+    _closed_components)."""
+    out = []
+    for A in combinations_with_replacement(range(n), n):
+        coeffs = [-sign] * n
+        for a in A:
+            coeffs[a] += sign
+        out.append((A, Character(tuple(coeffs))))
+    return tuple(sorted(out, key=lambda t: t[1].sort_key()))
+
+
+def _closed_components(g: Mat, witness: RadicalWitness) -> list:
+    """components_at for a line (j = 1) or a hyperplane (j = n - 1), from
+    one integer vector and no minor.
+
+    Line V = Q v, v the primitive row, with u = G v (see _conjugator): the
+    components are chi_A, with norm prod_(a in A) |u_a| / |det G|, for each
+    multiset A of size n over 1..n with every u_a nonzero. A hyperplane,
+    with w = H f for its primitive normal f = ann_rows[0], has -chi_A with
+    norm prod |w_a| / |det H|. For n = 2 both forms apply and agree.
+
+    Proof for a line. The conjugated basis is g v f_k^T g^-1 = u y_k^T / d
+    with y_k = H f_k and d = d_g d_H, over the saturated annihilator rows
+    f_k. Coordinate r of u y^T (see sl_coords) is l_r . y, where l_r =
+    u_a e_b at the off-diagonal label (a, b) and l_r = (u_1, ..., u_i, 0,
+    ..., 0) at the i-th partial sum. So the coefficient at an index I of
+    n - 1 labels is det(L_I Y^T) / d^(n-1), with rows l_r (r in I) in L_I
+    and rows y_k in Y.
+
+    By Cauchy-Binet and Laplace expansion along the last row, det(L_I Y^T)
+    = det[L_I; z], where z is the vector with z . x = det[Y; x] for all x.
+    Since Y = F H^T, det[Y; x] = det H det[F; H^-1 x], so z = det H H^-T z_F.
+    The rows f_k are saturated, so their maximal minors are coprime; z_F is
+    orthogonal to every f_k, so it is an integer multiple of v with coprime
+    entries, that is +-v. With H^-T = g / d_H this gives z = +-(det H / d) u,
+    and as det H / d^n = 1 / det G the coefficient is +-det[L_I; u] / det G.
+
+    In det[L_I; u], let the partial sums of I be i_1 < ... < i_m and i_(m+1)
+    = n (the row u). Subtracting each of these rows from the next leaves
+    u restricted to the blocks (i_(t-1), i_t], i_0 = 0, which partition
+    1..n. The off-diagonal rows u_a e_b vanish in the determinant unless
+    their columns b are distinct; then m + 1 columns C are left, one row per
+    block. Expanding along the off-diagonal rows leaves +-prod u_a times the
+    block rows on C, whose determinant is +-prod_(c in C) u_c when each block
+    holds one column of C, and 0 otherwise. So det[L_I; u] is 0 or
+    +-prod_(a in A) u_a, with A the multiset of the off-diagonal a's and C,
+    of size n. The weight of I is sum (e_a - e_b) over its off-diagonal
+    labels; the b's are the complement of C, so it is chi_A. Every nonzero
+    coefficient of weight chi_A is therefore +-prod_(a in A) u_a / det G.
+
+    Each A with all u_a nonzero is met: with S the distinct elements of A,
+    take C = S, pair the other n - |S| entries of A (all in S) with the
+    columns b outside S as off-diagonal labels, and put a partial sum
+    between consecutive elements of S. That is n - 1 labels, one element of
+    S per block, and a nonzero coefficient.
+
+    A hyperplane is the same with G and H exchanged: its conjugated basis is
+    x_k w^T / d with x_k = G b_k, coordinate r is l_r . x with l_r = w_b e_a
+    or w restricted to 1..i, the rows b_k are saturated with +-f as their
+    maximal minors, and z = +-(det G / d) w. Now the free columns C are the
+    complement of the a's, and the weight sum (e_a - e_b) is -chi_A.
+
+    Order: chi_A sums to zero and its entries are >= -1, with an entry -1
+    unless chi_A = 0. Two positive multiples of one primitive vector with
+    minimum entry -1 are equal, so distinct weights have distinct canonical
+    forms (sort keys), and likewise for -chi_A. Sorting by sort key alone is
+    then the order of _components, which only breaks ties.
+    """
+    G, H, _, _ = _conjugator(g)
+    det_G, det_H = _cleared_dets(g)
+    if witness.j == 1:
+        (u,), sign, den = _moved(G, witness.rows), 1, det_G
+    else:
+        (u,), sign, den = _moved(H, witness.ann_rows), -1, det_H
+    out = []
+    for A, ch in _monomials(witness.n, sign):
+        p = prod(map(u.__getitem__, A))
+        if p:
+            out.append((ch, Fraction(abs(p), den)))
+    return out
+
+
 def conj_ad_wedge(g: Mat, witness: RadicalWitness) -> WedgeVector:
     """Wedge of the conjugated integral basis; the norm carrier.
 
@@ -319,6 +426,13 @@ def _prefilter_bound(g: Mat, witness: RadicalWitness) -> Fraction:
     W is read from the integer rows G b (see _conjugator): the rows b are a
     saturated basis, so their minors are +-p_std, and W = +-minors(G b) /
     d_g^j. active_radicals makes the same comparison over integers.
+
+    For a line or a hyperplane and det g = 1 the bound is the norm. A line's
+    norm is max_A prod |u_a| / d_g^n (see _closed_components), reached at
+    A = n copies of the largest |u_a|, which is the bound. A hyperplane's
+    minors of G b are +-(det G / d) w, so the bound is (max |w_a| / d_H)^n,
+    and so is its norm max |w_a|^n / det H. For planes it is only a lower
+    bound.
     """
     G, _, d_g, _ = _conjugator(g)
     top = _sup(_int_minors(_moved(G, witness.rows)))

@@ -255,6 +255,61 @@ def test_diverge_commands(capsys):
     ]
 
 
+# `diverge search` under a g of determinant 2: every norm carries the factor
+# 1 / |det g|, so a line such as (0, 1, 0) has norm 1/2
+DIVERGE_SEARCH_DET2 = (
+    '[{"n": 3, "degree": 2, "label": "subspace j=1 rows=((1, 0, 0),)", '
+    '"components": [{"char": [2, -1, -1], "norm": "4"}]}, {"n": 3, '
+    '"degree": 2, "label": "subspace j=1 rows=((-1, 1, 0),)", '
+    '"components": [{"char": [-1, 2, -1], "norm": "1/2"}, {"char": [0, 1, -1], '
+    '"norm": "1/2"}, {"char": [1, 0, -1], "norm": "1/2"}, {"char": [2, -1, '
+    '-1], "norm": "1/2"}]}, {"n": 3, "degree": 2, '
+    '"label": "subspace j=1 rows=((1, 1, 0),)", "components": [{"char": [-1, '
+    '2, -1], "norm": "1/2"}, {"char": [0, 1, -1], "norm": "3/2"}, {"char": [1, '
+    '0, -1], "norm": "9/2"}, {"char": [2, -1, -1], "norm": "27/2"}]}, {"n": 3, '
+    '"degree": 2, "label": "subspace j=1 rows=((-1, 0, 1),)", '
+    '"components": [{"char": [-1, -1, 2], "norm": "1/2"}, {"char": [0, -1, 1], '
+    '"norm": "1"}, {"char": [1, -1, 0], "norm": "2"}, {"char": [2, -1, -1], '
+    '"norm": "4"}]}, {"n": 3, "degree": 2, "label": "subspace j=1 rows=((1, 0, '
+    '1),)", "components": [{"char": [-1, -1, 2], "norm": "1/2"}, {"char": [0, '
+    '-1, 1], "norm": "1"}, {"char": [1, -1, 0], "norm": "2"}, {"char": [2, -1, '
+    '-1], "norm": "4"}]}, {"n": 3, "degree": 2, '
+    '"label": "subspace j=1 rows=((0, 1, 0),)", "components": [{"char": [-1, '
+    '2, -1], "norm": "1/2"}, {"char": [0, 1, -1], "norm": "1/2"}, {"char": [1, '
+    '0, -1], "norm": "1/2"}, {"char": [2, -1, -1], "norm": "1/2"}]}, {"n": 3, '
+    '"degree": 2, "label": "subspace j=1 rows=((0, 0, 1),)", '
+    '"components": [{"char": [-1, -1, 2], "norm": "1/2"}]}, {"n": 3, '
+    '"degree": 2, "label": "subspace j=2 rows=((0, 1, 0), (1, 0, 0))", '
+    '"components": [{"char": [1, 1, -2], "norm": "2"}]}, {"n": 3, "degree": 2, '
+    '"label": "subspace j=2 rows=((1, 0, 0), (0, -1, 1))", '
+    '"components": [{"char": [1, -2, 1], "norm": "2"}, {"char": [1, -1, 0], '
+    '"norm": "2"}, {"char": [1, 0, -1], "norm": "2"}, {"char": [1, 1, -2], '
+    '"norm": "2"}]}, {"n": 3, "degree": 2, "label": "subspace j=2 rows=((1, 0, '
+    '0), (0, 1, 1))", "components": [{"char": [1, -2, 1], "norm": "2"}, '
+    '{"char": [1, -1, 0], "norm": "2"}, {"char": [1, 0, -1], "norm": "2"}, '
+    '{"char": [1, 1, -2], "norm": "2"}]}, {"n": 3, "degree": 2, '
+    '"label": "subspace j=2 rows=((1, 0, 0), (0, 0, 1))", '
+    '"components": [{"char": [1, -2, 1], "norm": "2"}]}, {"n": 3, "degree": 2, '
+    '"label": "subspace j=2 rows=((-1, 1, 0), (0, 0, 1))", '
+    '"components": [{"char": [-2, 1, 1], "norm": "1/4"}, {"char": [-1, 0, 1], '
+    '"norm": "1/4"}, {"char": [0, -1, 1], "norm": "1/4"}, {"char": [1, -2, 1], '
+    '"norm": "1/4"}]}, {"n": 3, "degree": 2, "label": "subspace j=2 rows=((1, '
+    '1, 0), (0, 0, 1))", "components": [{"char": [-2, 1, 1], "norm": "1/4"}, '
+    '{"char": [-1, 0, 1], "norm": "3/4"}, {"char": [0, -1, 1], "norm": "9/4"}, '
+    '{"char": [1, -2, 1], "norm": "27/4"}]}, {"n": 3, "degree": 2, '
+    '"label": "subspace j=2 rows=((0, 1, 0), (0, 0, 1))", '
+    '"components": [{"char": [-2, 1, 1], "norm": "1/4"}, {"char": [-1, 0, 1], '
+    '"norm": "1/4"}, {"char": [0, -1, 1], "norm": "1/4"}, {"char": [1, -2, 1], '
+    '"norm": "1/4"}]}]\n'
+)
+
+
+def test_diverge_search_with_determinant_two_bytes(capsys):
+    code, out, _ = run(capsys, "diverge", "search", "--matrix",
+                       "[[2,1,0],[0,1,0],[0,0,1]]", "--height", "1")
+    assert code == 0 and out == DIVERGE_SEARCH_DET2
+
+
 def test_diverge_check_builds_the_fan_once(capsys, monkeypatch):
     inner = divergence.lp_feasible
     calls = []

@@ -17,6 +17,8 @@ from cuspwatch.loglin import LogLin
 from cuspwatch.matrix import Mat
 from cuspwatch.radicals import (
     _candidate_subspaces,
+    _components,
+    _conj_minors,
     _prefilter_bound,
     active_radicals,
     conj_ad_wedge,
@@ -302,7 +304,11 @@ def test_prefilter_bound_is_below_the_norm(seed):
         g = random_sl(n, rng, height=2, steps=4)
         for w in enumerate_witnesses(n, height):
             bound = _prefilter_bound(g, w)
-            assert 0 < bound <= conj_ad_wedge(g, w).norm_inf()
+            norm = conj_ad_wedge(g, w).norm_inf()
+            if w.j in (1, n - 1):
+                assert bound == norm    # exact here (see _prefilter_bound)
+            else:
+                assert 0 < bound <= norm
 
 
 @settings(max_examples=40, deadline=None)
@@ -473,3 +479,56 @@ def test_integer_conjugation_matches_fraction_reference(shape, seed, data):
     got = conj_ad_wedge(g, w)
     assert got == ref and repr(got) == repr(ref)
     assert repr(w.components_at(g)) == repr(_reference_components(ref, n))
+
+
+def _minor_components(g, w):
+    minors, den = _conj_minors(g, w)
+    return _components(minors, w.n, den)
+
+
+def _random_gl(n, rng):
+    """Random invertible rational matrix with |det| != 1."""
+    while True:
+        g = Mat([[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+                 for _ in range(n)])
+        if abs(g.det()) not in (0, 1):
+            return g
+
+
+@settings(max_examples=16, deadline=None)
+@given(st.sampled_from([(2, 4), (3, 2), (4, 1), (5, 1)]), st.booleans(),
+       st.integers(min_value=0, max_value=10 ** 6), st.data())
+def test_closed_form_components_match_the_minor_path(shape, unimodular, seed, data):
+    # the lines and hyperplanes of the shape under one g, in SL_n or with
+    # |det g| != 1, against the buckets of the conjugated wedge's minors;
+    # SL draws keep zero entries in g v, so zero factors occur. For n = 5
+    # the minor path takes up to 0.1 s a witness, so four are drawn
+    n, height = shape
+    rng = random.Random(seed)
+    g = random_sl(n, rng, height=3, steps=6) if unimodular else _random_gl(n, rng)
+    ws = enumerate_witnesses(n, height, js=[1, n - 1])
+    if n == 5:
+        lines = [w for w in ws if w.j == 1]
+        hyperplanes = [w for w in ws if w.j == 4]
+        ws = [data.draw(st.sampled_from(pool))
+              for pool in (lines, lines, hyperplanes, hyperplanes)]
+    for w in ws:
+        assert repr(w.components_at(g)) == repr(_minor_components(g, w))
+
+
+def test_lines_and_hyperplanes_are_sized_without_minors(monkeypatch):
+    # a GL3 g with |det g| != 1 and an SL4 g; a plane still takes minors
+    ws = enumerate_witnesses(3, 2) + enumerate_witnesses(4, 1, js=[1, 3])
+    gs = {3: _random_gl(3, random.Random(0)), 4: random_sl(4, random.Random(0), height=3, steps=6)}
+    want = [_minor_components(gs[w.n], w) for w in ws]
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a minor was taken")
+
+    monkeypatch.setattr(radicals, "_conj_minors", boom)
+    monkeypatch.setattr(radicals, "_ad_minors", boom)
+    monkeypatch.setattr(radicals, "_int_minors", boom)
+    monkeypatch.setattr(wedge, "_int_minors", boom)
+    assert [w.components_at(gs[w.n]) for w in ws] == want
+    with pytest.raises(AssertionError, match="a minor was taken"):
+        standard_radical(4, 2).components_at(gs[4])
