@@ -10,9 +10,12 @@ realizable sign pattern, lower-dimensional faces included, must admit a
 witness whose characters are all strictly negative on it. The patterns
 are enumerated without an LP, from the arrangement's rays (cocircuits)
 and their compositions, and come out in the order a run over all 3^h
-patterns would give. A face's owner is read off its pattern; an LP is
-solved only for a direction that is returned: one per certificate cell,
-and one for the first face that no witness owns.
+patterns would give. A face's owner is read off its pattern. A ray's
+direction is its cocircuit's kernel vector, so an LP is solved only for a
+returned direction of a cell of dimension >= 2: one per such certificate
+cell, and one when the first face that no witness owns is such a cell.
+The witness search decides each shrink cone once per subgroup and
+character set, in a bounded memo kept across calls.
 
 Witnesses come only from `RadicalWitness.components_at`: `radicals` alone
 conjugates a witness and sizes it, ray profiles included.
@@ -22,9 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
-from .chars import SubgroupSpec
+from .chars import Character, SubgroupSpec
 from .errors import PreconditionError
 from .lattice import int_kernel, positive_primitive
 from .lp import lp_feasible
@@ -47,11 +51,12 @@ class WitnessVector:
             raise PreconditionError("witness vector has no components")
 
     @classmethod
-    def from_radical(cls, g: Mat, witness: RadicalWitness) -> "WitnessVector":
+    def from_radical(cls, g: Mat, witness: RadicalWitness, components=None) -> "WitnessVector":
+        """components, when given, are witness.components_at(g) already read."""
         return cls(
             n=witness.n,
             degree=witness.dim,
-            components=tuple(witness.components_at(g)),
+            components=tuple(witness.components_at(g) if components is None else components),
             label="subspace j=%d rows=%r" % (witness.j, witness.rows),
         )
 
@@ -184,31 +189,36 @@ def _face_direction(hyps, pattern):
 
 def _fan_patterns(hyps):
     """Every nonzero sign pattern that a point realizes on the essential
-    arrangement hyps, in the order of product((1, 0, -1), repeat=len(hyps)).
+    arrangement hyps, in the order of product((1, 0, -1), repeat=len(hyps)),
+    as a dict from each pattern to its primitive direction when the face is
+    a ray, and to None when it is a cell of dimension >= 2.
 
-    Any l - 1 hyperplanes of rank l - 1 meet in a line spanned by an
-    integer kernel vector v; its two rays carry the patterns of the signs
-    of h . v and of -h . v (the cocircuits). Every other face is a
-    composition of rays, (X o Y)_i = X_i if X_i != 0 else Y_i (Bjorner, Las
-    Vergnas, Sturmfels, White & Ziegler, Oriented Matroids, 1999, ch. 4), so
-    the patterns are the closure of the rays under composition; no LP is
+    Any l - 1 hyperplanes of rank l - 1 meet in a line spanned by a
+    primitive integer kernel vector v; its two rays carry the patterns of
+    the signs of h . v and of -h . v (the cocircuits), and a ray's only
+    primitive direction is v or -v. Every other face is a composition of
+    rays, (X o Y)_i = X_i if X_i != 0 else Y_i (Bjorner, Las Vergnas,
+    Sturmfels, White & Ziegler, Oriented Matroids, 1999, ch. 4), so the
+    patterns are the closure of the rays under composition; no LP is
     solved. A pattern is held as the bit masks of its positive and negative
     hyperplanes.
     """
     l = len(hyps[0])
-    rays = set()
+    rays = {}
     for sub in combinations(hyps, l - 1):
         ker = int_kernel([list(h) for h in sub], l)
         if len(ker) != 1:
             continue
+        v = tuple(ker[0])
         pos = neg = 0
         for i, h in enumerate(hyps):
-            s = _dot(h, ker[0])
+            s = _dot(h, v)
             if s > 0:
                 pos |= 1 << i
             elif s < 0:
                 neg |= 1 << i
-        rays.update(((pos, neg), (neg, pos)))
+        rays[pos, neg] = v
+        rays[neg, pos] = tuple(-x for x in v)
     full = (1 << len(hyps)) - 1
     faces = set(rays)
     todo = list(rays)
@@ -223,21 +233,23 @@ def _fan_patterns(hyps):
                 if face not in faces:
                     faces.add(face)
                     todo.append(face)
-    # 1 > 0 > -1, so descending order is product order
-    return sorted(
-        (tuple((pos >> i & 1) - (neg >> i & 1) for i in range(len(hyps)))
+    # 1 > 0 > -1, so descending order is product order; patterns are
+    # distinct, so the sort never compares two directions
+    return dict(sorted(
+        ((tuple((pos >> i & 1) - (neg >> i & 1) for i in range(len(hyps))), rays.get((pos, neg)))
          for pos, neg in faces),
         reverse=True,
-    )
+    ))
 
 
 def _owned_faces(g: Mat, A: SubgroupSpec, witnesses):
-    """(ws, hyps, faces, uncovered): faces lists (pattern, owner) for every
-    face of the fan, owner the first witness whose demand the pattern meets.
-    When some face has no owner, faces is None and uncovered() gives a
-    direction no witness shrinks along. The owner test reads only the
-    pattern, and only uncovered() solves an LP, for the first unowned face,
-    so a caller that returns no direction solves none."""
+    """(ws, hyps, faces, uncovered): faces lists (pattern, ray, owner) for
+    every face of the fan, ray the face's direction when it is a ray (else
+    None) and owner the first witness whose demand the pattern meets. When
+    some face has no owner, faces is None and uncovered() gives a direction
+    no witness shrinks along. The owner test reads only the pattern, and
+    only uncovered() may solve an LP, when the first unowned face is a cell
+    of dimension >= 2, so a caller that returns no direction solves none."""
     ws, hyps, demands = _witness_faces(g, A, witnesses)
     l = A.dim
     if not hyps:
@@ -248,7 +260,7 @@ def _owned_faces(g: Mat, A: SubgroupSpec, witnesses):
         free = tuple(positive_primitive(H.kernel_basis()[0]))
         return ws, hyps, None, lambda: free
     faces = []
-    for pattern in _fan_patterns(hyps):
+    for pattern, ray in _fan_patterns(hyps).items():
         owner = None
         for idx, need in enumerate(demands):
             if need is None:
@@ -257,16 +269,18 @@ def _owned_faces(g: Mat, A: SubgroupSpec, witnesses):
                 owner = idx
                 break
         if owner is None:
-            return ws, hyps, None, lambda: _face_direction(hyps, pattern)
-        faces.append((pattern, owner))
+            return ws, hyps, None, lambda: ray or _face_direction(hyps, pattern)
+        faces.append((pattern, ray, owner))
     return ws, hyps, faces, None
 
 
 def _certificate(A: SubgroupSpec, ws, hyps, faces) -> DivergenceCertificate:
-    """The certificate of owned faces; one LP per cell, for its direction."""
+    """The certificate of owned faces. A ray keeps its cocircuit vector as
+    its direction; each cell of dimension >= 2 solves one LP for its own."""
     cells = tuple(
-        FanCell(pattern=pattern, direction=_face_direction(hyps, pattern), witness_index=owner)
-        for pattern, owner in faces
+        FanCell(pattern=pattern, direction=ray or _face_direction(hyps, pattern),
+                witness_index=owner)
+        for pattern, ray, owner in faces
     )
     return DivergenceCertificate(
         subgroup=A, witnesses=tuple(ws), hyperplanes=tuple(hyps), fan=cells
@@ -314,18 +328,29 @@ def ray_profile(w, A: SubgroupSpec, direction, times) -> list:
     return [_log_size(rows, [t * x for x in d]) for t in map(Fraction, times)]
 
 
+@lru_cache(maxsize=256)
+def _cone_verdict(A: SubgroupSpec, coeffs: frozenset) -> bool:
+    """cone_nonempty for the shrink cone of any witness whose characters
+    have exactly these coefficient tuples: the cone depends on nothing else."""
+    return cone_nonempty(A.restrict(-Character(c)) for c in sorted(coeffs))
+
+
 def search_witnesses(g: Mat, A: SubgroupSpec, height: int) -> list:
-    """Subspace witnesses of bounded height with a nonempty shrink cone."""
+    """Subspace witnesses of bounded height with a nonempty shrink cone.
+
+    The cone is decided once per subgroup and character set, across calls:
+    the characters of a given n come from a finite set, so a warm memo
+    solves no LP. components_at gives sum-zero coefficients, so equal
+    coefficient tuples are equal characters. Only a kept witness is built.
+    """
     out = []
-    # The cone depends only on the characters: one LP per character set.
-    # components_at gives sum-zero coefficients, so equal coefficient
-    # tuples are equal characters.
-    nonempty = {}
+    # hashing A reads its Fractions: ask the memo once per key in a call
+    verdicts = {}
     for rw in enumerate_witnesses(g.nrows, height):
-        w = WitnessVector.from_radical(g, rw)
-        key = frozenset(ch.coeffs for ch, _ in w.components)
-        if key not in nonempty:
-            nonempty[key] = cone_nonempty(ray_shrink_set(g, w, A))
-        if nonempty[key]:
-            out.append(w)
+        comps = rw.components_at(g)
+        key = frozenset(ch.coeffs for ch, _ in comps)
+        if key not in verdicts:
+            verdicts[key] = _cone_verdict(A, key)
+        if verdicts[key]:
+            out.append(WitnessVector.from_radical(g, rw, comps))
     return out

@@ -283,6 +283,37 @@ def test_fan_faces_match_brute_enumeration(hyps):
     assert got == _walk_faces(hyps) == _brute_faces(hyps)
 
 
+@settings(max_examples=40, deadline=None)
+@given(arrangements(dims=(1, 2, 3, 4)))
+def test_ray_directions_match_the_lp(hyps):
+    # a face is a ray when its zero hyperplanes have rank l - 1; the ray
+    # keeps its cocircuit vector, which is the LP's primitive direction,
+    # and every other face keeps None
+    l = len(hyps[0])
+    for pattern, ray in _fan_patterns(hyps).items():
+        zero = [list(h) for h, s in zip(hyps, pattern) if s == 0]
+        is_ray = (Mat.rationalize(zero).rank() if zero else 0) == l - 1
+        assert (ray is not None) == is_ray
+        if is_ray:
+            assert ray == _face_direction(hyps, pattern)
+
+
+def _no_lp(*args, **kwargs):
+    raise AssertionError("an LP was solved")
+
+
+def test_sl2_fans_solve_no_lp(monkeypatch):
+    # every SL2 cell is a ray, so the golden `diverge check` example and its
+    # uncovered variant take every direction from a cocircuit
+    monkeypatch.setattr(divergence, "lp_feasible", _no_lp)
+    cert = build_certificate(I2, A2, [UP, LO])
+    assert [(c.pattern, c.direction, c.witness_index) for c in cert.fan] == [
+        ((1,), (1,), 1),
+        ((-1,), (-1,), 0),
+    ]
+    assert check_certificate(I2, A2, [UP]) == (False, (1,))
+
+
 @settings(max_examples=60, deadline=None)
 @given(arrangements(dims=(1, 2, 3, 4), size=7, most=9))
 def test_fan_patterns_euler_characteristic(hyps):
@@ -324,24 +355,67 @@ def test_fan_and_search_lp_count(monkeypatch):
     assert check_certificate(g, A3, ws) == (True, None)
     assert cert is not None and len(cert.fan) == 24
     assert len(calls) <= 1554 // 2
-    # the fan itself: one LP per printed direction, none to decide coverage
+    # the fan itself: one LP per printed direction of a 2-dimensional cell
+    # (on no hyperplane), as a ray's is its cocircuit vector; none to
+    # decide coverage
+    cells = sum(0 not in c.pattern for c in cert.fan)
+    assert cells == 12
     for run, expected in (
-        (lambda: build_certificate(g, A3, ws), len(cert.fan)),
+        (lambda: build_certificate(g, A3, ws), cells),
         (lambda: check_certificate(g, A3, ws), 0),
+        # the first unowned face is the cell (1, 1, 1, 1)
         (lambda: check_certificate(g, A3, ws[:2]), 1),
+        # the first unowned face is a ray
+        (lambda: check_certificate(g, A3, ws[20:22]), 0),
         (lambda: build_certificate(g, A3, ws[:2]), 0),
     ):
         calls.clear()
         run()
         assert len(calls) == expected
-    assert not check_certificate(g, A3, ws[:2])[0]
+    assert check_certificate(g, A3, ws[:2]) == (False, (1, 2))
+    assert check_certificate(g, A3, ws[20:22]) == (False, (1, 0))
     # one LP per distinct shrink cone selects the witnesses one LP each would
-    per_witness = []
-    for rw in enumerate_witnesses(3, 2):
+    assert list(map(repr, ws)) == list(map(repr, _one_lp_per_witness(g, A3, 2)))
+
+
+def _one_lp_per_witness(g, A, height):
+    """The search's reference: every witness's cone decided by its own LP."""
+    out = []
+    for rw in enumerate_witnesses(g.nrows, height):
         w = WitnessVector.from_radical(g, rw)
-        if cone_nonempty(ray_shrink_set(g, w, A3)):
-            per_witness.append(w.label)
-    assert [w.label for w in ws] == per_witness
+        if cone_nonempty(ray_shrink_set(g, w, A)):
+            out.append(w)
+    return out
+
+
+SL3_CONE_GS = [
+    Mat.rationalize(m)
+    for m in ([[1, 0, 1], [0, 1, 0], [0, 0, 1]], [[2, 1, 0], [1, 1, 0], [0, 0, 1]],
+              [[1, 2, 3], [0, 1, 4], [0, 0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+]
+G4 = Mat.rationalize([[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 3, 1], [0, 0, 2, 1]])
+
+
+def test_cone_memo_matches_the_lp():
+    # each memoized verdict is the LP's on the witness's restricted rows
+    cases = [(g, A3, 2) for g in SL3_CONE_GS] + [(G4, SubgroupSpec.full_torus(4), 1)]
+    for g, A, height in cases:
+        for rw in enumerate_witnesses(g.nrows, height):
+            comps = rw.components_at(g)
+            rows = [A.restrict(-ch) for ch, _ in comps]
+            key = frozenset(ch.coeffs for ch, _ in comps)
+            lp = _sign_point(rows, (1,) * len(rows)) is not None
+            assert divergence._cone_verdict(A, key) == lp
+
+
+def test_warm_cone_memo_solves_no_lp(monkeypatch):
+    g = Mat.rationalize([[2, 1, 1], [1, 1, 0], [1, 1, 1]])
+    per_witness = _one_lp_per_witness(g, A3, 2)
+    divergence._cone_verdict.cache_clear()
+    search_witnesses(SL3_CONE_GS[0], A3, 2)
+    monkeypatch.setattr(divergence, "lp_feasible", _no_lp)
+    ws = search_witnesses(g, A3, 2)
+    assert ws and list(map(repr, ws)) == list(map(repr, per_witness))
 
 
 def test_divergence_conjugates_only_through_radicals():
