@@ -117,7 +117,9 @@ class SubgroupSpec:
     """A diagonal subgroup given by a basis of trace-zero direction vectors.
 
     Points of the parameter space are coordinate tuples s against this
-    basis; norms are coordinate sup norms in these coordinates.
+    basis; norms are coordinate sup norms in these coordinates. The hash is
+    computed once, on construction, as memos key on the subgroup; equality
+    compares the fields.
     """
 
     n: int
@@ -136,6 +138,10 @@ class SubgroupSpec:
         m = Mat.from_rows([list(r) for r in rows])
         if m.rank() != len(rows):
             raise DependentInput("subgroup basis directions are dependent")
+        object.__setattr__(self, "_hash", hash((self.n, rows)))
+
+    def __hash__(self):
+        return self._hash
 
     @classmethod
     def full_torus(cls, n: int) -> "SubgroupSpec":

@@ -11,11 +11,13 @@ witness whose characters are all strictly negative on it. The patterns
 are enumerated without an LP, from the arrangement's rays (cocircuits)
 and their compositions, and come out in the order a run over all 3^h
 patterns would give. A face's owner is read off its pattern. A ray's
-direction is its cocircuit's kernel vector, so an LP is solved only for a
-returned direction of a cell of dimension >= 2: one per such certificate
-cell, and one when the first face that no witness owns is such a cell.
+direction is its cocircuit's kernel vector, and a cell's of dimension >= 2
+is the sum of the rays in its closure, computed only where a direction is
+returned: no fan op solves an LP.
 The witness search decides each shrink cone once per subgroup and
-character set, in a bounded memo kept across calls.
+character set, in a bounded memo kept across calls; a line's or
+hyperplane's character set comes from the zero pattern of one integer
+vector, so only a kept witness is sized.
 
 Witnesses come only from `RadicalWitness.components_at`: `radicals` alone
 conjugates a witness and sizes it, ray profiles included.
@@ -33,7 +35,7 @@ from .errors import PreconditionError
 from .lattice import int_kernel, positive_primitive
 from .lp import lp_feasible
 from .matrix import Mat, _dot
-from .radicals import RadicalWitness, _log_size, enumerate_witnesses
+from .radicals import RadicalWitness, _closed_key, _log_size, enumerate_witnesses
 from .scalars import frac_str
 
 
@@ -179,19 +181,12 @@ def _sign_point(hyps, pattern):
     return x if ok else None
 
 
-def _face_direction(hyps, pattern):
-    """A primitive direction with the given full sign pattern, or None."""
-    x = _sign_point(hyps, pattern)
-    if x is None:
-        return None
-    return positive_primitive(x)
-
-
 def _fan_patterns(hyps):
     """Every nonzero sign pattern that a point realizes on the essential
     arrangement hyps, in the order of product((1, 0, -1), repeat=len(hyps)),
-    as a dict from each pattern to its primitive direction when the face is
-    a ray, and to None when it is a cell of dimension >= 2.
+    as a dict from each pattern to the face's (pos, neg, ray): the bit masks
+    of its positive and negative hyperplanes, and its primitive direction
+    when the face is a ray, else None.
 
     Any l - 1 hyperplanes of rank l - 1 meet in a line spanned by a
     primitive integer kernel vector v; its two rays carry the patterns of
@@ -200,8 +195,7 @@ def _fan_patterns(hyps):
     rays, (X o Y)_i = X_i if X_i != 0 else Y_i (Bjorner, Las Vergnas,
     Sturmfels, White & Ziegler, Oriented Matroids, 1999, ch. 4), so the
     patterns are the closure of the rays under composition; no LP is
-    solved. A pattern is held as the bit masks of its positive and negative
-    hyperplanes.
+    solved. _direction reads a face's direction off the rays.
     """
     l = len(hyps[0])
     rays = {}
@@ -234,53 +228,79 @@ def _fan_patterns(hyps):
                     faces.add(face)
                     todo.append(face)
     # 1 > 0 > -1, so descending order is product order; patterns are
-    # distinct, so the sort never compares two directions
+    # distinct, so the sort never compares two values
     return dict(sorted(
-        ((tuple((pos >> i & 1) - (neg >> i & 1) for i in range(len(hyps))), rays.get((pos, neg)))
+        ((tuple((pos >> i & 1) - (neg >> i & 1) for i in range(len(hyps))),
+          (pos, neg, rays.get((pos, neg))))
          for pos, neg in faces),
         reverse=True,
     ))
 
 
+def _direction(faces, face):
+    """The primitive direction of face, a (pos, neg, ray) value of
+    _fan_patterns: its ray if it is one, else positive_primitive of the sum
+    of the rays among faces (values of the same fan) in its closure.
+
+    The arrangement is essential, so the closure of a face is a pointed
+    cone, spanned by the rays it contains (Ziegler, Lectures on Polytopes,
+    1995, sec. 1.3), and a ray lies in it exactly when the ray's positive
+    and negative masks are within the face's. A sum of the spanning rays
+    with all weights positive lies in the cone's relative interior, which
+    is the face itself, so the direction realizes the face's pattern."""
+    pos, neg, ray = face
+    if ray is not None:
+        return ray
+    total = None
+    for p, n, v in faces:
+        if v is not None and not (p & ~pos or n & ~neg):
+            total = v if total is None else [a + b for a, b in zip(total, v)]
+    return positive_primitive(total)
+
+
 def _owned_faces(g: Mat, A: SubgroupSpec, witnesses):
-    """(ws, hyps, faces, uncovered): faces lists (pattern, ray, owner) for
-    every face of the fan, ray the face's direction when it is a ray (else
-    None) and owner the first witness whose demand the pattern meets. When
-    some face has no owner, faces is None and uncovered() gives a direction
-    no witness shrinks along. The owner test reads only the pattern, and
-    only uncovered() may solve an LP, when the first unowned face is a cell
-    of dimension >= 2, so a caller that returns no direction solves none."""
+    """(ws, hyps, fan, faces, uncovered): fan is _fan_patterns(hyps), and
+    faces lists (pattern, owner) for every face of the fan, owner the first
+    witness whose demand the pattern meets. When some face has no owner,
+    faces is None and uncovered() gives a direction no witness shrinks
+    along. The owner test reads only the masks, and no LP is solved: a
+    direction is computed only by uncovered() and by _certificate."""
     ws, hyps, demands = _witness_faces(g, A, witnesses)
     l = A.dim
     if not hyps:
         unit = tuple(1 if i == 0 else 0 for i in range(l))
-        return ws, hyps, None, lambda: unit
+        return ws, hyps, None, None, lambda: unit
     H = Mat.rationalize([list(h) for h in hyps])
     if H.rank() < l:
         free = tuple(positive_primitive(H.kernel_basis()[0]))
-        return ws, hyps, None, lambda: free
+        return ws, hyps, None, None, lambda: free
+    # a demand as masks: the hyperplanes it needs positive, and negative
+    needs = [
+        (idx, sum(1 << k for k, s in need.items() if s > 0),
+         sum(1 << k for k, s in need.items() if s < 0))
+        for idx, need in enumerate(demands) if need is not None
+    ]
+    fan = _fan_patterns(hyps)
     faces = []
-    for pattern, ray in _fan_patterns(hyps).items():
-        owner = None
-        for idx, need in enumerate(demands):
-            if need is None:
-                continue
-            if all(pattern[k] == want for k, want in need.items()):
-                owner = idx
+    for pattern, face in fan.items():
+        pos, neg, _ = face
+        for idx, p, n in needs:
+            if not (p & ~pos or n & ~neg):
+                faces.append((pattern, idx))
                 break
-        if owner is None:
-            return ws, hyps, None, lambda: ray or _face_direction(hyps, pattern)
-        faces.append((pattern, ray, owner))
-    return ws, hyps, faces, None
+        else:
+            return ws, hyps, fan, None, lambda: _direction(fan.values(), face)
+    return ws, hyps, fan, faces, None
 
 
-def _certificate(A: SubgroupSpec, ws, hyps, faces) -> DivergenceCertificate:
-    """The certificate of owned faces. A ray keeps its cocircuit vector as
-    its direction; each cell of dimension >= 2 solves one LP for its own."""
+def _certificate(A: SubgroupSpec, ws, hyps, fan, faces) -> DivergenceCertificate:
+    """The certificate of owned faces, each with its direction from
+    _direction over the fan's rays: no LP is solved."""
+    rays = [face for face in fan.values() if face[2] is not None]
     cells = tuple(
-        FanCell(pattern=pattern, direction=ray or _face_direction(hyps, pattern),
+        FanCell(pattern=pattern, direction=_direction(rays, fan[pattern]),
                 witness_index=owner)
-        for pattern, ray, owner in faces
+        for pattern, owner in faces
     )
     return DivergenceCertificate(
         subgroup=A, witnesses=tuple(ws), hyperplanes=tuple(hyps), fan=cells
@@ -290,10 +310,10 @@ def _certificate(A: SubgroupSpec, ws, hyps, faces) -> DivergenceCertificate:
 def _analyze(g: Mat, A: SubgroupSpec, witnesses):
     """(ok, uncovered, certificate), as check_certificate and
     build_certificate would give them, from one fan."""
-    ws, hyps, faces, uncovered = _owned_faces(g, A, witnesses)
+    ws, hyps, fan, faces, uncovered = _owned_faces(g, A, witnesses)
     if faces is None:
         return False, uncovered(), None
-    return True, None, _certificate(A, ws, hyps, faces)
+    return True, None, _certificate(A, ws, hyps, fan, faces)
 
 
 def check_certificate(g: Mat, A: SubgroupSpec, witnesses):
@@ -302,15 +322,15 @@ def check_certificate(g: Mat, A: SubgroupSpec, witnesses):
     Exact fan decision over all realizable sign patterns of the restricted
     characters; on failure the second value is an uncovered direction.
     """
-    _, _, faces, uncovered = _owned_faces(g, A, witnesses)
+    _, _, _, faces, uncovered = _owned_faces(g, A, witnesses)
     return (True, None) if faces is not None else (False, uncovered())
 
 
 def build_certificate(g: Mat, A: SubgroupSpec, witnesses):
     """The checked fan as a reusable object, or None when coverage fails;
-    a failed check solves no LP."""
-    ws, hyps, faces, _ = _owned_faces(g, A, witnesses)
-    return None if faces is None else _certificate(A, ws, hyps, faces)
+    it solves no LP."""
+    ws, hyps, fan, faces, _ = _owned_faces(g, A, witnesses)
+    return None if faces is None else _certificate(A, ws, hyps, fan, faces)
 
 
 def ray_profile(w, A: SubgroupSpec, direction, times) -> list:
@@ -341,16 +361,19 @@ def search_witnesses(g: Mat, A: SubgroupSpec, height: int) -> list:
     The cone is decided once per subgroup and character set, across calls:
     the characters of a given n come from a finite set, so a warm memo
     solves no LP. components_at gives sum-zero coefficients, so equal
-    coefficient tuples are equal characters. Only a kept witness is built.
+    coefficient tuples are equal characters. A line's or hyperplane's
+    character set is read from the zero pattern of one integer vector
+    (radicals._closed_key), so only a kept witness is sized; a plane is
+    sized once, and a kept plane reuses its components.
     """
     out = []
-    # hashing A reads its Fractions: ask the memo once per key in a call
-    verdicts = {}
-    for rw in enumerate_witnesses(g.nrows, height):
-        comps = rw.components_at(g)
-        key = frozenset(ch.coeffs for ch, _ in comps)
-        if key not in verdicts:
-            verdicts[key] = _cone_verdict(A, key)
-        if verdicts[key]:
+    n = g.nrows
+    for rw in enumerate_witnesses(n, height):
+        if rw.j == 1 or rw.j == n - 1:
+            comps, key = None, _closed_key(g, rw)
+        else:
+            comps = rw.components_at(g)
+            key = frozenset(ch.coeffs for ch, _ in comps)
+        if _cone_verdict(A, key):
             out.append(WitnessVector.from_radical(g, rw, comps))
     return out

@@ -38,6 +38,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 from math import gcd, prod
+from operator import mul
 
 from .chars import Character, SubgroupSpec
 from .errors import DependentInput, PreconditionError
@@ -255,7 +256,7 @@ def _conjugator(g: Mat) -> tuple:
 
 def _moved(M, rows) -> list:
     """The integer rows M b, for each integer row b of rows."""
-    return [[sum(x * y for x, y in zip(r, b)) for r in M] for b in rows]
+    return [[sum(map(mul, r, b)) for r in M] for b in rows]
 
 
 def _sup(minors: dict) -> int:
@@ -299,19 +300,42 @@ def _cleared_dets(g: Mat) -> tuple:
     return int(d_g ** n * det), int((d // d_g) ** n / det)
 
 
-@lru_cache(maxsize=8)
-def _monomials(n: int, sign: int) -> tuple:
-    """(A, Character) for each multiset A of size n over 0..n-1, with the
-    weight sign * chi_A, chi_A = sum_(a in A) e_a - (1, ..., 1); sorted by
-    the characters' sort keys, which are pairwise distinct (see
-    _closed_components)."""
+@lru_cache(maxsize=256)
+def _closed_table(n: int, sign: int, support: int) -> tuple:
+    """(monomials, key) of a line (sign 1) or hyperplane (sign -1) whose
+    vector u has its nonzero entries at the bits of support: monomials
+    lists (A, sign * chi_A) for each multiset A of size n over those
+    entries (0-based), sorted by the characters' sort keys, which are
+    pairwise distinct, and key is the frozenset of their coefficient
+    tuples (see _closed_components)."""
+    idx = [a for a in range(n) if support >> a & 1]
     out = []
-    for A in combinations_with_replacement(range(n), n):
+    for A in combinations_with_replacement(idx, n):
         coeffs = [-sign] * n
         for a in A:
             coeffs[a] += sign
         out.append((A, Character(tuple(coeffs))))
-    return tuple(sorted(out, key=lambda t: t[1].sort_key()))
+    out.sort(key=lambda t: t[1].sort_key())
+    return tuple(out), frozenset(ch.coeffs for _, ch in out)
+
+
+def _closed_vector(g: Mat, witness: RadicalWitness) -> tuple:
+    """(u, sign, table) of _closed_components: u = G v and sign 1 for a
+    line, u = H f and sign -1 for a hyperplane, and table the
+    _closed_table entry of u's nonzero entries."""
+    G, H, _, _ = _conjugator(g)
+    if witness.j == 1:
+        (u,), sign = _moved(G, witness.rows), 1
+    else:
+        (u,), sign = _moved(H, witness.ann_rows), -1
+    support = sum(1 << a for a, x in enumerate(u) if x)
+    return u, sign, _closed_table(witness.n, sign, support)
+
+
+def _closed_key(g: Mat, witness: RadicalWitness) -> frozenset:
+    """The coefficient tuples of a line's or hyperplane's components_at(g),
+    read from the zero pattern of u alone: no norm is built."""
+    return _closed_vector(g, witness)[2][1]
 
 
 def _closed_components(g: Mat, witness: RadicalWitness) -> list:
@@ -322,7 +346,9 @@ def _closed_components(g: Mat, witness: RadicalWitness) -> list:
     components are chi_A, with norm prod_(a in A) |u_a| / |det G|, for each
     multiset A of size n over 1..n with every u_a nonzero. A hyperplane,
     with w = H f for its primitive normal f = ann_rows[0], has -chi_A with
-    norm prod |w_a| / |det H|. For n = 2 both forms apply and agree.
+    norm prod |w_a| / |det H|. For n = 2 both forms apply and agree. The
+    characters depend on n, the sign and the zero pattern of u alone, so
+    they come from the table _closed_table, which _closed_key reads too.
 
     Proof for a line. The conjugated basis is g v f_k^T g^-1 = u y_k^T / d
     with y_k = H f_k and d = d_g d_H, over the saturated annihilator rows
@@ -371,18 +397,9 @@ def _closed_components(g: Mat, witness: RadicalWitness) -> list:
     forms (sort keys), and likewise for -chi_A. Sorting by sort key alone is
     then the order of _components, which only breaks ties.
     """
-    G, H, _, _ = _conjugator(g)
-    det_G, det_H = _cleared_dets(g)
-    if witness.j == 1:
-        (u,), sign, den = _moved(G, witness.rows), 1, det_G
-    else:
-        (u,), sign, den = _moved(H, witness.ann_rows), -1, det_H
-    out = []
-    for A, ch in _monomials(witness.n, sign):
-        p = prod(map(u.__getitem__, A))
-        if p:
-            out.append((ch, Fraction(abs(p), den)))
-    return out
+    u, sign, (monomials, _) = _closed_vector(g, witness)
+    den = _cleared_dets(g)[0 if sign == 1 else 1]
+    return [(ch, Fraction(abs(prod(map(u.__getitem__, A))), den)) for A, ch in monomials]
 
 
 def conj_ad_wedge(g: Mat, witness: RadicalWitness) -> WedgeVector:

@@ -18,12 +18,13 @@ from cuspwatch.divergence import (
     ray_profile,
     ray_shrink_set,
     search_witnesses,
-    _face_direction,
+    _direction,
     _fan_patterns,
     _sign_point,
     _witness_faces,
 )
 from cuspwatch.errors import PreconditionError
+from cuspwatch.lattice import positive_primitive
 from cuspwatch.loglin import LogLin
 from cuspwatch.matrix import Mat
 from cuspwatch.radicals import cusp_profile, enumerate_witnesses, radical_from_subspace
@@ -204,6 +205,17 @@ I3 = Mat.identity(3)
 SL3_LINES = [WitnessVector.from_radical(I3, w) for w in enumerate_witnesses(3, 1) if w.j == 1]
 
 
+def _face_direction(hyps, pattern):
+    """The LP oracle: a primitive direction with the given full sign
+    pattern, or None."""
+    x = _sign_point(hyps, pattern)
+    return None if x is None else positive_primitive(x)
+
+
+def _realizes(hyps, d, pattern):
+    return tuple(sign(sum(a * b for a, b in zip(h, d))) for h in hyps) == tuple(pattern)
+
+
 def _brute_faces(hyps):
     return [
         (pattern, d)
@@ -288,14 +300,29 @@ def test_fan_faces_match_brute_enumeration(hyps):
 def test_ray_directions_match_the_lp(hyps):
     # a face is a ray when its zero hyperplanes have rank l - 1; the ray
     # keeps its cocircuit vector, which is the LP's primitive direction,
-    # and every other face keeps None
+    # and every other face keeps None. Every face's direction, a ray's own
+    # or the sum of a cell's rays, realizes its pattern
     l = len(hyps[0])
-    for pattern, ray in _fan_patterns(hyps).items():
+    fan = _fan_patterns(hyps)
+    for pattern, (_, _, ray) in fan.items():
         zero = [list(h) for h, s in zip(hyps, pattern) if s == 0]
         is_ray = (Mat.rationalize(zero).rank() if zero else 0) == l - 1
         assert (ray is not None) == is_ray
         if is_ray:
             assert ray == _face_direction(hyps, pattern)
+        assert _realizes(hyps, _direction(fan.values(), fan[pattern]), pattern)
+
+
+@settings(max_examples=8, deadline=None)
+@given(arrangements(dims=(1, 2, 3, 4), size=5, most=6))
+def test_ray_sums_realize_every_brute_face(hyps):
+    # the patterns are those an LP finds realizable among all 3^h, and the
+    # sum of a face's rays realizes each of them
+    fan = _fan_patterns(hyps)
+    brute = [p for p, _ in _brute_faces(hyps)]
+    assert list(fan) == brute
+    for pattern in brute:
+        assert _realizes(hyps, _direction(fan.values(), fan[pattern]), pattern)
 
 
 def _no_lp(*args, **kwargs):
@@ -355,23 +382,23 @@ def test_fan_and_search_lp_count(monkeypatch):
     assert check_certificate(g, A3, ws) == (True, None)
     assert cert is not None and len(cert.fan) == 24
     assert len(calls) <= 1554 // 2
-    # the fan itself: one LP per printed direction of a 2-dimensional cell
-    # (on no hyperplane), as a ray's is its cocircuit vector; none to
-    # decide coverage
+    # the fan itself solves no LP: a ray's direction is its cocircuit
+    # vector and a 2-dimensional cell's (on no hyperplane) the sum of its
+    # rays, and coverage is read off the patterns
     cells = sum(0 not in c.pattern for c in cert.fan)
     assert cells == 12
-    for run, expected in (
-        (lambda: build_certificate(g, A3, ws), cells),
-        (lambda: check_certificate(g, A3, ws), 0),
+    for run in (
+        lambda: build_certificate(g, A3, ws),
+        lambda: check_certificate(g, A3, ws),
         # the first unowned face is the cell (1, 1, 1, 1)
-        (lambda: check_certificate(g, A3, ws[:2]), 1),
+        lambda: check_certificate(g, A3, ws[:2]),
         # the first unowned face is a ray
-        (lambda: check_certificate(g, A3, ws[20:22]), 0),
-        (lambda: build_certificate(g, A3, ws[:2]), 0),
+        lambda: check_certificate(g, A3, ws[20:22]),
+        lambda: build_certificate(g, A3, ws[:2]),
     ):
         calls.clear()
         run()
-        assert len(calls) == expected
+        assert calls == []
     assert check_certificate(g, A3, ws[:2]) == (False, (1, 2))
     assert check_certificate(g, A3, ws[20:22]) == (False, (1, 0))
     # one LP per distinct shrink cone selects the witnesses one LP each would
@@ -416,6 +443,45 @@ def test_warm_cone_memo_solves_no_lp(monkeypatch):
     monkeypatch.setattr(divergence, "lp_feasible", _no_lp)
     ws = search_witnesses(g, A3, 2)
     assert ws and list(map(repr, ws)) == list(map(repr, per_witness))
+
+
+def test_search_keeps_what_one_lp_per_witness_keeps_in_sl4():
+    # SL4 lines, hyperplanes and planes: the support-keyed lines and
+    # hyperplanes, and the planes' reused components, give the witnesses
+    # (components included) that sizing each one and solving its LP gives
+    T4 = SubgroupSpec.full_torus(4)
+    ws = search_witnesses(G4, T4, 1)
+    assert {w.degree for w in ws} == {3, 4}
+    assert list(map(repr, ws)) == list(map(repr, _one_lp_per_witness(G4, T4, 1)))
+
+
+def test_equal_subgroups_share_a_cone_memo_entry():
+    a = SubgroupSpec.full_torus(3)
+    b = SubgroupSpec(3, (("1", "-1", 0), (0, F(2, 2), -1)))
+    assert a is not b and a == b and hash(a) == hash(b)
+    key = frozenset({(1, -1, 0), (0, 1, -1)})
+    divergence._cone_verdict.cache_clear()
+    assert divergence._cone_verdict(a, key) is divergence._cone_verdict(b, key)
+    info = divergence._cone_verdict.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+
+
+def test_fan_ops_solve_no_lp_once_the_search_is_warm(monkeypatch):
+    # the certified and the uncovered SL3 problem of
+    # test_fan_and_search_lp_count, and acceptance 11's lines and
+    # hyperplanes, whose first unowned face is a cell of dimension >= 2
+    g = Mat.rationalize([[1, 0, 1], [0, 1, 0], [0, 0, 1]])
+    ws = search_witnesses(g, A3, 2)
+    T4 = SubgroupSpec.full_torus(4)
+    lines_and_hyperplanes = [w for w in enumerate_witnesses(4, 1) if w.j != 2]
+    monkeypatch.setattr(divergence, "lp_feasible", _no_lp)
+    cert = build_certificate(g, A3, ws)
+    assert cert is not None and len(cert.fan) == 24
+    assert check_certificate(g, A3, ws) == (True, None)
+    assert build_certificate(g, A3, ws[:2]) is None
+    assert check_certificate(g, A3, ws[:2]) == (False, (1, 2))
+    assert build_certificate(G4, T4, lines_and_hyperplanes) is None
+    assert check_certificate(G4, T4, lines_and_hyperplanes) == (False, (2, 2, -3))
 
 
 def test_divergence_conjugates_only_through_radicals():

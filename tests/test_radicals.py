@@ -17,6 +17,7 @@ from cuspwatch.loglin import LogLin
 from cuspwatch.matrix import Mat
 from cuspwatch.radicals import (
     _candidate_subspaces,
+    _closed_key,
     _components,
     _conj_minors,
     _prefilter_bound,
@@ -514,6 +515,21 @@ def test_closed_form_components_match_the_minor_path(shape, unimodular, seed, da
               for pool in (lines, lines, hyperplanes, hyperplanes)]
     for w in ws:
         assert repr(w.components_at(g)) == repr(_minor_components(g, w))
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from([(3, 2), (4, 1)]), st.integers(min_value=0, max_value=10 ** 6))
+def test_support_key_is_the_components_key(shape, seed):
+    # the shrink-cone key of a line or hyperplane, read from the zero
+    # pattern of g v (g^-T f) alone, is the set of its characters under a
+    # rational SL g; in SL3 also those of the conjugated wedge's minors
+    n, height = shape
+    g = random_sl(n, random.Random(seed), height=3, steps=6)
+    for w in enumerate_witnesses(n, height, js=[1, n - 1]):
+        key = _closed_key(g, w)
+        assert key == frozenset(ch.coeffs for ch, _ in w.components_at(g))
+        if n == 3:
+            assert key == frozenset(ch.coeffs for ch, _ in _minor_components(g, w))
 
 
 def test_lines_and_hyperplanes_are_sized_without_minors(monkeypatch):
