@@ -7,20 +7,27 @@ certifies divergence when those open shrink cones jointly cover the unit
 sphere of the subgroup. Coverage is decided exactly on the sign-pattern
 fan of the arrangement cut out by all the restricted characters: every
 realizable sign pattern, lower-dimensional faces included, must admit a
-witness whose characters are all strictly negative on it. The patterns
-are enumerated without an LP, from the arrangement's rays (cocircuits)
-and their compositions, and come out in the order a run over all 3^h
-patterns would give. A face's owner is read off its pattern. A ray's
-direction is its cocircuit's kernel vector, and a cell's of dimension >= 2
-is the sum of the rays in its closure, computed only where a direction is
-returned: no fan op solves an LP.
-The witness search decides each shrink cone once per subgroup and
-character set, in a bounded memo kept across calls; a line's or
-hyperplane's character set comes from the zero pattern of one integer
-vector, so only a kept witness is sized.
+witness whose characters are all strictly negative on it.
 
-Witnesses come only from `RadicalWitness.components_at`: `radicals` alone
-conjugates a witness and sizes it, ray profiles included.
+A fan op does each piece of integer work once, and solves no LP:
+- the patterns come from the arrangement's rays (cocircuits), each the
+  primitive kernel vector of l - 1 integer rows from one fraction-free
+  pass, and their compositions, in the order a run over all 3^h patterns
+  would give; the rays also say whether the arrangement has full rank;
+- a witness's demand (the signs its characters need) is worked out once
+  per distinct character tuple, and a face's owner is read off its
+  pattern's bit masks;
+- a ray's direction is its cocircuit vector, and a cell's of dimension
+  >= 2 the sum of the rays in its closure, computed only where a
+  direction is returned.
+The witness search decides each shrink cone once per subgroup and
+character set, in a bounded memo kept across calls. A line's or
+hyperplane's character set comes from the zero pattern of one integer
+vector, formed once: a kept witness is sized from the same vector.
+
+Witnesses come only from `radicals` (`RadicalWitness.components_at`, or
+its closed form for lines and hyperplanes): `radicals` alone conjugates a
+witness and sizes it, ray profiles included.
 """
 
 from __future__ import annotations
@@ -29,13 +36,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import gcd
+from operator import mul
 
 from .chars import Character, SubgroupSpec
 from .errors import PreconditionError
-from .lattice import int_kernel, positive_primitive
+from .lattice import positive_primitive
 from .lp import lp_feasible
-from .matrix import Mat, _dot
-from .radicals import RadicalWitness, _closed_key, _log_size, enumerate_witnesses
+from .matrix import Mat, _pivot
+from .radicals import (
+    RadicalWitness, _closed_components, _closed_table, _closed_vector, _log_size,
+    enumerate_witnesses,
+)
 from .scalars import frac_str
 
 
@@ -59,7 +71,7 @@ class WitnessVector:
             n=witness.n,
             degree=witness.dim,
             components=tuple(witness.components_at(g) if components is None else components),
-            label="subspace j=%d rows=%r" % (witness.j, witness.rows),
+            label=witness.label,
         )
 
     def to_json(self):
@@ -137,20 +149,33 @@ def _witness_faces(g: Mat, A: SubgroupSpec, witnesses):
     c != 0) is negative on a face iff the face sign of h is -sign(c).
     The first form met of h and -h is kept as the hyperplane. A witness
     with a character restricting to zero, or needing a hyperplane both
-    ways, shrinks nowhere: its demand is None.
+    ways, shrinks nowhere: its demand is None. A demand depends only on the
+    witness's tuple of character coefficients, so it is worked out once per
+    distinct tuple, and witnesses with equal tuples share one dict.
     """
     ws = [_coerce_witness(g, w) for w in witnesses]
+    basis = A._int_basis[0]
     hyps: list = []
     table = {}   # h -> (k, -1) and -h -> (k, 1), for hyps[k] = h
     forms = {}   # ch.coeffs -> h, or None for a zero restriction
+    known = {}   # tuple of the witness's ch.coeffs -> its demand
     demands = []
     for w in ws:
+        chars = tuple(ch.coeffs for ch, _ in w.components)
+        if chars in known:
+            demands.append(known[chars])
+            continue
         need = {}
-        for ch, _ in w.components:
-            if ch.coeffs not in forms:
-                r = A.restrict(ch)
-                forms[ch.coeffs] = positive_primitive(r) if any(r) else None
-            h = forms[ch.coeffs]
+        for coeffs in chars:
+            if coeffs not in forms:
+                # restrict over the integer basis: a positive multiple of
+                # A.restrict, with the same primitive form
+                if len(coeffs) != A.n:
+                    raise PreconditionError("direction length mismatch")
+                r = [sum(map(mul, coeffs, row)) for row in basis]
+                k = gcd(*r)
+                forms[coeffs] = tuple(x // k for x in r) if k else None
+            h = forms[coeffs]
             if h is None:
                 need = None
                 break
@@ -162,6 +187,7 @@ def _witness_faces(g: Mat, A: SubgroupSpec, witnesses):
             if need.setdefault(k, want) != want:
                 need = None   # needs h both positive and negative: impossible
                 break
+        known[chars] = need
         demands.append(need)
     return ws, hyps, demands
 
@@ -181,38 +207,80 @@ def _sign_point(hyps, pattern):
     return x if ok else None
 
 
+def _cocircuit(rows, l: int):
+    """A primitive integer vector spanning the kernel of the l - 1 integer
+    rows in R^l, up to sign, when they have rank l - 1; else None.
+
+    One fraction-free pass of matrix._pivot (Bareiss) leaves the rows at D
+    times their reduced row echelon form, D the last pivot. A kernel line
+    leaves exactly one column f without a pivot (a lower rank leaves two),
+    and x with x_f = D and x_c = -(row of pivot c)_f spans it: the entries
+    are, up to one sign, the signed maximal minors. Dividing by their gcd
+    makes x primitive.
+    """
+    a = [list(r) for r in rows]
+    D, free, pivots = 1, None, []
+    for c in range(l):
+        r = len(pivots)
+        for i in range(r, len(a)):
+            if a[i][c]:
+                a[r], a[i] = a[i], a[r]
+                D = _pivot(a, r, c, D)
+                pivots.append(c)
+                break
+        else:
+            if free is not None:
+                return None    # two free columns: the kernel is wider
+            free = c
+    x = [0] * l
+    x[free] = D
+    for row, c in zip(a, pivots):
+        x[c] = -row[free]
+    k = gcd(*x)
+    return tuple(v // k for v in x)
+
+
 def _fan_patterns(hyps):
-    """Every nonzero sign pattern that a point realizes on the essential
-    arrangement hyps, in the order of product((1, 0, -1), repeat=len(hyps)),
-    as a dict from each pattern to the face's (pos, neg, ray): the bit masks
-    of its positive and negative hyperplanes, and its primitive direction
-    when the face is a ray, else None.
+    """Every nonzero sign pattern that a point realizes on the arrangement
+    hyps, in the order of product((1, 0, -1), repeat=len(hyps)), as a dict
+    from each pattern to the face's (pos, neg, ray): the bit masks of its
+    positive and negative hyperplanes, and its primitive direction when the
+    face is a ray, else None. None when hyps is not essential (rank < l).
 
     Any l - 1 hyperplanes of rank l - 1 meet in a line spanned by a
-    primitive integer kernel vector v; its two rays carry the patterns of
-    the signs of h . v and of -h . v (the cocircuits), and a ray's only
+    primitive integer vector v (_cocircuit); its two rays carry the patterns
+    of the signs of h . v and of -h . v (the cocircuits), and a ray's only
     primitive direction is v or -v. Every other face is a composition of
     rays, (X o Y)_i = X_i if X_i != 0 else Y_i (Bjorner, Las Vergnas,
     Sturmfels, White & Ziegler, Oriented Matroids, 1999, ch. 4), so the
     patterns are the closure of the rays under composition; no LP is
     solved. _direction reads a face's direction off the rays.
+
+    The rays also give the rank. When hyps has rank l, no line lies in
+    every hyperplane, so each ray has a nonzero pattern. When it has rank
+    l - 1, each l - 1 hyperplanes of that rank meet in the line common to
+    all, whose pattern is zero, and below l - 1 no ray exists.
     """
     l = len(hyps[0])
+    bits = [1 << i for i in range(len(hyps))]
     rays = {}
     for sub in combinations(hyps, l - 1):
-        ker = int_kernel([list(h) for h in sub], l)
-        if len(ker) != 1:
+        v = _cocircuit(sub, l)
+        if v is None:
             continue
-        v = tuple(ker[0])
         pos = neg = 0
-        for i, h in enumerate(hyps):
-            s = _dot(h, v)
+        for bit, h in zip(bits, hyps):
+            s = sum(map(mul, h, v))
             if s > 0:
-                pos |= 1 << i
+                pos |= bit
             elif s < 0:
-                neg |= 1 << i
+                neg |= bit
+        if not pos | neg:
+            return None
         rays[pos, neg] = v
         rays[neg, pos] = tuple(-x for x in v)
+    if not rays:
+        return None
     full = (1 << len(hyps)) - 1
     faces = set(rays)
     todo = list(rays)
@@ -230,7 +298,7 @@ def _fan_patterns(hyps):
     # 1 > 0 > -1, so descending order is product order; patterns are
     # distinct, so the sort never compares two values
     return dict(sorted(
-        ((tuple((pos >> i & 1) - (neg >> i & 1) for i in range(len(hyps))),
+        ((tuple([1 if pos & bit else -1 if neg & bit else 0 for bit in bits]),
           (pos, neg, rays.get((pos, neg))))
          for pos, neg in faces),
         reverse=True,
@@ -264,23 +332,31 @@ def _owned_faces(g: Mat, A: SubgroupSpec, witnesses):
     witness whose demand the pattern meets. When some face has no owner,
     faces is None and uncovered() gives a direction no witness shrinks
     along. The owner test reads only the masks, and no LP is solved: a
-    direction is computed only by uncovered() and by _certificate."""
+    direction is computed only by uncovered() and by _certificate.
+
+    Witnesses with equal character tuples share one demand (_witness_faces),
+    and only the first of them can own a face, so masks are built for that
+    one alone. Full rank is read off the rays: _fan_patterns gives None
+    without it, and only then is a kernel basis taken, for a direction
+    that lies in every hyperplane.
+    """
     ws, hyps, demands = _witness_faces(g, A, witnesses)
     l = A.dim
     if not hyps:
         unit = tuple(1 if i == 0 else 0 for i in range(l))
         return ws, hyps, None, None, lambda: unit
-    H = Mat.rationalize([list(h) for h in hyps])
-    if H.rank() < l:
+    fan = _fan_patterns(hyps)
+    if fan is None:
+        H = Mat.rationalize([list(h) for h in hyps])
         free = tuple(positive_primitive(H.kernel_basis()[0]))
         return ws, hyps, None, None, lambda: free
     # a demand as masks: the hyperplanes it needs positive, and negative
-    needs = [
-        (idx, sum(1 << k for k, s in need.items() if s > 0),
-         sum(1 << k for k, s in need.items() if s < 0))
-        for idx, need in enumerate(demands) if need is not None
-    ]
-    fan = _fan_patterns(hyps)
+    needs, seen = [], set()
+    for idx, need in enumerate(demands):
+        if need is not None and id(need) not in seen:
+            seen.add(id(need))
+            needs.append((idx, sum(1 << k for k, s in need.items() if s > 0),
+                          sum(1 << k for k, s in need.items() if s < 0)))
     faces = []
     for pattern, face in fan.items():
         pos, neg, _ = face
@@ -362,18 +438,26 @@ def search_witnesses(g: Mat, A: SubgroupSpec, height: int) -> list:
     the characters of a given n come from a finite set, so a warm memo
     solves no LP. components_at gives sum-zero coefficients, so equal
     coefficient tuples are equal characters. A line's or hyperplane's
-    character set is read from the zero pattern of one integer vector
-    (radicals._closed_key), so only a kept witness is sized; a plane is
-    sized once, and a kept plane reuses its components.
+    character set is fixed by n, its sign and the zero pattern of one
+    integer vector u = G v (or H f; radicals._closed_vector). That vector
+    is formed once per candidate: its (sign, support) picks the verdict,
+    read from the memo once per call, and a kept witness is sized from the
+    same u. A plane is sized once, and a kept plane reuses its components.
     """
     out = []
     n = g.nrows
+    verdicts = {}   # (sign, support) -> cone verdict of a line or hyperplane
     for rw in enumerate_witnesses(n, height):
         if rw.j == 1 or rw.j == n - 1:
-            comps, key = None, _closed_key(g, rw)
+            closed = _closed_vector(g, rw)
+            kind = closed[1:]
+            keep = verdicts.get(kind)
+            if keep is None:
+                keep = verdicts[kind] = _cone_verdict(A, _closed_table(n, *kind)[1])
+            comps = _closed_components(g, rw, closed) if keep else None
         else:
             comps = rw.components_at(g)
-            key = frozenset(ch.coeffs for ch, _ in comps)
-        if _cone_verdict(A, key):
+            keep = _cone_verdict(A, frozenset(ch.coeffs for ch, _ in comps))
+        if keep:
             out.append(WitnessVector.from_radical(g, rw, comps))
     return out

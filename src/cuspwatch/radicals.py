@@ -35,7 +35,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, combinations_with_replacement, product
 from math import gcd, prod
 from operator import mul
@@ -44,7 +44,7 @@ from .chars import Character, SubgroupSpec
 from .errors import DependentInput, PreconditionError
 from .lattice import int_kernel, saturation_pair, lll_reduce
 from .loglin import LogLin
-from .matrix import Mat
+from .matrix import Mat, _pivot
 from .scalars import _cleared, frac_str
 from .wedge import WedgeVector, _int_minors, _shuffle, plucker
 
@@ -176,6 +176,12 @@ class RadicalWitness:
     def dim(self) -> int:
         return self.j * (self.n - self.j)
 
+    @cached_property
+    def label(self) -> str:
+        """The witness's name in divergence.WitnessVector; formatted once,
+        so an enumerated witness (see enumerate_witnesses) pays it once."""
+        return "subspace j=%d rows=%r" % (self.j, self.rows)
+
     @property
     def p_ad(self) -> WedgeVector:
         """Primitive wedge of the nilpotent space's integral basis."""
@@ -247,11 +253,36 @@ def standard_radical(n: int, j: int) -> RadicalWitness:
 
 @lru_cache(maxsize=32)
 def _conjugator(g: Mat) -> tuple:
-    """g and g^-T as integer rows G, H, with d_g and d such that g = G / d_g,
-    g^-T = H / d_H and d = d_g * d_H."""
+    """(G, H, d_g, d, det_G): g and g^-T as integer rows G and H, with
+    g = G / d_g, g^-T = H / d_H, d = d_g * d_H and det_G = det G.
+
+    One fraction-free pass of matrix._pivot (Bareiss, Math. Comp. 1968) runs
+    down the diagonal of the integer rows [G | I]. Each step leaves the rows
+    at the current pivot times the reduced tableau, and the pivots are the
+    leading minors of G with its rows exchanged as in the pass, so the rows
+    end as D [I | G^-1], D = +-det G (the sign that of the exchanges), and
+    the right block is D G^-1 = +-adj(G). Then g^-T = d_g (D G^-1)^T / D, and
+    H clears it with the least d_H, as scalars._cleared would: d_H = |D| / k
+    for k the gcd of D and every entry of d_g D G^-1.
+    """
+    if not g.is_square():
+        raise PreconditionError("inverse of non-square matrix")
+    n = g.nrows
     G, d_g = _cleared(g.rows)
-    H, d_h = _cleared(g.inverse().transpose().rows)
-    return G, H, d_g, d_g * d_h
+    a = [row + [int(i == k) for k in range(n)] for i, row in enumerate(G)]
+    D, negated = 1, False
+    for c in range(n):
+        piv = next((i for i in range(c, n) if a[i][c]), None)
+        if piv is None:
+            raise PreconditionError("singular matrix")
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            negated = not negated
+        D = _pivot(a, c, c, D)
+    k = gcd(D, d_g * gcd(*(x for row in a for x in row[n:])))
+    s = d_g if D > 0 else -d_g
+    H = [[s * row[n + i] // k for row in a] for i in range(n)]
+    return G, H, d_g, d_g * (abs(D) // k), -D if negated else D
 
 
 def _moved(M, rows) -> list:
@@ -286,18 +317,17 @@ def _conj_minors(g: Mat, witness: RadicalWitness) -> tuple:
     _conjugator) over d; its coordinates are integers over d, so the
     k x k minors are integers over d^k.
     """
-    G, H, _, d = _conjugator(g)
+    G, H, _, d, _ = _conjugator(g)
     minors = _ad_minors(_moved(G, witness.rows), _moved(H, witness.ann_rows), witness.n)
     return minors, d ** witness.dim
 
 
-@lru_cache(maxsize=32)
 def _cleared_dets(g: Mat) -> tuple:
-    """|det G| and |det H| for the integer rows of _conjugator: G = d_g g
-    and H = d_H g^-T, so det G = d_g^n det g and det H = d_H^n / det g."""
-    _, _, d_g, d = _conjugator(g)
-    n, det = g.nrows, abs(g.det())
-    return int(d_g ** n * det), int((d // d_g) ** n / det)
+    """|det G| and |det H| for the integer rows of _conjugator: H = d_H g^-T
+    and g = G / d_g, so det H = d_H^n d_g^n / det G = d^n / det G."""
+    _, _, _, d, det_G = _conjugator(g)
+    det_G = abs(det_G)
+    return det_G, d ** g.nrows // det_G
 
 
 @lru_cache(maxsize=256)
@@ -320,27 +350,26 @@ def _closed_table(n: int, sign: int, support: int) -> tuple:
 
 
 def _closed_vector(g: Mat, witness: RadicalWitness) -> tuple:
-    """(u, sign, table) of _closed_components: u = G v and sign 1 for a
-    line, u = H f and sign -1 for a hyperplane, and table the
-    _closed_table entry of u's nonzero entries."""
-    G, H, _, _ = _conjugator(g)
+    """(u, sign, support) of _closed_components: u = G v and sign 1 for a
+    line, u = H f and sign -1 for a hyperplane, and support the bit mask of
+    u's nonzero entries, which with n and the sign fixes the characters
+    (_closed_table)."""
+    G, H, _, _, _ = _conjugator(g)
     if witness.j == 1:
         (u,), sign = _moved(G, witness.rows), 1
     else:
         (u,), sign = _moved(H, witness.ann_rows), -1
-    support = sum(1 << a for a, x in enumerate(u) if x)
-    return u, sign, _closed_table(witness.n, sign, support)
+    support = 0
+    for a, x in enumerate(u):
+        if x:
+            support |= 1 << a
+    return u, sign, support
 
 
-def _closed_key(g: Mat, witness: RadicalWitness) -> frozenset:
-    """The coefficient tuples of a line's or hyperplane's components_at(g),
-    read from the zero pattern of u alone: no norm is built."""
-    return _closed_vector(g, witness)[2][1]
-
-
-def _closed_components(g: Mat, witness: RadicalWitness) -> list:
+def _closed_components(g: Mat, witness: RadicalWitness, closed=None) -> list:
     """components_at for a line (j = 1) or a hyperplane (j = n - 1), from
-    one integer vector and no minor.
+    one integer vector and no minor; closed, when given, is
+    _closed_vector(g, witness) already read.
 
     Line V = Q v, v the primitive row, with u = G v (see _conjugator): the
     components are chi_A, with norm prod_(a in A) |u_a| / |det G|, for each
@@ -348,7 +377,8 @@ def _closed_components(g: Mat, witness: RadicalWitness) -> list:
     with w = H f for its primitive normal f = ann_rows[0], has -chi_A with
     norm prod |w_a| / |det H|. For n = 2 both forms apply and agree. The
     characters depend on n, the sign and the zero pattern of u alone, so
-    they come from the table _closed_table, which _closed_key reads too.
+    they come from the table _closed_table, whose key the witness search
+    reads too.
 
     Proof for a line. The conjugated basis is g v f_k^T g^-1 = u y_k^T / d
     with y_k = H f_k and d = d_g d_H, over the saturated annihilator rows
@@ -397,9 +427,13 @@ def _closed_components(g: Mat, witness: RadicalWitness) -> list:
     forms (sort keys), and likewise for -chi_A. Sorting by sort key alone is
     then the order of _components, which only breaks ties.
     """
-    u, sign, (monomials, _) = _closed_vector(g, witness)
-    den = _cleared_dets(g)[0 if sign == 1 else 1]
-    return [(ch, Fraction(abs(prod(map(u.__getitem__, A))), den)) for A, ch in monomials]
+    u, sign, support = _closed_vector(g, witness) if closed is None else closed
+    den = _cleared_dets(g)[sign < 0]
+    u = list(map(abs, u))
+    monomials = _closed_table(witness.n, sign, support)[0]
+    if den == 1:    # integer norms: Fraction skips its gcd
+        return [(ch, Fraction(prod(map(u.__getitem__, A)))) for A, ch in monomials]
+    return [(ch, Fraction(prod(map(u.__getitem__, A)), den)) for A, ch in monomials]
 
 
 def conj_ad_wedge(g: Mat, witness: RadicalWitness) -> WedgeVector:
@@ -423,37 +457,15 @@ class ActiveRadical:
     norm: Fraction
 
 
-def _validate_sl(g: Mat) -> None:
-    if not g.is_square() or g.det() != 1:
+def _validate_sl(g: Mat) -> tuple:
+    """_conjugator(g), whose det G = d_g^n says whether det g is exactly 1."""
+    try:
+        conj = _conjugator(g)
+    except PreconditionError:    # g is not square, or singular
+        conj = None
+    if conj is None or conj[4] != conj[2] ** g.nrows:
         raise PreconditionError("need a matrix with determinant exactly 1")
-
-
-def _prefilter_bound(g: Mat, witness: RadicalWitness) -> Fraction:
-    """Cheap lower bound for the conjugated wedge norm: max_R |W_R|^n.
-
-    W is the image of the subspace wedge under Lambda^j(g). The nilpotent
-    space has the basis g b f^T g^-1, b in the rows and f in the
-    annihilator, so its wedge coefficient at the off-diagonal index
-    R x ([n] \\ R) is det(A_R)^(n-j) * det(B_comp)^j, with A the conjugated
-    rows and B the conjugated annihilator (Kronecker determinant identity).
-    Complement duality of a saturated subspace and its annihilator gives
-    det(A_R) = W_R and det(B_comp) = +-W_R, and it survives conjugation by a
-    g of determinant one, so that coefficient is +-W_R^n.
-
-    W is read from the integer rows G b (see _conjugator): the rows b are a
-    saturated basis, so their minors are +-p_std, and W = +-minors(G b) /
-    d_g^j. active_radicals makes the same comparison over integers.
-
-    For a line or a hyperplane and det g = 1 the bound is the norm. A line's
-    norm is max_A prod |u_a| / d_g^n (see _closed_components), reached at
-    A = n copies of the largest |u_a|, which is the bound. A hyperplane's
-    minors of G b are +-(det G / d) w, so the bound is (max |w_a| / d_H)^n,
-    and so is its norm max |w_a|^n / det H. For planes it is only a lower
-    bound.
-    """
-    G, _, d_g, _ = _conjugator(g)
-    top = _sup(_int_minors(_moved(G, witness.rows)))
-    return Fraction(top, d_g ** witness.j) ** witness.n
+    return conj
 
 
 def _primitive_vectors(n: int, height: int):
@@ -565,8 +577,14 @@ def active_radicals(g: Mat, eps, height: int, js=None, method: str = "brute") ->
     (see _conjugator), from the integer rows G b of its saturated basis B:
 
     - prefilter: with M the largest |minor| of the rows G b, the candidate
-      is dropped when q M^n >= p d_g^(j n), which is
-      _prefilter_bound(g, w) >= eps with no root and no Fraction;
+      is dropped when q M^n >= p d_g^(j n), which is max_R |W_R|^n >= eps
+      for W = Lambda^j(g) p_std, with no root and no Fraction. That max is
+      a lower bound for the norm: the conjugated wedge's coefficient at the
+      off-diagonal index R x ([n] \\ R) is det(A_R)^(n-j) det(B_comp)^j,
+      A the conjugated rows and B the conjugated annihilator (Kronecker
+      determinant identity), and complement duality of a saturated
+      subspace and its annihilator, kept by a g of determinant one, makes
+      it +-W_R^n;
     - norm: with top the largest |minor| of the conjugated basis over its
       denominator den (see _conj_minors), it is kept when q top < p den,
       and its norm is then Fraction(top, den), the sup norm of
@@ -580,7 +598,7 @@ def active_radicals(g: Mat, eps, height: int, js=None, method: str = "brute") ->
     p_std, so they are +-p_std, and Lambda^j(g) maps that wedge to the
     wedge of the rows g b = G b / d_g.
     """
-    _validate_sl(g)
+    G, H, d_g, d, _ = _validate_sl(g)
     eps = Fraction(eps)
     if eps <= 0:
         raise PreconditionError("need eps > 0")
@@ -595,13 +613,12 @@ def active_radicals(g: Mat, eps, height: int, js=None, method: str = "brute") ->
     else:
         raise PreconditionError("unknown method %r" % (method,))
 
-    G, H, d_g, d = _conjugator(g)
     p, q = eps.numerator, eps.denominator
     out = []
     for w in witnesses:
         gbs = _moved(G, w.rows)
         if q * _sup(_int_minors(gbs)) ** n >= p * d_g ** (w.j * n):
-            continue    # _prefilter_bound(g, w) >= eps
+            continue    # max_R |W_R|^n >= eps: the norm is at least that
         top = _sup(_ad_minors(gbs, _moved(H, w.ann_rows), n))
         den = d ** w.dim
         if q * top < p * den:

@@ -1,12 +1,13 @@
 import ast
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import cuspwatch.divergence as divergence
+import cuspwatch.radicals as radicals
 from cuspwatch.chars import Character, SubgroupSpec
 from cuspwatch.divergence import (
     DivergenceCertificate,
@@ -18,13 +19,15 @@ from cuspwatch.divergence import (
     ray_profile,
     ray_shrink_set,
     search_witnesses,
+    _cocircuit,
     _direction,
     _fan_patterns,
+    _owned_faces,
     _sign_point,
     _witness_faces,
 )
 from cuspwatch.errors import PreconditionError
-from cuspwatch.lattice import positive_primitive
+from cuspwatch.lattice import int_kernel, positive_primitive
 from cuspwatch.loglin import LogLin
 from cuspwatch.matrix import Mat
 from cuspwatch.radicals import cusp_profile, enumerate_witnesses, radical_from_subspace
@@ -423,16 +426,32 @@ SL3_CONE_GS = [
 G4 = Mat.rationalize([[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 3, 1], [0, 0, 2, 1]])
 
 
-def test_cone_memo_matches_the_lp():
+@pytest.fixture(scope="module")
+def g4_lp_verdicts():
+    """Each witness of enumerate_witnesses(4, 1) at G4, sized, with the
+    verdict of its own shrink-cone LP on the SL4 full torus. The cold SL4
+    LPs take seconds, so the two tests that compare with them share one run."""
+    T4 = SubgroupSpec.full_torus(4)
+    out = []
+    for rw in enumerate_witnesses(4, 1):
+        w = WitnessVector.from_radical(G4, rw)
+        out.append((w, cone_nonempty(ray_shrink_set(G4, w, T4))))
+    return out
+
+
+def test_cone_memo_matches_the_lp(g4_lp_verdicts):
     # each memoized verdict is the LP's on the witness's restricted rows
-    cases = [(g, A3, 2) for g in SL3_CONE_GS] + [(G4, SubgroupSpec.full_torus(4), 1)]
-    for g, A, height in cases:
-        for rw in enumerate_witnesses(g.nrows, height):
+    for g in SL3_CONE_GS:
+        for rw in enumerate_witnesses(g.nrows, 2):
             comps = rw.components_at(g)
-            rows = [A.restrict(-ch) for ch, _ in comps]
+            rows = [A3.restrict(-ch) for ch, _ in comps]
             key = frozenset(ch.coeffs for ch, _ in comps)
             lp = _sign_point(rows, (1,) * len(rows)) is not None
-            assert divergence._cone_verdict(A, key) == lp
+            assert divergence._cone_verdict(A3, key) == lp
+    T4 = SubgroupSpec.full_torus(4)
+    for w, lp in g4_lp_verdicts:
+        key = frozenset(ch.coeffs for ch, _ in w.components)
+        assert divergence._cone_verdict(T4, key) == lp
 
 
 def test_warm_cone_memo_solves_no_lp(monkeypatch):
@@ -445,14 +464,33 @@ def test_warm_cone_memo_solves_no_lp(monkeypatch):
     assert ws and list(map(repr, ws)) == list(map(repr, per_witness))
 
 
-def test_search_keeps_what_one_lp_per_witness_keeps_in_sl4():
+def test_search_keeps_what_one_lp_per_witness_keeps_in_sl4(g4_lp_verdicts):
     # SL4 lines, hyperplanes and planes: the support-keyed lines and
     # hyperplanes, and the planes' reused components, give the witnesses
     # (components included) that sizing each one and solving its LP gives
+    # (the fixture's verdicts are _one_lp_per_witness(G4, T4, 1))
     T4 = SubgroupSpec.full_torus(4)
     ws = search_witnesses(G4, T4, 1)
     assert {w.degree for w in ws} == {3, 4}
-    assert list(map(repr, ws)) == list(map(repr, _one_lp_per_witness(G4, T4, 1)))
+    assert list(map(repr, ws)) == [repr(w) for w, lp in g4_lp_verdicts if lp]
+
+
+def test_search_forms_each_closed_vector_once(monkeypatch):
+    # a line's G v and a hyperplane's H f are formed once per search: the
+    # cone verdict and a kept witness's components read the same vector
+    g = Mat.rationalize([[2, 1, 1], [1, 1, 0], [1, 1, 1]])
+    inner = radicals._moved
+    formed = []
+
+    def counted(M, rows):
+        formed.append(rows)
+        return inner(M, rows)
+
+    monkeypatch.setattr(radicals, "_moved", counted)
+    ws = search_witnesses(g, A3, 2)
+    assert 0 < len(ws) < len(enumerate_witnesses(3, 2))
+    assert sorted(formed) == sorted(rw.rows if rw.j == 1 else rw.ann_rows
+                                    for rw in enumerate_witnesses(3, 2))
 
 
 def test_equal_subgroups_share_a_cone_memo_entry():
@@ -517,3 +555,111 @@ def test_witness_faces_table_on_hand_built_witnesses():
     # the dead witnesses' later characters add no hyperplane (1, 1)
     assert hyps == [(2, -1), (-1, 2)]
     assert demands == [{0: -1, 1: -1}, {0: 1}, None, None]
+
+
+@settings(max_examples=40, deadline=None)
+@given(arrangements(dims=(1, 2, 3, 4)))
+@example([(1, 2, 0), (2, 4, 0), (0, 0, 1)])
+@example([(1, 0, 0, 0), (1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1)])
+def test_cocircuits_match_the_hermite_kernel(hyps):
+    # every l - 1 of the rows, dependent ones included (the examples, and
+    # the drawn arrangements' repeated and parallel rows): the one-pass
+    # vector is the HNF kernel's up to sign when that kernel is a line,
+    # and None otherwise
+    l = len(hyps[0])
+    for sub in combinations(hyps, l - 1):
+        ker = int_kernel([list(h) for h in sub], l)
+        got = _cocircuit(sub, l)
+        if len(ker) == 1:
+            assert got in (tuple(ker[0]), tuple(-x for x in ker[0]))
+        else:
+            assert got is None
+
+
+@st.composite
+def spanned_arrangements(draw, dims=(1, 2, 3, 4), size=6):
+    """Nonzero rows in R^l that are integer combinations of r <= l drawn
+    vectors, so of rank at most r: often below l, and below l - 1."""
+    l = draw(st.sampled_from(dims))
+    r = draw(st.integers(1, l))
+    basis = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * l).filter(any),
+                          min_size=r, max_size=r))
+    combos = st.lists(st.integers(-2, 2), min_size=r, max_size=r)
+    rows = [tuple(sum(c * b[i] for c, b in zip(cs, basis)) for i in range(l))
+            for cs in draw(st.lists(combos, min_size=1, max_size=size))]
+    rows = [row for row in rows if any(row)]
+    return rows or [basis[0]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(arrangements(dims=(1, 2, 3, 4)), spanned_arrangements()))
+@example([(1, 0, 0), (0, 1, 0), (1, 1, 0)])      # rank l - 1
+@example([(1, 1, 0), (2, 2, 0), (-1, -1, 0)])    # rank l - 2
+@example([(1, 1, 0, 0), (0, 0, 1, -1)])          # rank l - 2, no ray
+def test_rank_is_read_off_the_rays(hyps):
+    # full rank holds exactly when some ray exists and none lies in every
+    # hyperplane; _fan_patterns gives None otherwise
+    l = len(hyps[0])
+    rank = Mat.rationalize([list(h) for h in hyps]).rank()
+    assert (_fan_patterns(hyps) is None) == (rank < l)
+
+
+def _per_witness_faces(A, ws):
+    """The reference for _witness_faces: every witness's demand worked out
+    on its own, whether or not an earlier witness had its characters."""
+    hyps, table, demands = [], {}, []
+    for w in ws:
+        need = {}
+        for ch, _ in w.components:
+            r = A.restrict(ch)
+            if not any(r):
+                need = None
+                break
+            h = positive_primitive(r)
+            if h not in table:
+                table[h] = (len(hyps), -1)
+                table[tuple(-x for x in h)] = (len(hyps), 1)
+                hyps.append(h)
+            k, want = table[h]
+            if need.setdefault(k, want) != want:
+                need = None
+                break
+        demands.append(need)
+    return hyps, demands
+
+
+# searched SL3 families, whose lines and hyperplanes of one zero pattern
+# share a character set, and hand-built witnesses with multiples of a
+# character (equal demands from different character tuples)
+DEMAND_POOL = (search_witnesses(SL3_CONE_GS[1], A3, 2)
+               + search_witnesses(SL3_CONE_GS[2], A3, 2)
+               + [_witness((1, -1, 0)), _witness((2, -2, 0)), _witness((1, -1, 0), (0, 1, -1)),
+                  _witness((1, 1, 1), (1, 0, -1)), _witness((-1, 1, 0), (1, -1, 0))])
+
+
+# the SL3 coordinate lines cover, so a family ending in them has an owner
+# for every face
+COORDINATE_LINES = [WitnessVector.from_radical(I3, radical_from_subspace([r], 3))
+                    for r in ([1, 0, 0], [0, 1, 0], [0, 0, 1])]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(range(len(DEMAND_POOL))), max_size=12))
+def test_shared_demands_and_owners_match_the_per_witness_reference(picks):
+    # repeated picks repeat a witness, and the pool repeats character sets
+    ws = [DEMAND_POOL[i] for i in picks] + COORDINATE_LINES
+    _, hyps, demands = _witness_faces(I3, A3, ws)
+    assert (hyps, demands) == _per_witness_faces(A3, ws)
+    _, _, fan, faces, _ = _owned_faces(I3, A3, ws)
+    # owner: the first witness of all whose demand the pattern meets
+    want = [
+        (pattern, next(i for i, need in enumerate(demands) if need is not None
+                       and all(pattern[k] == s for k, s in need.items())))
+        for pattern in fan
+    ]
+    assert faces == want
+
+
+def test_demand_pool_repeats_character_sets():
+    chars = [tuple(ch.coeffs for ch, _ in w.components) for w in DEMAND_POOL]
+    assert len(set(chars)) < len(chars) - 5

@@ -15,12 +15,13 @@ from cuspwatch.errors import DependentInput, PreconditionError
 from cuspwatch.lattice import lll_reduce
 from cuspwatch.loglin import LogLin
 from cuspwatch.matrix import Mat
+from cuspwatch.scalars import _cleared
 from cuspwatch.radicals import (
     _candidate_subspaces,
-    _closed_key,
+    _closed_table,
+    _closed_vector,
     _components,
     _conj_minors,
-    _prefilter_bound,
     active_radicals,
     conj_ad_wedge,
     coords_to_matrix,
@@ -295,6 +296,35 @@ def _reference_active(g, eps, height, method):
     return [found[k] for k in sorted(found)]
 
 
+def _prefilter_bound(g, witness):
+    """active_radicals' prefilter as a Fraction, a cheap lower bound for
+    the conjugated wedge norm: max_R |W_R|^n.
+
+    W is the image of the subspace wedge under Lambda^j(g). The nilpotent
+    space has the basis g b f^T g^-1, b in the rows and f in the
+    annihilator, so its wedge coefficient at the off-diagonal index
+    R x ([n] \\ R) is det(A_R)^(n-j) * det(B_comp)^j, with A the conjugated
+    rows and B the conjugated annihilator (Kronecker determinant identity).
+    Complement duality of a saturated subspace and its annihilator gives
+    det(A_R) = W_R and det(B_comp) = +-W_R, and it survives conjugation by a
+    g of determinant one, so that coefficient is +-W_R^n.
+
+    W is read from the integer rows G b (see _conjugator): the rows b are a
+    saturated basis, so their minors are +-p_std, and W = +-minors(G b) /
+    d_g^j. active_radicals makes the same comparison over integers, inline.
+
+    For a line or a hyperplane and det g = 1 the bound is the norm. A line's
+    norm is max_A prod |u_a| / d_g^n (see _closed_components), reached at
+    A = n copies of the largest |u_a|, which is the bound. A hyperplane's
+    minors of G b are +-(det G / d) w, so the bound is (max |w_a| / d_H)^n,
+    and so is its norm max |w_a|^n / det H. For planes it is only a lower
+    bound.
+    """
+    G, _, d_g, _, _ = radicals._conjugator(g)
+    top = radicals._sup(_int_minors(radicals._moved(G, witness.rows)))
+    return Fraction(top, d_g ** witness.j) ** witness.n
+
+
 @settings(max_examples=2, deadline=None)
 @given(st.integers(min_value=0, max_value=10 ** 6))
 def test_prefilter_bound_is_below_the_norm(seed):
@@ -526,7 +556,7 @@ def test_support_key_is_the_components_key(shape, seed):
     n, height = shape
     g = random_sl(n, random.Random(seed), height=3, steps=6)
     for w in enumerate_witnesses(n, height, js=[1, n - 1]):
-        key = _closed_key(g, w)
+        key = _closed_table(n, *_closed_vector(g, w)[1:])[1]
         assert key == frozenset(ch.coeffs for ch, _ in w.components_at(g))
         if n == 3:
             assert key == frozenset(ch.coeffs for ch, _ in _minor_components(g, w))
@@ -548,3 +578,46 @@ def test_lines_and_hyperplanes_are_sized_without_minors(monkeypatch):
     assert [w.components_at(gs[w.n]) for w in ws] == want
     with pytest.raises(AssertionError, match="a minor was taken"):
         standard_radical(4, 2).components_at(gs[4])
+
+
+@st.composite
+def invertible(draw, dims=range(2, 7)):
+    """A rational n x n matrix with det != 0, n in dims; its determinant
+    takes either sign and is rarely 1."""
+    n = draw(st.sampled_from(dims))
+    entry = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+    g = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+             .map(Mat).filter(lambda m: m.det() != 0))
+    return g
+
+
+@settings(max_examples=60, deadline=None)
+@given(invertible())
+def test_conjugator_matches_the_fraction_inverse(g):
+    # one fraction-free pass over [G | I] gives what g.inverse() cleared of
+    # denominators and g.det() give, including the least d_H
+    n = g.nrows
+    G, H, d_g, d, det_G = radicals._conjugator(g)
+    assert (G, d_g) == _cleared(g.rows)
+    ref_H, d_h = _cleared(g.inverse().transpose().rows)
+    assert (H, d) == (ref_H, d_g * d_h)
+    assert det_G == g.det() * d_g ** n
+    assert radicals._cleared_dets(g) == (abs(Mat(G).det()), abs(Mat(H).det()))
+
+
+def test_conjugator_signs_and_bad_input():
+    # a row exchange in the pass flips det G's sign; det -1, det 2 and
+    # singular or non-square g keep their errors, and active_radicals
+    # names the determinant for each
+    swap = Mat.rationalize([[0, 1], [1, 0]])
+    assert radicals._conjugator(swap)[4] == -1
+    assert radicals._conjugator(Mat.rationalize([[0, 2], ["1/2", 0]]))[4] == -4   # 2^2 det g
+    with pytest.raises(PreconditionError, match="singular matrix"):
+        radicals._conjugator(Mat.rationalize([[1, 2], [2, 4]]))
+    with pytest.raises(PreconditionError, match="non-square"):
+        radicals._conjugator(Mat.rationalize([[1, 2, 3], [4, 5, 6]]))
+    for g in (swap, Mat.rationalize([[2, 0], [0, 1]]), Mat.rationalize([[1, 2], [2, 4]]),
+              Mat.rationalize([[1, 2, 3], [4, 5, 6]])):
+        with pytest.raises(PreconditionError, match="need a matrix with determinant exactly 1"):
+            active_radicals(g, F(1, 2), 1)
+    assert active_radicals(Mat.rationalize([[0, -1], [1, 0]]), F(2), 1)
