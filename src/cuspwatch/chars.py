@@ -13,6 +13,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import gcd
+from operator import mul
 
 from .errors import DependentInput, PreconditionError
 from .matrix import Mat
@@ -179,6 +180,16 @@ class SubgroupSpec:
             raise PreconditionError("direction length mismatch")
         rows, d = self._int_basis
         return tuple(Fraction(sum(c * x for c, x in zip(char.coeffs, row)), d) for row in rows)
+
+    def primitive_form(self, coeffs: tuple) -> tuple | None:
+        """The restriction of the character with these integer coefficients
+        as a primitive integer row, a positive multiple of restrict's, or
+        None when it restricts to zero."""
+        if len(coeffs) != self.n:
+            raise PreconditionError("direction length mismatch")
+        r = [sum(map(mul, coeffs, row)) for row in self._int_basis[0]]
+        k = gcd(*r)
+        return tuple(x // k for x in r) if k else None
 
     def to_json(self):
         return {"n": self.n, "basis": [[frac_str(x) for x in r] for r in self.basis]}

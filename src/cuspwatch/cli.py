@@ -28,7 +28,7 @@ from .bordered import (
 from .bruhat import bruhat_factor
 from .chars import Character, SubgroupSpec, box_points
 from .cover import build_cover, enumerate_local, good_restrictions, verify_subcover
-from .divergence import _analyze, search_witnesses
+from .divergence import _analyze, _verdict_json, search_witnesses
 from .errors import PreconditionError
 from .radicals import (
     active_radicals,
@@ -291,13 +291,7 @@ def _run_diverge(argv) -> object:
     if not args.subspace:
         raise PreconditionError("check needs at least one --subspace")
     ws = [radical_from_subspace(parse_vectors(t), g.nrows) for t in args.subspace]
-    ok, uncovered, cert = _analyze(g, A, ws)
-    out = {"ok": ok}
-    if ok:
-        out["certificate"] = cert.to_json()
-    else:
-        out["uncovered"] = [frac_str(x) for x in uncovered]
-    return args, out
+    return args, _verdict_json(*_analyze(g, A, ws))
 
 
 def _run_sl4(argv) -> object:

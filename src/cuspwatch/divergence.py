@@ -9,17 +9,18 @@ fan of the arrangement cut out by all the restricted characters: every
 realizable sign pattern, lower-dimensional faces included, must admit a
 witness whose characters are all strictly negative on it.
 
-A fan op does each piece of integer work once, and solves no LP:
+One analysis, _analyze, answers check_certificate and build_certificate;
+it does each piece of integer work once, and solves no LP:
 - the patterns come from the arrangement's rays (cocircuits), each the
-  primitive kernel vector of l - 1 integer rows from one fraction-free
-  pass, and their compositions, in the order a run over all 3^h patterns
-  would give; the rays also say whether the arrangement has full rank;
-- a witness's demand (the signs its characters need) is worked out once
-  per distinct character tuple, and a face's owner is read off its
-  pattern's bit masks;
+  primitive kernel vector of l - 1 integer rows (matrix._bareiss), and
+  their compositions, in the order a run over all 3^h patterns would
+  give; the rays also say whether the arrangement has full rank;
+- a witness's demand, the bit masks of the hyperplanes it needs positive
+  and negative, is worked out once per distinct character tuple, and
+  every face is given an owner before any direction is computed;
 - a ray's direction is its cocircuit vector, and a cell's of dimension
-  >= 2 the sum of the rays in its closure, computed only where a
-  direction is returned.
+  >= 2 the sum of the rays in its closure, computed only for the
+  uncovered face returned or for a certificate's cells.
 The witness search decides each shrink cone once per subgroup and
 character set, in a bounded memo kept across calls. A line's or
 hyperplane's character set comes from the zero pattern of one integer
@@ -39,11 +40,11 @@ from itertools import combinations
 from math import gcd
 from operator import mul
 
-from .chars import Character, SubgroupSpec
+from .chars import SubgroupSpec
 from .errors import PreconditionError
 from .lattice import positive_primitive
 from .lp import lp_feasible
-from .matrix import Mat, _pivot
+from .matrix import Mat, _bareiss
 from .radicals import (
     RadicalWitness, _closed_components, _closed_table, _closed_vector, _log_size,
     enumerate_witnesses,
@@ -65,12 +66,11 @@ class WitnessVector:
             raise PreconditionError("witness vector has no components")
 
     @classmethod
-    def from_radical(cls, g: Mat, witness: RadicalWitness, components=None) -> "WitnessVector":
-        """components, when given, are witness.components_at(g) already read."""
+    def from_radical(cls, g: Mat, witness: RadicalWitness) -> "WitnessVector":
         return cls(
             n=witness.n,
             degree=witness.dim,
-            components=tuple(witness.components_at(g) if components is None else components),
+            components=tuple(witness.components_at(g)),
             label=witness.label,
         )
 
@@ -147,48 +147,43 @@ def _witness_faces(g: Mat, A: SubgroupSpec, witnesses):
     A witness shrinks on a face exactly when each of its characters is
     strictly negative there; a character lambda = c * h (h primitive,
     c != 0) is negative on a face iff the face sign of h is -sign(c).
-    The first form met of h and -h is kept as the hyperplane. A witness
-    with a character restricting to zero, or needing a hyperplane both
-    ways, shrinks nowhere: its demand is None. A demand depends only on the
-    witness's tuple of character coefficients, so it is worked out once per
-    distinct tuple, and witnesses with equal tuples share one dict.
+    The first form met of h and -h is kept as the hyperplane. A demand is
+    the bit masks (pos, neg) of the hyperplanes a witness needs positive
+    and negative, or None when it shrinks nowhere: a character restricts
+    to zero, or it needs a hyperplane both ways. It depends only on the
+    witness's tuple of character coefficients, so it is worked out once
+    per distinct tuple.
     """
     ws = [_coerce_witness(g, w) for w in witnesses]
-    basis = A._int_basis[0]
     hyps: list = []
-    table = {}   # h -> (k, -1) and -h -> (k, 1), for hyps[k] = h
-    forms = {}   # ch.coeffs -> h, or None for a zero restriction
+    table = {}   # form -> the (pos, neg) it demands: h -> (0, bit), -h -> (bit, 0)
+    forms = {}   # ch.coeffs -> A.primitive_form(ch.coeffs)
     known = {}   # tuple of the witness's ch.coeffs -> its demand
     demands = []
     for w in ws:
         chars = tuple(ch.coeffs for ch, _ in w.components)
-        if chars in known:
-            demands.append(known[chars])
-            continue
-        need = {}
-        for coeffs in chars:
-            if coeffs not in forms:
-                # restrict over the integer basis: a positive multiple of
-                # A.restrict, with the same primitive form
-                if len(coeffs) != A.n:
-                    raise PreconditionError("direction length mismatch")
-                r = [sum(map(mul, coeffs, row)) for row in basis]
-                k = gcd(*r)
-                forms[coeffs] = tuple(x // k for x in r) if k else None
-            h = forms[coeffs]
-            if h is None:
-                need = None
-                break
-            if h not in table:
-                table[h] = (len(hyps), -1)
-                table[tuple(-x for x in h)] = (len(hyps), 1)
-                hyps.append(h)
-            k, want = table[h]
-            if need.setdefault(k, want) != want:
-                need = None   # needs h both positive and negative: impossible
-                break
-        known[chars] = need
-        demands.append(need)
+        if chars not in known:
+            known[chars] = None
+            pos = neg = 0
+            for coeffs in chars:
+                if coeffs not in forms:
+                    forms[coeffs] = A.primitive_form(coeffs)
+                h = forms[coeffs]
+                if h is None:
+                    break
+                if h not in table:
+                    bit = 1 << len(hyps)
+                    table[h] = (0, bit)
+                    table[tuple(-x for x in h)] = (bit, 0)
+                    hyps.append(h)
+                p, q = table[h]
+                pos |= p
+                neg |= q
+                if pos & neg:
+                    break   # needs h both positive and negative: impossible
+            else:
+                known[chars] = pos, neg
+        demands.append(known[chars])
     return ws, hyps, demands
 
 
@@ -211,27 +206,17 @@ def _cocircuit(rows, l: int):
     """A primitive integer vector spanning the kernel of the l - 1 integer
     rows in R^l, up to sign, when they have rank l - 1; else None.
 
-    One fraction-free pass of matrix._pivot (Bareiss) leaves the rows at D
-    times their reduced row echelon form, D the last pivot. A kernel line
-    leaves exactly one column f without a pivot (a lower rank leaves two),
-    and x with x_f = D and x_c = -(row of pivot c)_f spans it: the entries
-    are, up to one sign, the signed maximal minors. Dividing by their gcd
-    makes x primitive.
+    matrix._bareiss leaves the rows at D times their reduced row echelon
+    form. A kernel line leaves exactly one column f without a pivot, and x
+    with x_f = D and x_c = -(row of pivot c)_f spans it: the entries are,
+    up to one sign, the signed maximal minors. Dividing by their gcd makes
+    x primitive.
     """
     a = [list(r) for r in rows]
-    D, free, pivots = 1, None, []
-    for c in range(l):
-        r = len(pivots)
-        for i in range(r, len(a)):
-            if a[i][c]:
-                a[r], a[i] = a[i], a[r]
-                D = _pivot(a, r, c, D)
-                pivots.append(c)
-                break
-        else:
-            if free is not None:
-                return None    # two free columns: the kernel is wider
-            free = c
+    pivots, D, _ = _bareiss(a, l)
+    if len(pivots) < l - 1:
+        return None
+    free = next(c for c in range(l) if c not in pivots)
     x = [0] * l
     x[free] = D
     for row, c in zip(a, pivots):
@@ -326,70 +311,46 @@ def _direction(faces, face):
     return positive_primitive(total)
 
 
-def _owned_faces(g: Mat, A: SubgroupSpec, witnesses):
-    """(ws, hyps, fan, faces, uncovered): fan is _fan_patterns(hyps), and
-    faces lists (pattern, owner) for every face of the fan, owner the first
-    witness whose demand the pattern meets. When some face has no owner,
-    faces is None and uncovered() gives a direction no witness shrinks
-    along. The owner test reads only the masks, and no LP is solved: a
-    direction is computed only by uncovered() and by _certificate.
+def _analyze(g: Mat, A: SubgroupSpec, witnesses):
+    """(ok, uncovered, certificate): ok when the shrink cones of the
+    witnesses cover every direction, with the checked fan as certificate;
+    else a direction that no witness shrinks along.
 
-    Witnesses with equal character tuples share one demand (_witness_faces),
-    and only the first of them can own a face, so masks are built for that
-    one alone. Full rank is read off the rays: _fan_patterns gives None
-    without it, and only then is a kernel basis taken, for a direction
-    that lies in every hyperplane.
+    Each face of _fan_patterns(hyps) is owned by the first witness whose
+    demand its masks meet. Directions come from _direction only once the
+    owners are found: for the first face without one, or for every cell.
+    Without full rank, read off the rays, the direction is a kernel vector
+    of the hyperplanes.
     """
     ws, hyps, demands = _witness_faces(g, A, witnesses)
-    l = A.dim
     if not hyps:
-        unit = tuple(1 if i == 0 else 0 for i in range(l))
-        return ws, hyps, None, None, lambda: unit
+        return False, tuple(1 if i == 0 else 0 for i in range(A.dim)), None
     fan = _fan_patterns(hyps)
     if fan is None:
         H = Mat.rationalize([list(h) for h in hyps])
-        free = tuple(positive_primitive(H.kernel_basis()[0]))
-        return ws, hyps, None, None, lambda: free
-    # a demand as masks: the hyperplanes it needs positive, and negative
-    needs, seen = [], set()
+        return False, tuple(positive_primitive(H.kernel_basis()[0])), None
+    first = {}   # demand -> the first witness with it
     for idx, need in enumerate(demands):
-        if need is not None and id(need) not in seen:
-            seen.add(id(need))
-            needs.append((idx, sum(1 << k for k, s in need.items() if s > 0),
-                          sum(1 << k for k, s in need.items() if s < 0)))
-    faces = []
-    for pattern, face in fan.items():
+        if need is not None:
+            first.setdefault(need, idx)
+    needs = [(p, n, idx) for (p, n), idx in first.items()]
+    owners = []
+    for face in fan.values():
         pos, neg, _ = face
-        for idx, p, n in needs:
+        for p, n, idx in needs:
             if not (p & ~pos or n & ~neg):
-                faces.append((pattern, idx))
+                owners.append(idx)
                 break
         else:
-            return ws, hyps, fan, None, lambda: _direction(fan.values(), face)
-    return ws, hyps, fan, faces, None
-
-
-def _certificate(A: SubgroupSpec, ws, hyps, fan, faces) -> DivergenceCertificate:
-    """The certificate of owned faces, each with its direction from
-    _direction over the fan's rays: no LP is solved."""
+            return False, _direction(fan.values(), face), None
     rays = [face for face in fan.values() if face[2] is not None]
     cells = tuple(
-        FanCell(pattern=pattern, direction=_direction(rays, fan[pattern]),
-                witness_index=owner)
-        for pattern, owner in faces
+        FanCell(pattern=pattern, direction=_direction(rays, face), witness_index=idx)
+        for (pattern, face), idx in zip(fan.items(), owners)
     )
-    return DivergenceCertificate(
+    return True, None, DivergenceCertificate(
         subgroup=A, witnesses=tuple(ws), hyperplanes=tuple(hyps), fan=cells
     )
-
-
-def _analyze(g: Mat, A: SubgroupSpec, witnesses):
-    """(ok, uncovered, certificate), as check_certificate and
-    build_certificate would give them, from one fan."""
-    ws, hyps, fan, faces, uncovered = _owned_faces(g, A, witnesses)
-    if faces is None:
-        return False, uncovered(), None
-    return True, None, _certificate(A, ws, hyps, fan, faces)
 
 
 def check_certificate(g: Mat, A: SubgroupSpec, witnesses):
@@ -398,15 +359,20 @@ def check_certificate(g: Mat, A: SubgroupSpec, witnesses):
     Exact fan decision over all realizable sign patterns of the restricted
     characters; on failure the second value is an uncovered direction.
     """
-    _, _, _, faces, uncovered = _owned_faces(g, A, witnesses)
-    return (True, None) if faces is not None else (False, uncovered())
+    return _analyze(g, A, witnesses)[:2]
 
 
 def build_certificate(g: Mat, A: SubgroupSpec, witnesses):
     """The checked fan as a reusable object, or None when coverage fails;
     it solves no LP."""
-    ws, hyps, fan, faces, _ = _owned_faces(g, A, witnesses)
-    return None if faces is None else _certificate(A, ws, hyps, fan, faces)
+    return _analyze(g, A, witnesses)[2]
+
+
+def _verdict_json(ok, uncovered, certificate) -> dict:
+    """{"ok", "certificate" | "uncovered"}: an _analyze verdict as JSON."""
+    if ok:
+        return {"ok": True, "certificate": certificate.to_json()}
+    return {"ok": False, "uncovered": [frac_str(x) for x in uncovered]}
 
 
 def ray_profile(w, A: SubgroupSpec, direction, times) -> list:
@@ -427,8 +393,10 @@ def ray_profile(w, A: SubgroupSpec, direction, times) -> list:
 @lru_cache(maxsize=256)
 def _cone_verdict(A: SubgroupSpec, coeffs: frozenset) -> bool:
     """cone_nonempty for the shrink cone of any witness whose characters
-    have exactly these coefficient tuples: the cone depends on nothing else."""
-    return cone_nonempty(A.restrict(-Character(c)) for c in sorted(coeffs))
+    have exactly these coefficient tuples: the cone depends on nothing else,
+    and its rows are the distinct negated primitive forms."""
+    forms = {A.primitive_form(c) for c in coeffs}
+    return None not in forms and cone_nonempty(sorted(tuple(-x for x in h) for h in forms))
 
 
 def search_witnesses(g: Mat, A: SubgroupSpec, height: int) -> list:
@@ -459,5 +427,5 @@ def search_witnesses(g: Mat, A: SubgroupSpec, height: int) -> list:
             comps = rw.components_at(g)
             keep = _cone_verdict(A, frozenset(ch.coeffs for ch, _ in comps))
         if keep:
-            out.append(WitnessVector.from_radical(g, rw, comps))
+            out.append(WitnessVector(rw.n, rw.dim, tuple(comps), rw.label))
     return out

@@ -238,15 +238,12 @@ def _gauss_jordan(a: list, ncols: int) -> tuple[tuple[int, ...], object]:
 
     Each row without QuadScalar entries is first cleared of denominators
     by `scalars._cleared`, so its rational entries become integers (any
-    other entry, such as a LogLin, is multiplied by the same factor).
-    Pivots are taken in the first ncols columns only, each the first
-    nonzero entry of its column at or below the current row, and `_pivot`
-    eliminates fraction-free; every row is divided by the last pivot at the
-    end. The remaining columns may hold LogLin values. Returns the pivot
+    other entry, such as a LogLin, is multiplied by the same factor);
+    `_bareiss` eliminates, and every row is divided by its D at the end.
+    The columns after ncols may hold LogLin values. Returns the pivot
     columns and the determinant of the leading ncols columns (zero when a
     column has no pivot).
     """
-    m = len(a)
     zero = zero_like(a[0][0])
     scale = 1
     for i, row in enumerate(a):
@@ -254,10 +251,29 @@ def _gauss_jordan(a: list, ncols: int) -> tuple[tuple[int, ...], object]:
             continue
         (a[i],), k = _cleared([row])
         scale *= k
+    pivots, d, negated = _bareiss(a, ncols)
+    if type(d) is int:
+        a[:] = [[Fraction(x, d) if type(x) is int else x / d for x in row] for row in a]
+    else:
+        a[:] = [[x / d for x in row] for row in a]
+    if len(pivots) < ncols:
+        return pivots, zero
+    return pivots, (-d if negated else d) / Fraction(scale)
+
+
+def _bareiss(a: list, ncols: int) -> tuple[tuple[int, ...], object, bool]:
+    """(pivots, D, negated): one fraction-free pass (Bareiss, Math. Comp.
+    1968) over the rows a, in place, leaving them at D times their reduced
+    row echelon form, D the last pivot (1 if none). Pivots are taken in the
+    first ncols columns, each the first nonzero entry of its column at or
+    below the current row; negated says the row exchanges were odd, so on
+    a square leading block of full rank, -D or D is its determinant.
+    """
+    m = len(a)
     d, negated = 1, False
     pivots = []
-    r = 0
     for c in range(ncols):
+        r = len(pivots)
         piv = next((i for i in range(r, m) if sign(a[i][c])), None)
         if piv is None:
             continue
@@ -266,16 +282,9 @@ def _gauss_jordan(a: list, ncols: int) -> tuple[tuple[int, ...], object]:
             negated = not negated
         d = _pivot(a, r, c, d)
         pivots.append(c)
-        r += 1
-        if r == m:
+        if r + 1 == m:
             break
-    if type(d) is int:
-        a[:] = [[Fraction(x, d) if type(x) is int else x / d for x in row] for row in a]
-    else:
-        a[:] = [[x / d for x in row] for row in a]
-    if len(pivots) < ncols:
-        return tuple(pivots), zero
-    return tuple(pivots), (-d if negated else d) / Fraction(scale)
+    return tuple(pivots), d, negated
 
 
 def _pivot(a: list, r: int, c: int, d) -> object:

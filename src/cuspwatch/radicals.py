@@ -44,7 +44,7 @@ from .chars import Character, SubgroupSpec
 from .errors import DependentInput, PreconditionError
 from .lattice import int_kernel, saturation_pair, lll_reduce
 from .loglin import LogLin
-from .matrix import Mat, _pivot
+from .matrix import Mat, _bareiss
 from .scalars import _cleared, frac_str
 from .wedge import WedgeVector, _int_minors, _shuffle, plucker
 
@@ -256,29 +256,20 @@ def _conjugator(g: Mat) -> tuple:
     """(G, H, d_g, d, det_G): g and g^-T as integer rows G and H, with
     g = G / d_g, g^-T = H / d_H, d = d_g * d_H and det_G = det G.
 
-    One fraction-free pass of matrix._pivot (Bareiss, Math. Comp. 1968) runs
-    down the diagonal of the integer rows [G | I]. Each step leaves the rows
-    at the current pivot times the reduced tableau, and the pivots are the
-    leading minors of G with its rows exchanged as in the pass, so the rows
-    end as D [I | G^-1], D = +-det G (the sign that of the exchanges), and
-    the right block is D G^-1 = +-adj(G). Then g^-T = d_g (D G^-1)^T / D, and
-    H clears it with the least d_H, as scalars._cleared would: d_H = |D| / k
-    for k the gcd of D and every entry of d_g D G^-1.
+    matrix._bareiss on the integer rows [G | I] leaves them at D [I | G^-1],
+    D = +-det G, so the right block is D G^-1 = +-adj(G). Then g^-T =
+    d_g (D G^-1)^T / D, and H clears it with the least d_H, as
+    scalars._cleared would: d_H = |D| / k for k the gcd of D and every
+    entry of d_g D G^-1.
     """
     if not g.is_square():
         raise PreconditionError("inverse of non-square matrix")
     n = g.nrows
     G, d_g = _cleared(g.rows)
     a = [row + [int(i == k) for k in range(n)] for i, row in enumerate(G)]
-    D, negated = 1, False
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c]), None)
-        if piv is None:
-            raise PreconditionError("singular matrix")
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            negated = not negated
-        D = _pivot(a, c, c, D)
+    pivots, D, negated = _bareiss(a, n)
+    if len(pivots) < n:
+        raise PreconditionError("singular matrix")
     k = gcd(D, d_g * gcd(*(x for row in a for x in row[n:])))
     s = d_g if D > 0 else -d_g
     H = [[s * row[n + i] // k for row in a] for i in range(n)]

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .chars import SubgroupSpec
-from .divergence import WitnessVector, _analyze
+from .divergence import WitnessVector, _analyze, _verdict_json
 from .errors import InternalError, PreconditionError
 from .matrix import Mat
 from .radicals import coords_to_matrix, radical_from_subspace, sl_dim, standard_radical
@@ -309,12 +309,7 @@ class DemoResult:
     witnesses: tuple
 
     def to_json(self):
-        out = {"ok": self.ok}
-        if self.certificate is not None:
-            out["certificate"] = self.certificate.to_json()
-        if self.uncovered is not None:
-            out["uncovered"] = [frac_str(x) for x in self.uncovered]
-        return out
+        return _verdict_json(self.ok, self.uncovered, self.certificate)
 
 
 def sl4_divergence_demo(alpha, tamper: bool = False) -> DemoResult:

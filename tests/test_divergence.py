@@ -19,10 +19,10 @@ from cuspwatch.divergence import (
     ray_profile,
     ray_shrink_set,
     search_witnesses,
+    _analyze,
     _cocircuit,
     _direction,
     _fan_patterns,
-    _owned_faces,
     _sign_point,
     _witness_faces,
 )
@@ -256,6 +256,15 @@ def _walk_faces(hyps):
     return list(walk((), (0,) * len(hyps[0])))
 
 
+def _meets(pattern, need):
+    """Does the sign pattern give every hyperplane the sign the demand
+    (a (pos, neg) mask pair, or None) needs?"""
+    return need is not None and all(
+        pattern[k] == (1 if need[0] >> k & 1 else -1)
+        for k in range(len(pattern)) if (need[0] | need[1]) >> k & 1
+    )
+
+
 def _brute_analyze(g, A, witnesses):
     """(ok, uncovered, certificate) with one LP for every one of the 3^h
     sign patterns."""
@@ -265,10 +274,7 @@ def _brute_analyze(g, A, witnesses):
         return ok, uncovered, build_certificate(g, A, witnesses)
     cells = []
     for pattern, d in _brute_faces(hyps):
-        owners = [
-            i for i, need in enumerate(demands)
-            if need is not None and all(pattern[k] == s for k, s in need.items())
-        ]
+        owners = [i for i, need in enumerate(demands) if _meets(pattern, need)]
         if not owners:
             return False, d, None
         cells.append(FanCell(pattern=pattern, direction=d, witness_index=owners[0]))
@@ -554,7 +560,7 @@ def test_witness_faces_table_on_hand_built_witnesses():
     assert all(a is b for a, b in zip(got, ws)) and len(got) == len(ws)
     # the dead witnesses' later characters add no hyperplane (1, 1)
     assert hyps == [(2, -1), (-1, 2)]
-    assert demands == [{0: -1, 1: -1}, {0: 1}, None, None]
+    assert demands == [(0, 0b11), (0b1, 0), None, None]
 
 
 @settings(max_examples=40, deadline=None)
@@ -624,6 +630,9 @@ def _per_witness_faces(A, ws):
             if need.setdefault(k, want) != want:
                 need = None
                 break
+        if need is not None:
+            need = (sum(1 << k for k, s in need.items() if s > 0),
+                    sum(1 << k for k, s in need.items() if s < 0))
         demands.append(need)
     return hyps, demands
 
@@ -650,14 +659,14 @@ def test_shared_demands_and_owners_match_the_per_witness_reference(picks):
     ws = [DEMAND_POOL[i] for i in picks] + COORDINATE_LINES
     _, hyps, demands = _witness_faces(I3, A3, ws)
     assert (hyps, demands) == _per_witness_faces(A3, ws)
-    _, _, fan, faces, _ = _owned_faces(I3, A3, ws)
+    ok, _, cert = _analyze(I3, A3, ws)
+    assert ok
     # owner: the first witness of all whose demand the pattern meets
     want = [
-        (pattern, next(i for i, need in enumerate(demands) if need is not None
-                       and all(pattern[k] == s for k, s in need.items())))
-        for pattern in fan
+        (pattern, next(i for i, need in enumerate(demands) if _meets(pattern, need)))
+        for pattern in _fan_patterns(hyps)
     ]
-    assert faces == want
+    assert [(cell.pattern, cell.witness_index) for cell in cert.fan] == want
 
 
 def test_demand_pool_repeats_character_sets():

@@ -4,7 +4,10 @@ An import whose name the module body never reads is dead code that still
 costs an import and suggests a dependency that is not there. This test
 parses every module of the package, except the `__init__.py` files whose
 imports are re-exports, and fails on a module-level import binding that no
-expression of the module reads.
+expression of the module reads. It also keeps `matrix._pivot`, the one
+fraction-free row operation, inside `matrix` and `lp`: every other module
+eliminates through `matrix._bareiss` or `matrix._gauss_jordan`, so a new
+private pivot loop fails here.
 """
 
 import ast
@@ -69,3 +72,29 @@ def test_no_unread_module_level_imports():
         for line, name in _unread_imports(ast.parse(path.read_text(), str(path)))
     ]
     assert found == []
+
+
+def _pivot_references(tree):
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Name) and node.id == "_pivot"
+                or isinstance(node, ast.Attribute) and node.attr == "_pivot"
+                or isinstance(node, ast.alias) and node.name == "_pivot"):
+            yield node
+
+
+def test_pivot_detector_sees_every_form():
+    src = (
+        "from .matrix import _pivot as step\n"
+        "from . import matrix\n"
+        "def fn(a):\n"
+        "    return matrix._pivot(a, 0, 0, 1)\n"
+    )
+    assert len(list(_pivot_references(ast.parse(src)))) == 2
+
+
+def test_only_matrix_and_lp_use_the_pivot_step():
+    users = sorted(
+        path.name for path in PACKAGE.rglob("*.py")
+        if any(_pivot_references(ast.parse(path.read_text(), str(path))))
+    )
+    assert users == ["lp.py", "matrix.py"]

@@ -202,3 +202,36 @@ def test_quadratic_elimination_matches_reference(d, n, data):
         k = data.draw(scalar)
         rows[-1] = [k * x for x in rows[0]]
     same_as_reference(Mat(rows), data.draw(st.lists(scalar, min_size=n, max_size=n)))
+
+
+@st.composite
+def integer_tableaux(draw):
+    """(rows, ncols): up to 4x4 integer matrices whose last row may be a
+    combination of the first two, and which may be widened to [G | I] with
+    pivots taken in G only."""
+    m = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.integers(min_value=1, max_value=4))
+    ints = st.integers(min_value=-4, max_value=4)
+    rows = draw(st.lists(st.lists(ints, min_size=n, max_size=n), min_size=m, max_size=m))
+    if m > 1 and draw(st.booleans()):
+        j, k = draw(ints), draw(ints)
+        rows[-1] = [j * x + k * y for x, y in zip(rows[0], rows[min(1, m - 2)])]
+    if draw(st.booleans()):
+        rows = [row + [int(i == k) for k in range(m)] for i, row in enumerate(rows)]
+    return rows, n
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_tableaux())
+def test_bareiss_leaves_d_times_the_reference_rref(tableau):
+    rows, ncols = tableau
+    a = [list(r) for r in rows]
+    pivots, D, negated = matrix._bareiss(a, ncols)
+    ref = [[F(x) for x in r] for r in rows]
+    ref_pivots, ref_det = reference_gauss_jordan(ref, ncols)
+    assert pivots == ref_pivots
+    assert a == [[D * x for x in r] for r in ref]
+    assert all(type(x) is int for r in a for x in r)
+    if len(rows) == ncols == len(pivots):
+        det = Mat.rationalize([r[:ncols] for r in rows]).det()
+        assert (-D if negated else D) == det == ref_det
