@@ -32,7 +32,7 @@ from .lattice import positive_primitive
 from .loglin import LogLin
 from .lp import solve_lp
 from .matrix import Mat, _dot
-from .scalars import frac, frac_str, sign
+from .scalars import _sup_norm, frac, frac_str, sign
 
 
 def _coerce_scalar(v):
@@ -102,10 +102,6 @@ class Gauge:
 
     def to_json(self):
         return {"kind": "linear", "slope": frac_str(self.slope)}
-
-
-def _sup_norm(x):
-    return max(abs(v) for v in x)
 
 
 @dataclass(frozen=True)

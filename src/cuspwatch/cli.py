@@ -243,7 +243,7 @@ def _run_cover(argv) -> object:
     args = p.parse_args(argv)
 
     if args.action == "goodres":
-        if not (args.subgroup and args.psi and args.l):
+        if not (args.subgroup and args.psi) or args.l is None:
             raise PreconditionError("goodres needs --subgroup, --psi and --l")
         rows = parse_vectors(args.subgroup)
         A = SubgroupSpec(len(rows[0]), tuple(tuple(r) for r in rows))

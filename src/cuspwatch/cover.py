@@ -21,14 +21,14 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
-from .bordered import BorderedSet, Gauge, _sup_norm, epsilon_bound
+from .bordered import BorderedSet, Gauge, epsilon_bound
 from .chars import Character, SubgroupSpec, ambient_independent, box_points
 from .errors import PreconditionError
 from .loglin import LogLin
 from .lp import lp_feasible
 from .matrix import Mat
 from .radicals import RadicalWitness, enumerate_witnesses
-from .scalars import frac, frac_str
+from .scalars import _sup_norm, frac, frac_str
 
 
 @dataclass(frozen=True)

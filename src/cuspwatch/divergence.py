@@ -20,7 +20,8 @@ it does each piece of integer work once, and solves no LP:
   every face is given an owner before any direction is computed;
 - a ray's direction is its cocircuit vector, and a cell's of dimension
   >= 2 the sum of the rays in its closure, computed only for the
-  uncovered face returned or for a certificate's cells.
+  uncovered face returned or for the cells of a certificate that is read
+  (check_certificate reads none).
 The witness search decides each shrink cone once per subgroup and
 character set, in a bounded memo kept across calls. A line's or
 hyperplane's character set comes from the zero pattern of one integer
@@ -36,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 from math import gcd
 from operator import mul
 
@@ -312,9 +313,12 @@ def _direction(faces, face):
 
 
 def _analyze(g: Mat, A: SubgroupSpec, witnesses):
-    """(ok, uncovered, certificate): ok when the shrink cones of the
-    witnesses cover every direction, with the checked fan as certificate;
-    else a direction that no witness shrinks along.
+    """Yields ok, uncovered and certificate, in that order: ok when the
+    shrink cones of the witnesses cover every direction, with the checked
+    fan as certificate; else a direction that no witness shrinks along.
+    The certificate is built only when it is read, so a caller that stops
+    after two values, as check_certificate does, computes no cell
+    direction.
 
     Each face of _fan_patterns(hyps) is owned by the first witness whose
     demand its masks meet. Directions come from _direction only once the
@@ -324,11 +328,13 @@ def _analyze(g: Mat, A: SubgroupSpec, witnesses):
     """
     ws, hyps, demands = _witness_faces(g, A, witnesses)
     if not hyps:
-        return False, tuple(1 if i == 0 else 0 for i in range(A.dim)), None
+        yield from (False, tuple(1 if i == 0 else 0 for i in range(A.dim)), None)
+        return
     fan = _fan_patterns(hyps)
     if fan is None:
         H = Mat.rationalize([list(h) for h in hyps])
-        return False, tuple(positive_primitive(H.kernel_basis()[0])), None
+        yield from (False, tuple(positive_primitive(H.kernel_basis()[0])), None)
+        return
     first = {}   # demand -> the first witness with it
     for idx, need in enumerate(demands):
         if need is not None:
@@ -342,13 +348,15 @@ def _analyze(g: Mat, A: SubgroupSpec, witnesses):
                 owners.append(idx)
                 break
         else:
-            return False, _direction(fan.values(), face), None
+            yield from (False, _direction(fan.values(), face), None)
+            return
+    yield from (True, None)
     rays = [face for face in fan.values() if face[2] is not None]
     cells = tuple(
         FanCell(pattern=pattern, direction=_direction(rays, face), witness_index=idx)
         for (pattern, face), idx in zip(fan.items(), owners)
     )
-    return True, None, DivergenceCertificate(
+    yield DivergenceCertificate(
         subgroup=A, witnesses=tuple(ws), hyperplanes=tuple(hyps), fan=cells
     )
 
@@ -359,13 +367,14 @@ def check_certificate(g: Mat, A: SubgroupSpec, witnesses):
     Exact fan decision over all realizable sign patterns of the restricted
     characters; on failure the second value is an uncovered direction.
     """
-    return _analyze(g, A, witnesses)[:2]
+    return tuple(islice(_analyze(g, A, witnesses), 2))
 
 
 def build_certificate(g: Mat, A: SubgroupSpec, witnesses):
     """The checked fan as a reusable object, or None when coverage fails;
     it solves no LP."""
-    return _analyze(g, A, witnesses)[2]
+    _, _, certificate = _analyze(g, A, witnesses)
+    return certificate
 
 
 def _verdict_json(ok, uncovered, certificate) -> dict:

@@ -28,6 +28,10 @@ whose factors u_a are all nonzero: weight chi_A = sum_(a in A) e_a -
 (1, ..., 1) (-chi_A for a hyperplane) and norm prod |u_a| / |det G|
 (prod |w_a| / |det H|); see _closed_components. Planes are sized from the
 integer minors of _conj_minors.
+
+Witnesses of every type come from one enumerator over the Schubert charts
+of the Grassmannian (_charts), the charts on which Schmidt (Ann. of Math.
+1967) counts rational subspaces by height.
 """
 
 from __future__ import annotations
@@ -36,16 +40,16 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations, combinations_with_replacement, product
+from itertools import chain, combinations, combinations_with_replacement, product
 from math import gcd, prod
 from operator import mul
 
 from .chars import Character, SubgroupSpec
 from .errors import DependentInput, PreconditionError
-from .lattice import int_kernel, saturation_pair, lll_reduce
+from .lattice import saturation_pair, lll_reduce
 from .loglin import LogLin
 from .matrix import Mat, _bareiss
-from .scalars import _cleared, frac_str
+from .scalars import _cleared, _sup_norm, frac_str
 from .wedge import WedgeVector, _int_minors, _shuffle, plucker
 
 
@@ -281,10 +285,6 @@ def _moved(M, rows) -> list:
     return [[sum(map(mul, r, b)) for r in M] for b in rows]
 
 
-def _sup(minors: dict) -> int:
-    return max(map(abs, minors.values()))
-
-
 def _ad_minors(gbs, fgs, n: int) -> dict:
     """Integer minors of the outer products x y^T, x in gbs and y in fgs
     (in that order), each in the coordinates of sl_coords: off-diagonal
@@ -459,41 +459,89 @@ def _validate_sl(g: Mat) -> tuple:
     return conj
 
 
-def _primitive_vectors(n: int, height: int):
-    """Primitive integer vectors, first nonzero positive, sup norm <= height."""
-    for v in product(range(-height, height + 1), repeat=n):
-        if gcd(*v) == 1 and next(filter(None, v)) > 0:
-            yield v
+# The most charts one witness type may try; the SL2 lines of
+# scripts/golden_shear_profile.py at its top height, 354, try 251,340.
+_MAX_CHARTS = 1 << 20
 
 
-_PAIRS_4 = tuple(combinations(range(1, 5), 2))     # Plucker order w12, ..., w34
-_TRIPLES_4 = tuple(combinations(range(1, 5), 3))
+def _pivot_sets(n: int, j: int):
+    """(I, free) for each pivot set I, in lexicographic order, with the
+    (row, column) of each free entry of a reduced row echelon form."""
+    for I in combinations(range(n), j):
+        yield I, [(r, k) for r, i in enumerate(I) for k in range(i + 1, n) if k not in I]
 
 
-def _planes_4(height: int):
-    """SL4 planes of height <= height. Each primitive w on the Plucker quadric
-    w12 w34 - w13 w24 + w14 w23 = 0 is spanned by the kernel of v -> v ^ w."""
-    for w in _primitive_vectors(6, height):
-        if w[0] * w[5] - w[1] * w[4] + w[2] * w[3] == 0:
-            coeffs = {pair: c for pair, c in zip(_PAIRS_4, w) if c}
-            images = [_shuffle({(i,): 1}, coeffs) for i in range(1, 5)]   # e_i ^ w
-            K = Mat.rationalize([[v.get(t, 0) for v in images] for t in _TRIPLES_4])
-            yield [list(v) for v in K.kernel_basis()]
+def _chart_count(n: int, j: int, height: int) -> int:
+    """The number of charts _charts(n, j, height) tries."""
+    return sum(height * (2 * height + 1) ** len(free) for _, free in _pivot_sets(n, j))
+
+
+def _charts(n: int, j: int, height: int):
+    """The primitive Plucker vector p, as {index: nonzero coefficient}, of
+    each j-subspace of Q^n with height <= height, once each.
+
+    A chart is (I, c, free entries): Y is c times the reduced row echelon
+    form with pivot columns I, so c sits at each pivot, and each free entry
+    of Y is an integer in [-height, height]. It is kept when every j x j
+    minor of Y divided by c^(j-1) is an integer of size <= height and these
+    quotients p have gcd 1.
+
+    Proof. Let V have reduced row echelon form R with pivot columns I. A
+    column set J before I first differs from it at some J_s < I_s, and J's
+    first s columns meet only R's first s - 1 rows, so R's minor at J is 0;
+    at I it is 1. So V's primitive Plucker vector p (first nonzero entry
+    positive) is c times R's minors, c = p_I > 0. Y = c R has minors
+    c^(j-1) p, and its free entries are +-p at the sets that differ from I
+    in one column, so V is met at the chart (I, c, c R). Conversely, a kept
+    chart's quotients are primitive, proportional to Y's minors and first
+    nonzero at I, where they are c: they are p for the row space of Y, whose
+    chart this is. So each subspace is met once.
+    """
+    box = range(-height, height + 1)
+    for I, free in _pivot_sets(n, j):
+        Y = [[0] * n for _ in I]
+        for c in range(1, height + 1):
+            q = c ** (j - 1)
+            for r, i in enumerate(I):
+                Y[r][i] = c
+            for entries in product(box, repeat=len(free)):
+                for (r, k), x in zip(free, entries):
+                    Y[r][k] = x
+                p = {}
+                for idx, m in _int_minors(Y).items():
+                    x, rest = divmod(m, q)
+                    if rest or abs(x) > height:
+                        break
+                    p[idx] = x
+                else:
+                    if gcd(*p.values()) == 1:
+                        yield p
+
+
+def _subspace(n: int, j: int, p: dict) -> list:
+    """Spanning rows of the subspace with Plucker vector p: the kernel of
+    v -> v ^ p."""
+    images = [_shuffle({(i,): 1}, p) for i in range(1, n + 1)]    # e_i ^ p
+    K = Mat.rationalize([[v.get(t, 0) for v in images]
+                         for t in combinations(range(1, n + 1), j + 1)])
+    return [list(v) for v in K.kernel_basis()]
 
 
 def _candidate_subspaces(n: int, j: int, height: int):
-    if j == 1:
-        for v in _primitive_vectors(n, height):
-            yield [list(v)]
-    elif j == n - 1:
-        for f in _primitive_vectors(n, height):
-            yield [list(r) for r in int_kernel([list(f)], n)]
-    elif (n, j) == (4, 2):
-        yield from _planes_4(height)
-    else:
+    """Spanning rows of each j-subspace of Q^n with height <= height, from
+    _charts; the type and its chart count are checked before any chart is
+    built. Planes (2 <= j <= n - 2) are admitted for n = 4 only: the charts
+    serve any n, but sizing SL5 planes would take a search hours."""
+    if not (1 <= j <= n - 1 and (j in (1, n - 1) or n == 4)):
         raise PreconditionError(
-            "subspace enumeration implemented for j=1, j=n-1, and (n,j)=(4,2)"
-        )
+            "witnesses are enumerated for j=1, j=n-1 and (n,j)=(4,2): planes of"
+            " larger n would enumerate, but sizing them takes a search hours")
+    count = _chart_count(n, j, height)
+    if count > _MAX_CHARTS:
+        raise PreconditionError(
+            "height %d needs %d charts for j=%d, above the bound %d"
+            % (height, count, j, _MAX_CHARTS))
+    return (_subspace(n, j, p) for p in _charts(n, j, height))
 
 
 def _reduction_candidates(g: Mat, j: int):
@@ -524,17 +572,19 @@ def _reduction_candidates(g: Mat, j: int):
 def _witnesses(n: int, height: int, js, candidates) -> list:
     """Witnesses of height <= height among candidates(j) for j in js.
 
+    Every candidates(j) is called before any is read, so a type that it
+    refuses stops the run before any candidate is built.
     Subspaces presented by different bases are kept once, the first
     presentation winning; sorted by sort_key so the order is reproducible.
     """
     if height < 0:
         raise PreconditionError("height must be nonnegative")
+    batches = [candidates(j) for j in js]
     found = {}
-    for j in js:
-        for rows in candidates(j):
-            w = radical_from_subspace(rows, n)
-            if w.height() <= height:
-                found.setdefault(w.sort_key(), w)
+    for rows in chain.from_iterable(batches):
+        w = radical_from_subspace(rows, n)
+        if w.height() <= height:
+            found.setdefault(w.sort_key(), w)
     return [found[k] for k in sorted(found)]
 
 
@@ -608,9 +658,9 @@ def active_radicals(g: Mat, eps, height: int, js=None, method: str = "brute") ->
     out = []
     for w in witnesses:
         gbs = _moved(G, w.rows)
-        if q * _sup(_int_minors(gbs)) ** n >= p * d_g ** (w.j * n):
+        if q * _sup_norm(_int_minors(gbs).values()) ** n >= p * d_g ** (w.j * n):
             continue    # max_R |W_R|^n >= eps: the norm is at least that
-        top = _sup(_ad_minors(gbs, _moved(H, w.ann_rows), n))
+        top = _sup_norm(_ad_minors(gbs, _moved(H, w.ann_rows), n).values())
         den = d ** w.dim
         if q * top < p * den:
             out.append(ActiveRadical(witness=w, norm=Fraction(top, den)))

@@ -6,8 +6,9 @@ we do not wrap it. This module adds the quadratic field Q(sqrt(d)) for a
 fixed square-free d, the "p/q" string codec used by all JSON surfaces, and
 the one exact sign dispatch over the package's scalar types (`sign`,
 `zero_like`, `one_like`), the one order read from a sign (`_Ordered`,
-shared by `QuadScalar` and `loglin.LogLin`), and the one routine that
-clears rational rows of denominators (`_cleared`).
+shared by `QuadScalar` and `loglin.LogLin`), the one routine that
+clears rational rows of denominators (`_cleared`), and the one sup norm
+(`_sup_norm`).
 
 >>> u = QuadScalar.of(2, 1, 3)          # 2 + sqrt(3)
 >>> (u * u.conj()).is_one()             # norm one unit
@@ -56,6 +57,11 @@ def _cleared(rows) -> tuple[list[list], int]:
     d = lcm(*[x.denominator for r in rows for x in r if type(x) is Fraction])
     return [[x.numerator * (d // x.denominator) if type(x) is Fraction else x * d for x in r]
             for r in rows], d
+
+
+def _sup_norm(xs):
+    """The largest absolute value among xs (nonempty)."""
+    return max(map(abs, xs))
 
 
 def frac(x, y=None) -> Fraction:

@@ -29,7 +29,7 @@ from fractions import Fraction
 from .errors import DependentInput, NoUniqueLeadingTuple, PreconditionError
 from .lattice import primitive_int_vector
 from .matrix import Mat
-from .scalars import _cleared, frac_str, parse_frac
+from .scalars import _cleared, _sup_norm, frac_str, parse_frac
 
 
 class WedgeVector:
@@ -87,9 +87,7 @@ class WedgeVector:
         basis multi-indices, so the max over weight components of the
         per-component sup norm equals the plain max over coefficients.
         """
-        if not self.coeffs:
-            return Fraction(0)
-        return max(abs(c) for c in self.coeffs.values())
+        return _sup_norm(self.coeffs.values()) if self.coeffs else Fraction(0)
 
     def scale(self, c) -> "WedgeVector":
         c = Fraction(c)

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -459,3 +460,27 @@ def test_closed_stdout_ends_quietly():
     assert cli.wait() == 0
     assert err == b""
     assert head.stdout == b'{"command_'
+
+
+def test_exploding_enumeration_fails_fast(capsys):
+    # (2 * 10^5 + 1)^2 candidate vectors: refused by the chart count
+    start = time.perf_counter()
+    code, out, err = run(capsys, "radicals", "search", "--matrix", "[[1,0],[0,1]]",
+                         "--eps", "1/2", "--height", "100000")
+    assert code == 2 and out == "" and "charts" in err
+    assert time.perf_counter() - start < 1
+    # the reduction mode proposes its own candidates and is not counted
+    code, _, _ = run(capsys, "radicals", "search", "--matrix", "[[1,0],[0,1]]",
+                     "--eps", "1/2", "--height", "100000", "--mode", "reduction")
+    assert code == 0
+
+
+def test_goodres_reads_l_zero(capsys):
+    # --l 0 is given, so the library's vacuous verdict is printed
+    argv = ("cover", "goodres", "--subgroup", "[[1,0,0,-1],[0,1,-1,0]]",
+            "--psi", "[[1,-1,0,0],[0,0,1,-1]]")
+    code, out, _ = run(capsys, *argv, "--l", "0")
+    assert code == 0 and json.loads(out) == {"result": True, "violating": None}
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: goodres needs --subgroup, --psi and --l\n"

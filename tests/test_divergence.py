@@ -528,6 +528,24 @@ def test_fan_ops_solve_no_lp_once_the_search_is_warm(monkeypatch):
     assert check_certificate(G4, T4, lines_and_hyperplanes) == (False, (2, 2, -3))
 
 
+def test_covered_check_computes_no_cell_direction(monkeypatch):
+    # check_certificate stops before the certificate, so a covered family
+    # costs no _direction call; build_certificate makes one per cell
+    g = Mat.rationalize([[1, 0, 1], [0, 1, 0], [0, 0, 1]])
+    ws = search_witnesses(g, A3, 2)
+    calls = []
+
+    def counted(faces, face):
+        calls.append(face)
+        return _direction(faces, face)
+
+    monkeypatch.setattr(divergence, "_direction", counted)
+    assert check_certificate(g, A3, ws) == (True, None)
+    assert calls == []
+    cert = build_certificate(g, A3, ws)
+    assert len(calls) == len(cert.fan) == 24
+
+
 def test_divergence_conjugates_only_through_radicals():
     # witnesses come from RadicalWitness.components_at; a second conjugation
     # path would need the wedge kernel or the trace-zero coordinates

@@ -15,7 +15,7 @@ from cuspwatch.errors import DependentInput, PreconditionError
 from cuspwatch.lattice import lll_reduce
 from cuspwatch.loglin import LogLin
 from cuspwatch.matrix import Mat
-from cuspwatch.scalars import _cleared
+from cuspwatch.scalars import _cleared, _sup_norm
 from cuspwatch.radicals import (
     _candidate_subspaces,
     _closed_table,
@@ -170,6 +170,45 @@ def test_candidate_subspaces_reject_unsupported_types():
         next(_candidate_subspaces(5, 2, 1))
 
 
+def test_sl5_plane_charts_are_the_decomposable_primitive_points():
+    # below the type guard the charts serve every (n, j): the SL5 planes of
+    # height 1 are the primitive w in Z^10, |w| <= 1 and first nonzero
+    # entry positive, with w ^ w = 0, each met once
+    pairs = list(combinations(range(1, 6), 2))
+    want = set()
+    for w in product(range(-1, 2), repeat=10):
+        if math.gcd(*w) == 1 and next(c for c in w if c) > 0:
+            coeffs = {t: c for t, c in zip(pairs, w) if c}
+            if not wedge._shuffle(coeffs, coeffs):
+                want.add(w)
+    charts = list(radicals._charts(5, 2, 1))
+    got = [tuple(p.get(t, 0) for t in pairs) for p in charts]
+    assert len(got) == len(set(got)) == len(want) == 1010
+    assert set(got) == want
+    # the kernel of v -> v ^ p presents the subspace of p
+    assert all(plucker(radicals._subspace(5, 2, p)).coeffs == p for p in charts)
+
+
+def test_sl5_chart_counts_are_symmetric_under_duality():
+    # a j-subspace and its annihilator have the same height
+    counts = [sum(1 for _ in radicals._charts(5, j, 1)) for j in range(1, 5)]
+    assert counts == [121, 1010, 1010, 121]
+
+
+@pytest.mark.parametrize("j", [0, 3])
+def test_enumeration_refuses_improper_types(j):
+    with pytest.raises(PreconditionError):
+        enumerate_witnesses(3, 1, js=[j])
+
+
+def test_chart_bound_admits_the_shear_profile_and_refuses_an_explosion():
+    # scripts/golden_shear_profile.py enumerates SL2 lines up to height 354
+    assert radicals._chart_count(2, 1, 354) == 251340 <= radicals._MAX_CHARTS
+    count = radicals._chart_count(2, 1, 10 ** 5)
+    with pytest.raises(PreconditionError, match="%d.*%d" % (count, radicals._MAX_CHARTS)):
+        enumerate_witnesses(2, 10 ** 5)
+
+
 def test_active_radicals_diagonal():
     g = Mat.rationalize([[5, 0], [0, "1/5"]])
     act = active_radicals(g, F(1, 10), 3)
@@ -321,7 +360,7 @@ def _prefilter_bound(g, witness):
     bound.
     """
     G, _, d_g, _, _ = radicals._conjugator(g)
-    top = radicals._sup(_int_minors(radicals._moved(G, witness.rows)))
+    top = _sup_norm(_int_minors(radicals._moved(G, witness.rows)).values())
     return Fraction(top, d_g ** witness.j) ** witness.n
 
 
