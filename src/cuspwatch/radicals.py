@@ -31,7 +31,9 @@ integer minors of _conj_minors.
 
 Witnesses of every type come from one enumerator over the Schubert charts
 of the Grassmannian (_charts), the charts on which Schmidt (Ann. of Math.
-1967) counts rational subspaces by height.
+1967) counts rational subspaces by height. A chart meets one subspace and
+carries its primitive Plucker vector, so each witness is built from its
+chart once, with no second Plucker pass, height filter or dedup.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain, combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 from math import gcd, prod
 from operator import mul
 
@@ -239,13 +241,8 @@ def radical_from_subspace(rows, n: int | None = None) -> RadicalWitness:
     if not 1 <= j <= n - 1:
         raise PreconditionError("need a proper nonzero subspace")
     B, F = saturation_pair(R.rows)
-    return RadicalWitness(
-        n=n,
-        j=j,
-        rows=tuple(tuple(r) for r in B),
-        ann_rows=tuple(tuple(r) for r in F),
-        p_std=plucker([list(map(Fraction, r)) for r in B], n),
-    )
+    p_std = plucker([list(map(Fraction, r)) for r in B], n)
+    return RadicalWitness(n, j, tuple(map(tuple, B)), tuple(map(tuple, F)), p_std)
 
 
 def standard_radical(n: int, j: int) -> RadicalWitness:
@@ -527,12 +524,11 @@ def _subspace(n: int, j: int, p: dict) -> list:
     return [list(v) for v in K.kernel_basis()]
 
 
-def _candidate_subspaces(n: int, j: int, height: int):
-    """Spanning rows of each j-subspace of Q^n with height <= height, from
-    _charts; the type and its chart count are checked before any chart is
-    built. Planes (2 <= j <= n - 2) are admitted for n = 4 only: the charts
-    serve any n, but sizing SL5 planes would take a search hours."""
-    if not (1 <= j <= n - 1 and (j in (1, n - 1) or n == 4)):
+def _check_type(n: int, j: int, height: int) -> None:
+    """Refuse a type that is not enumerated, or that needs more than
+    _MAX_CHARTS charts. Planes (2 <= j <= n - 2) are enumerated for n = 4
+    only: the charts serve any n, but sizing SL5 planes takes hours."""
+    if not (j in (1, n - 1) or (n, j) == (4, 2)):
         raise PreconditionError(
             "witnesses are enumerated for j=1, j=n-1 and (n,j)=(4,2): planes of"
             " larger n would enumerate, but sizing them takes a search hours")
@@ -541,7 +537,17 @@ def _candidate_subspaces(n: int, j: int, height: int):
         raise PreconditionError(
             "height %d needs %d charts for j=%d, above the bound %d"
             % (height, count, j, _MAX_CHARTS))
-    return (_subspace(n, j, p) for p in _charts(n, j, height))
+
+
+def _candidate_subspaces(n: int, j: int, height: int):
+    """The witness of each j-subspace of Q^n with height <= height, once
+    each, from its chart (see _charts): the chart's p is the primitive
+    Plucker vector, and its kernel presentation is saturated once."""
+    _check_type(n, j, height)
+    for p in _charts(n, j, height):
+        B, F = saturation_pair(_subspace(n, j, p))
+        p_std = WedgeVector._built(n, j, {idx: Fraction(x) for idx, x in p.items()})
+        yield RadicalWitness(n, j, tuple(map(tuple, B)), tuple(map(tuple, F)), p_std)
 
 
 def _reduction_candidates(g: Mat, j: int):
@@ -569,41 +575,35 @@ def _reduction_candidates(g: Mat, j: int):
     return list(spans.values())
 
 
-def _witnesses(n: int, height: int, js, candidates) -> list:
-    """Witnesses of height <= height among candidates(j) for j in js.
-
-    Every candidates(j) is called before any is read, so a type that it
-    refuses stops the run before any candidate is built.
-    Subspaces presented by different bases are kept once, the first
-    presentation winning; sorted by sort_key so the order is reproducible.
-    """
+def _types(n: int, height: int, js) -> list:
+    """The sorted distinct types of js (every proper type when js is None),
+    once the height and each type are checked."""
     if height < 0:
         raise PreconditionError("height must be nonnegative")
-    batches = [candidates(j) for j in js]
-    found = {}
-    for rows in chain.from_iterable(batches):
-        w = radical_from_subspace(rows, n)
-        if w.height() <= height:
-            found.setdefault(w.sort_key(), w)
-    return [found[k] for k in sorted(found)]
+    types = sorted(set(range(1, n) if js is None else js))
+    for j in types:
+        if not 1 <= j <= n - 1:
+            raise PreconditionError("type j=%r is not proper: need 1 <= j <= %d" % (j, n - 1))
+    return types
 
 
-@lru_cache(maxsize=16)
-def _enumerated(n: int, height: int, js: tuple) -> tuple:
-    return tuple(_witnesses(n, height, js, lambda j: _candidate_subspaces(n, j, height)))
+@lru_cache(maxsize=32)
+def _enumerated(n: int, j: int, height: int) -> tuple:
+    return tuple(sorted(_candidate_subspaces(n, j, height), key=RadicalWitness.sort_key))
 
 
 def enumerate_witnesses(n: int, height: int, js=None) -> list:
     """Every subspace witness with primitive Plucker height <= height.
 
-    Deduplicates subspaces presented by different bases; sorted by type and
-    Plucker data so the output order is reproducible. Height 0 is empty.
-    The enumeration runs once per (n, height, js); each call returns a new
+    Sorted by type and Plucker data so the output order is reproducible;
+    height 0 is empty. Every type is checked before any chart is built, and
+    each type is enumerated once per (n, j, height); each call returns a new
     list, so a caller may change it freely.
     """
-    if js is None:
-        js = range(1, n)
-    return list(_enumerated(n, height, tuple(js)))
+    types = _types(n, height, js)
+    for j in types:
+        _check_type(n, j, height)
+    return [w for j in types for w in _enumerated(n, j, height)]
 
 
 def active_radicals(g: Mat, eps, height: int, js=None, method: str = "brute") -> list:
@@ -644,13 +644,12 @@ def active_radicals(g: Mat, eps, height: int, js=None, method: str = "brute") ->
     if eps <= 0:
         raise PreconditionError("need eps > 0")
     n = g.nrows
-    if js is None:
-        js = list(range(1, n))
-
     if method == "brute":
         witnesses = enumerate_witnesses(n, height, js)
     elif method == "reduction":
-        witnesses = _witnesses(n, height, js, lambda j: _reduction_candidates(g, j))
+        found = (radical_from_subspace(rows, n) for j in _types(n, height, js)
+                 for rows in _reduction_candidates(g, j))
+        witnesses = sorted((w for w in found if w.height() <= height), key=RadicalWitness.sort_key)
     else:
         raise PreconditionError("unknown method %r" % (method,))
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from cuspwatch import radicals, wedge
 from cuspwatch.chars import Character, SubgroupSpec, subset_weight
 from cuspwatch.errors import DependentInput, PreconditionError
-from cuspwatch.lattice import lll_reduce
+from cuspwatch.lattice import lll_reduce, saturation_pair
 from cuspwatch.loglin import LogLin
 from cuspwatch.matrix import Mat
 from cuspwatch.scalars import _cleared, _sup_norm
@@ -159,10 +159,20 @@ def test_sl4_planes_are_the_primitive_points_of_the_plucker_quadric(height):
         if math.gcd(*w) == 1 and next(c for c in w if c) > 0
         and w[0] * w[5] - w[1] * w[4] + w[2] * w[3] == 0
     }
-    got = [tuple(plucker(rows).coeffs.get(t, 0) for t in combinations(range(1, 5), 2))
-           for rows in _candidate_subspaces(4, 2, height)]
+    ws = list(_candidate_subspaces(4, 2, height))
+    assert all(plucker(w.rows) == w.p_std for w in ws)
+    got = [tuple(plucker(w.rows).coeffs.get(t, 0) for t in combinations(range(1, 5), 2))
+           for w in ws]
     assert len(got) == len(set(got))
     assert set(got) == want
+
+
+def test_chart_plucker_vectors_match_the_slow_route_on_sl5():
+    # a witness takes p_std from its chart; the Plucker vector of its
+    # saturated rows is the same, over the SL5 lines and hyperplanes
+    ws = enumerate_witnesses(5, 1, js=[1, 4])
+    assert dict(Counter(w.j for w in ws)) == {1: 121, 4: 121}
+    assert all(plucker(w.rows) == w.p_std for w in ws)
 
 
 def test_candidate_subspaces_reject_unsupported_types():
@@ -318,7 +328,7 @@ def _reference_active(g, eps, height, method):
     found = {}
     for j in range(1, n):
         if method == "brute":
-            cands = _candidate_subspaces(n, j, height)
+            cands = (w.rows for w in _candidate_subspaces(n, j, height))
         else:
             cands = _reference_reduction_candidates(g, j)
         for rows in cands:
@@ -476,14 +486,25 @@ def test_active_radicals_match_reference_loop(rows, height, epss, method):
         assert got == _reference_active(g, eps, height, method)
 
 
-def test_one_plucker_call_per_candidate(monkeypatch):
+def _counted_saturations(monkeypatch):
+    """The list that gains one entry per radicals.saturation_pair call."""
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return plucker(*args, **kwargs)
+        return saturation_pair(*args, **kwargs)
 
-    monkeypatch.setattr(radicals, "plucker", counting)
+    monkeypatch.setattr(radicals, "saturation_pair", counting)
+    return calls
+
+
+def test_one_saturation_per_candidate(monkeypatch):
+    # a witness is built from its chart: one saturation_pair each, no Plucker
+    def boom(*args, **kwargs):
+        raise AssertionError("a Plucker vector was taken")
+
+    calls = _counted_saturations(monkeypatch)
+    monkeypatch.setattr(radicals, "plucker", boom)
     radicals._enumerated.cache_clear()
     assert len(enumerate_witnesses(4, 1)) == 202
     assert len(calls) == 202
@@ -497,6 +518,43 @@ def test_one_plucker_call_per_candidate(monkeypatch):
     calls.clear()
     active_radicals(g, F(2), 1, js=[1])
     assert calls == []
+
+
+def test_types_share_one_memo(monkeypatch):
+    # enumeration is memoized per type, so a request for a subset of types,
+    # in any order and with repeats, reads what a full run built
+    calls = _counted_saturations(monkeypatch)
+    radicals._enumerated.cache_clear()
+    full = enumerate_witnesses(4, 1)
+    built = len(calls)
+    assert enumerate_witnesses(4, 1, js=[3, 1, 1]) == [w for w in full if w.j in (1, 3)]
+    assert len(calls) == built
+    assert enumerate_witnesses(3, 1, js=[2, 1]) == enumerate_witnesses(3, 1)
+
+
+@pytest.mark.parametrize("n, height, js", [(5, 1, None), (4, 10, [1, 2])])
+def test_every_type_is_refused_before_any_chart_is_built(monkeypatch, n, height, js):
+    # (5, 1) refuses its planes and (4, 10) its 2 million plane charts,
+    # each after an admitted type
+    def boom(*args, **kwargs):
+        raise AssertionError("a chart was built")
+
+    monkeypatch.setattr(radicals, "saturation_pair", boom)
+    radicals._enumerated.cache_clear()
+    with pytest.raises(PreconditionError):
+        enumerate_witnesses(n, height, js)
+
+
+@pytest.mark.parametrize("method", ["brute", "reduction"])
+def test_improper_types_are_refused_by_name_and_repeats_are_listed_once(method):
+    g2 = Mat.rationalize([[5, 0], [0, F(1, 5)]])
+    g3 = Mat.rationalize([[2, 1, 0], [1, 1, 0], [0, 0, 1]])
+    for g, j in ((g2, 0), (g3, 3)):
+        with pytest.raises(PreconditionError, match="j=%d is not proper" % j):
+            active_radicals(g, 2, 2, js=[j], method=method)
+    once = active_radicals(g3, 10, 2, js=[1], method=method)
+    assert len(once) > 0
+    assert active_radicals(g3, 10, 2, js=[1, 1], method=method) == once
 
 
 def test_enumerate_witnesses_returns_a_new_list():
