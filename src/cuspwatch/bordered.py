@@ -11,12 +11,14 @@ The norm is the sup norm throughout; its unit sphere splits into the 2l
 faces {x_c = +-1, |x_d| <= 1}, which keeps every sphere optimization a
 finite family of linear programs.
 
-Every LP goes through `solve_lp`, and each LP shape is built in one place:
-the Gordan point (`positively_nontrivial`), the cone point (`_cone_point`,
-for Gordan's dual, ray reversibility and positive spanning), the separation
-face (`_face_lp`), the depth LP (`_depth_lp`, for the peak depth and, capped,
-intersection and the emptiness test of `invdim`) and the lex-least point
-(`_lex_inf_min`).
+This is the one module of the package that builds an LP, and every LP goes
+through `solve_lp`. Each LP shape is built in one place: the Gordan point
+(`positively_nontrivial`, also for the shrink cones of `divergence`), the
+cone point (`_cone_point`, for Gordan's dual, ray reversibility and
+positive spanning), the separation face (`_face_lp`), the depth LP
+(`_depth_lp`, for the peak depth and, capped, intersection, the emptiness
+test of `invdim` and the local finiteness of `cover.enumerate_local`) and
+the lex-least point (`_lex_inf_min`).
 """
 
 from __future__ import annotations

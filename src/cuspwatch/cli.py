@@ -37,8 +37,8 @@ from .radicals import (
     enumerate_witnesses,
     radical_from_subspace,
 )
-from .scalars import frac, frac_str
-from .serialize import (_rational, dumps, parse_csv_fracs, parse_matrix,
+from .scalars import _rational, frac, frac_str
+from .serialize import (dumps, parse_csv_fracs, parse_matrix,
                         parse_vectors, reject_float, run_manifest)
 from .sl4q import gr_plus, sl4_divergence_demo, verify_periodicity, x_membership
 

@@ -5,7 +5,8 @@ finite set of diagonal characters carrying its wedge vector. Negating the
 characters that actually appear and shifting by the exact log of the
 component norm produces a bordered region in the subgroup coordinates: the
 locus where the conjugated vector is small. This module builds those
-regions, enumerates the ones meeting a box (local finiteness), tests that
+regions, enumerates the ones meeting a box (local finiteness, decided by
+bordered's capped depth LP; this module builds no LP), tests that
 restriction to the subgroup keeps small character sets independent, and
 verifies candidate subcovers on grids.
 
@@ -21,14 +22,13 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
-from .bordered import BorderedSet, Gauge, epsilon_bound
+from .bordered import BorderedSet, Gauge, _depth_lp, epsilon_bound
 from .chars import Character, SubgroupSpec, ambient_independent, box_points
 from .errors import PreconditionError
 from .loglin import LogLin
-from .lp import lp_feasible
 from .matrix import Mat
 from .radicals import RadicalWitness, enumerate_witnesses
-from .scalars import _sup_norm, frac, frac_str
+from .scalars import _sup_norm, frac, frac_str, sign
 
 
 @dataclass(frozen=True)
@@ -165,26 +165,26 @@ def build_cover(g: Mat, A: SubgroupSpec, candidates, C0=0, gauge=None) -> list:
 def enumerate_local(g: Mat, A: SubgroupSpec, R, C0, H: int) -> list:
     """Witnesses of height <= H whose zero-gauge region meets the R-box.
 
-    Decided by exact closed feasibility of the restricted inequalities
-    inside the box; constant characters survive exactly when their cut
-    level is nonpositive. The output is finite for every (R, H).
+    Decided exactly by bordered's capped depth LP over the restricted
+    pairs and the box pairs (+-e_k, -R): the closed region meets the
+    closed box iff the best common slack is >= 0. Constant characters
+    survive exactly when their cut level is nonpositive. The output is
+    finite for every (R, H).
     """
     R = frac(R)
     if R < 0:
         raise PreconditionError("box radius must be nonnegative")
     C0 = frac(C0)
     l = A.dim
-    box = [[Fraction(sgn if i == k else 0) for i in range(l)]
-           for k in range(l) for sgn in (1, -1)]
+    box = tuple((tuple(Fraction(sgn if i == k else 0) for i in range(l)), -R)
+                for k in range(l) for sgn in (1, -1))
     out = []
     for witness in enumerate_witnesses(g.nrows, H):
         e = CoverElement(witness, A, C0, Gauge.zero(), *_element_data(g, A, witness))
         if any(LogLin(C0, ((nu, 1),)).sign() > 0 for _, nu in e.zero_psi):
             continue
         phi = e.restricted.phi if e.restricted is not None else ()
-        rows = [[-c for c in f] for f, _ in phi] + box
-        rhs = [-c for _, c in phi] + [R] * len(box)
-        if lp_feasible(A_ub=rows, b_ub=rhs)[0]:
+        if sign(_depth_lp(l, phi + box, cap=True).value) >= 0:
             out.append(witness)
     return out
 

@@ -23,8 +23,9 @@ it does each piece of integer work once, and solves no LP:
   uncovered face returned or for the cells of a certificate that is read
   (check_certificate reads none).
 The witness search decides each shrink cone once per subgroup and
-character set, in a bounded memo kept across calls. A line's or
-hyperplane's character set comes from the zero pattern of one integer
+character set, in a bounded memo kept across calls, by bordered's Gordan
+LP (`bordered.positively_nontrivial`); this module builds no LP. A line's
+or hyperplane's character set comes from the zero pattern of one integer
 vector, formed once: a kept witness is sized from the same vector.
 
 Witnesses come only from `radicals` (`RadicalWitness.components_at`, or
@@ -41,10 +42,10 @@ from itertools import combinations, islice
 from math import gcd
 from operator import mul
 
+from .bordered import positively_nontrivial
 from .chars import SubgroupSpec
 from .errors import PreconditionError
 from .lattice import positive_primitive
-from .lp import lp_feasible
 from .matrix import Mat, _bareiss
 from .radicals import (
     RadicalWitness, _closed_components, _closed_table, _closed_vector, _log_size,
@@ -108,9 +109,11 @@ def ray_shrink_set(g: Mat, v, A: SubgroupSpec) -> list:
 
 
 def cone_nonempty(rows) -> bool:
-    """Exact: is there a direction with every row . x >= 1 (so > 0)?"""
+    """Exact: is there a direction with every row . x > 0? No row, or a
+    zero row, means no; otherwise bordered's Gordan LP decides, and an empty
+    cone's multipliers are checked exactly before the verdict is returned."""
     rows = list(rows)
-    return bool(rows) and _sign_point(rows, (1,) * len(rows)) is not None
+    return bool(rows) and all(map(any, rows)) and positively_nontrivial(rows)[0]
 
 
 @dataclass(frozen=True)
@@ -186,21 +189,6 @@ def _witness_faces(g: Mat, A: SubgroupSpec, witnesses):
                 known[chars] = pos, neg
         demands.append(known[chars])
     return ws, hyps, demands
-
-
-def _sign_point(hyps, pattern):
-    """A point with the given signs on the first len(pattern) hyperplanes,
-    or None; nonzero signs are enforced as >= 1."""
-    A_ub, b_ub, A_eq, b_eq = [], [], [], []
-    for h, s in zip(hyps, pattern):
-        if s == 0:
-            A_eq.append(h)
-            b_eq.append(0)
-        else:
-            A_ub.append([-s * x for x in h])
-            b_ub.append(-1)
-    ok, x = lp_feasible(A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq)
-    return x if ok else None
 
 
 def _cocircuit(rows, l: int):

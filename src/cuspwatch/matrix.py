@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .errors import PreconditionError
-from .scalars import QuadScalar, _cleared, frac, frac_str, one_like, parse_frac, sign, zero_like
+from .scalars import QuadScalar, _cleared, _rational, frac, frac_str, one_like, sign, zero_like
 
 
 class Mat:
@@ -208,18 +208,9 @@ class Mat:
 
     @staticmethod
     def from_json(obj) -> "Mat":
-        rows = []
-        for r in obj:
-            row = []
-            for x in r:
-                if isinstance(x, dict):
-                    row.append(QuadScalar.from_json(x))
-                elif isinstance(x, str):
-                    row.append(parse_frac(x))
-                else:
-                    row.append(Fraction(x))
-            rows.append(row)
-        return Mat(rows)
+        """Entries are QuadScalar JSON objects or JSON rationals (`scalars._rational`)."""
+        return Mat([[QuadScalar.from_json(x) if isinstance(x, dict) else _rational(x) for x in r]
+                    for r in obj])
 
 
 def _dot(r, c):

@@ -3,12 +3,12 @@
 Rational scalars are plain ``fractions.Fraction`` values; the stdlib type
 already guarantees the normalized p/q invariants (gcd(p, q) = 1, q > 0), so
 we do not wrap it. This module adds the quadratic field Q(sqrt(d)) for a
-fixed square-free d, the "p/q" string codec used by all JSON surfaces, and
-the one exact sign dispatch over the package's scalar types (`sign`,
-`zero_like`, `one_like`), the one order read from a sign (`_Ordered`,
-shared by `QuadScalar` and `loglin.LogLin`), the one routine that
-clears rational rows of denominators (`_cleared`), and the one sup norm
-(`_sup_norm`).
+fixed square-free d, the "p/q" string codec used by all JSON surfaces and
+its one reader of a JSON entry (`_rational`), the one exact sign dispatch
+over the package's scalar types (`sign`, `zero_like`, `one_like`), the one
+order read from a sign (`_Ordered`, shared by `QuadScalar` and
+`loglin.LogLin`), the one routine that clears rational rows of
+denominators (`_cleared`), and the one sup norm (`_sup_norm`).
 
 >>> u = QuadScalar.of(2, 1, 3)          # 2 + sqrt(3)
 >>> (u * u.conj()).is_one()             # norm one unit
@@ -19,6 +19,7 @@ Fraction(-22, 7)
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
@@ -71,6 +72,15 @@ def frac(x, y=None) -> Fraction:
     if isinstance(x, str):
         return parse_frac(x)
     return Fraction(x)
+
+
+def _rational(x) -> Fraction:
+    """A parsed JSON entry as a rational: an int that is not a bool, or a
+    "p/q" string; a float or a bool is refused, never rounded or read as 0/1."""
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
+        raise PreconditionError("JSON entry %s is not an integer or \"p/q\""
+                                % json.dumps(x, default=repr))
+    return frac(x)
 
 
 def parse_frac(s: str) -> Fraction:
@@ -276,4 +286,4 @@ class QuadScalar(_Ordered):
 
     @staticmethod
     def from_json(obj: dict) -> "QuadScalar":
-        return QuadScalar.of(parse_frac(obj["a"]), parse_frac(obj["b"]), int(obj["d"]))
+        return QuadScalar.of(_rational(obj["a"]), _rational(obj["b"]), int(obj["d"]))

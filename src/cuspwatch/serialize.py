@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import PreconditionError
 from .matrix import Mat
-from .scalars import frac, frac_str
+from .scalars import _rational, frac, frac_str
 
 
 def jsonable(x):
@@ -46,13 +46,6 @@ def reject_float(text: str):
     """`json.loads` parse_float hook: input rationals are integers or "p/q"
     strings, never binary floats."""
     raise PreconditionError("JSON number %s is not an integer; write it as a quoted \"p/q\"" % text)
-
-
-def _rational(x) -> Fraction:
-    """A parsed JSON entry as a rational: an int that is not a bool, or a "p/q" string."""
-    if isinstance(x, bool) or not isinstance(x, (int, str)):
-        raise PreconditionError("JSON entry %s is not an integer or \"p/q\"" % json.dumps(x))
-    return frac(x)
 
 
 def parse_vectors(text: str) -> list:

@@ -312,7 +312,7 @@ def test_diverge_search_with_determinant_two_bytes(capsys):
 
 
 def test_diverge_check_builds_the_fan_once(capsys, monkeypatch):
-    inner = divergence.lp_feasible
+    inner = bordered.solve_lp
     calls = []
     fans = []
 
@@ -324,7 +324,7 @@ def test_diverge_check_builds_the_fan_once(capsys, monkeypatch):
         fans.append(1)
         return inner(hyps)
 
-    monkeypatch.setattr(divergence, "lp_feasible", counted)
+    monkeypatch.setattr(bordered, "solve_lp", counted)
     monkeypatch.setattr(divergence, "_fan_patterns", enumerated)
     lines = [[[1, 0, 0]], [[0, 1, 0]], [[0, 0, 1]]]
     ws = [radical_from_subspace(rows, 3) for rows in lines]

@@ -14,6 +14,7 @@ from cuspwatch.cover import (
 )
 from cuspwatch.errors import PreconditionError
 from cuspwatch.loglin import LogLin
+from cuspwatch.lp import lp_feasible
 from cuspwatch.matrix import Mat
 from cuspwatch.radicals import enumerate_witnesses, radical_from_subspace
 
@@ -106,6 +107,57 @@ def test_enumerate_local_counts_stabilize():
     base = [w.rows for w in enumerate_local(I2, A2, 1, 0, 3)]
     for H in (4, 5):
         assert [w.rows for w in enumerate_local(I2, A2, 1, 0, H)] == base
+
+
+def test_enumerate_local_keeps_the_closed_boundary():
+    # the coordinate lines' regions are s <= -1 and s >= 1, which meet the
+    # closed unit box only at s = -1 and s = 1; a hair more cut misses it
+    assert [w.rows for w in enumerate_local(I2, A2, 1, 2, 1)] == [((1, 0),), ((0, 1),)]
+    assert enumerate_local(I2, A2, 1, F(21, 10), 1) == []
+
+
+def _reference_local(g, A, R, C0, H):
+    """enumerate_local by closed feasibility of the restricted rows and the
+    box rows |s_k| <= R, one lp_feasible per witness."""
+    R, C0, l = F(R), F(C0), A.dim
+    box = [[F(sgn if i == k else 0) for i in range(l)] for k in range(l) for sgn in (1, -1)]
+    out = []
+    for w in enumerate_witnesses(g.nrows, H):
+        rows, rhs, ok = [], [], True
+        for ch, nu in w.components_at(g):
+            coeffs, cut = A.restrict(-ch), LogLin(C0, ((nu, 1),))
+            if any(coeffs):
+                rows.append([-c for c in coeffs])
+                rhs.append(-cut)
+            elif cut.sign() > 0:
+                ok = False
+        if ok and lp_feasible(A_ub=rows + box, b_ub=rhs + [R] * len(box))[0]:
+            out.append(w)
+    return out
+
+
+@st.composite
+def local_problems(draw):
+    """A random SL2 or SL3 g (a word of rational shears), a subgroup, a box
+    radius, a cut C0 and a height."""
+    n = draw(st.sampled_from([2, 3]))
+    g = Mat.identity(n)
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.permutations(range(n)))[:2]
+        E = [[F(int(a == b)) for b in range(n)] for a in range(n)]
+        E[i][j] = F(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+        g = g * Mat(E)
+    A = draw(st.sampled_from(
+        [A2] if n == 2 else [SubgroupSpec.full_torus(3), SubgroupSpec(3, ((1, 0, -1),))]))
+    R = F(draw(st.integers(0, 6)), 2)
+    C0 = F(draw(st.integers(-6, 6)), draw(st.integers(1, 3)))
+    return g, A, R, C0, draw(st.integers(1, 3 if n == 2 else 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(local_problems())
+def test_enumerate_local_matches_the_box_lp(problem):
+    assert enumerate_local(*problem) == _reference_local(*problem)
 
 
 def test_good_restrictions():

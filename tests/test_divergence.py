@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import cuspwatch.bordered as bordered
 import cuspwatch.divergence as divergence
 import cuspwatch.radicals as radicals
 from cuspwatch.chars import Character, SubgroupSpec
@@ -23,12 +24,13 @@ from cuspwatch.divergence import (
     _cocircuit,
     _direction,
     _fan_patterns,
-    _sign_point,
     _witness_faces,
 )
+from cuspwatch.bordered import positively_nontrivial
 from cuspwatch.errors import PreconditionError
 from cuspwatch.lattice import int_kernel, positive_primitive
 from cuspwatch.loglin import LogLin
+from cuspwatch.lp import lp_feasible
 from cuspwatch.matrix import Mat
 from cuspwatch.radicals import cusp_profile, enumerate_witnesses, radical_from_subspace
 from cuspwatch.scalars import sign
@@ -208,6 +210,21 @@ I3 = Mat.identity(3)
 SL3_LINES = [WitnessVector.from_radical(I3, w) for w in enumerate_witnesses(3, 1) if w.j == 1]
 
 
+def _sign_point(hyps, pattern):
+    """The pattern-LP oracle: a point with the given signs on the first
+    len(pattern) hyperplanes, or None; nonzero signs are enforced as >= 1."""
+    A_ub, b_ub, A_eq, b_eq = [], [], [], []
+    for h, s in zip(hyps, pattern):
+        if s == 0:
+            A_eq.append(h)
+            b_eq.append(0)
+        else:
+            A_ub.append([-s * x for x in h])
+            b_ub.append(-1)
+    ok, x = lp_feasible(A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq)
+    return x if ok else None
+
+
 def _face_direction(hyps, pattern):
     """The LP oracle: a primitive direction with the given full sign
     pattern, or None."""
@@ -322,6 +339,47 @@ def test_ray_directions_match_the_lp(hyps):
         assert _realizes(hyps, _direction(fan.values(), fan[pattern]), pattern)
 
 
+@st.composite
+def cone_rows(draw):
+    """An arrangement in R^1 to R^4, sometimes with a zero row inserted."""
+    rows = draw(arrangements(dims=(1, 2, 3, 4)))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), (0,) * len(rows[0]))
+    return rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(cone_rows())
+@example([])
+@example([(0, 0)])
+@example([(1, 0), (0, 0)])
+@example([(1, 0), (-1, 1), (0, -1)])
+def test_cone_nonempty_matches_the_pattern_lp(rows):
+    # bordered's Gordan LP gives the verdict of the pattern LP at the
+    # all-ones pattern; no row leaves the cone empty, as before
+    oracle = bool(rows) and _sign_point(rows, (1,) * len(rows)) is not None
+    assert cone_nonempty(rows) == oracle
+
+
+@settings(max_examples=80, deadline=None)
+@given(arrangements(dims=(1, 2, 3, 4)))
+@example([(1, 0), (-1, 1), (0, -1)])
+@example([(2,), (-1,)])
+def test_empty_cones_carry_gordan_multipliers(rows):
+    # an empty shrink cone comes with lam >= 0, not all zero, whose
+    # combination of the rows cancels; a nonempty one with a point on
+    # which every row is positive
+    ok, cert = positively_nontrivial(rows)
+    assert ok == cone_nonempty(rows)
+    if ok:
+        assert all(sum(a * b for a, b in zip(r, cert)) > 0 for r in rows)
+    else:
+        assert len(cert) == len(rows)
+        assert all(v >= 0 for v in cert) and any(cert)
+        assert all(sum(lam * r[d] for lam, r in zip(cert, rows)) == 0
+                   for d in range(len(rows[0])))
+
+
 @settings(max_examples=8, deadline=None)
 @given(arrangements(dims=(1, 2, 3, 4), size=5, most=6))
 def test_ray_sums_realize_every_brute_face(hyps):
@@ -341,7 +399,7 @@ def _no_lp(*args, **kwargs):
 def test_sl2_fans_solve_no_lp(monkeypatch):
     # every SL2 cell is a ray, so the golden `diverge check` example and its
     # uncovered variant take every direction from a cocircuit
-    monkeypatch.setattr(divergence, "lp_feasible", _no_lp)
+    monkeypatch.setattr(bordered, "solve_lp", _no_lp)
     cert = build_certificate(I2, A2, [UP, LO])
     assert [(c.pattern, c.direction, c.witness_index) for c in cert.fan] == [
         ((1,), (1,), 1),
@@ -378,14 +436,14 @@ def test_fan_and_search_lp_count(monkeypatch):
     # a certified SL3 problem at height 2: 98 search LPs and 728 per fan
     # pass (1554 in all) when every cone and every sign pattern gets an LP
     g = Mat.rationalize([[1, 0, 1], [0, 1, 0], [0, 0, 1]])
-    inner = divergence.lp_feasible
+    inner = bordered.solve_lp
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(1)
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(divergence, "lp_feasible", counted)
+    monkeypatch.setattr(bordered, "solve_lp", counted)
     ws = search_witnesses(g, A3, 2)
     cert = build_certificate(g, A3, ws)
     assert check_certificate(g, A3, ws) == (True, None)
@@ -465,7 +523,7 @@ def test_warm_cone_memo_solves_no_lp(monkeypatch):
     per_witness = _one_lp_per_witness(g, A3, 2)
     divergence._cone_verdict.cache_clear()
     search_witnesses(SL3_CONE_GS[0], A3, 2)
-    monkeypatch.setattr(divergence, "lp_feasible", _no_lp)
+    monkeypatch.setattr(bordered, "solve_lp", _no_lp)
     ws = search_witnesses(g, A3, 2)
     assert ws and list(map(repr, ws)) == list(map(repr, per_witness))
 
@@ -518,7 +576,7 @@ def test_fan_ops_solve_no_lp_once_the_search_is_warm(monkeypatch):
     ws = search_witnesses(g, A3, 2)
     T4 = SubgroupSpec.full_torus(4)
     lines_and_hyperplanes = [w for w in enumerate_witnesses(4, 1) if w.j != 2]
-    monkeypatch.setattr(divergence, "lp_feasible", _no_lp)
+    monkeypatch.setattr(bordered, "solve_lp", _no_lp)
     cert = build_certificate(g, A3, ws)
     assert cert is not None and len(cert.fan) == 24
     assert check_certificate(g, A3, ws) == (True, None)

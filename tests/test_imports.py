@@ -7,7 +7,8 @@ imports are re-exports, and fails on a module-level import binding that no
 expression of the module reads. It also keeps `matrix._pivot`, the one
 fraction-free row operation, inside `matrix` and `lp`: every other module
 eliminates through `matrix._bareiss` or `matrix._gauss_jordan`, so a new
-private pivot loop fails here.
+private pivot loop fails here. Likewise `bordered` is the one module that
+builds an LP, so no other module outside `lp` itself imports `lp`.
 """
 
 import ast
@@ -98,3 +99,33 @@ def test_only_matrix_and_lp_use_the_pivot_step():
         if any(_pivot_references(ast.parse(path.read_text(), str(path))))
     )
     assert users == ["lp.py", "matrix.py"]
+
+
+def _lp_imports(tree):
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.ImportFrom)
+                and ((node.module or "").split(".")[-1] == "lp"
+                     or any(alias.name == "lp" for alias in node.names))
+                or isinstance(node, ast.Import)
+                and any(alias.name.split(".")[-1] == "lp" for alias in node.names)):
+            yield node
+
+
+def test_lp_detector_sees_every_form():
+    src = (
+        "from .lp import solve_lp\n"
+        "from .lp import lp_feasible as feasible\n"
+        "from . import lp\n"
+        "import cuspwatch.lp\n"
+        "from .bordered import _depth_lp\n"
+        "from .lattice import positive_primitive\n"
+    )
+    assert len(list(_lp_imports(ast.parse(src)))) == 4
+
+
+def test_only_bordered_imports_the_lp_module():
+    users = sorted(
+        path.name for path in PACKAGE.rglob("*.py")
+        if any(_lp_imports(ast.parse(path.read_text(), str(path))))
+    )
+    assert users == ["bordered.py"]

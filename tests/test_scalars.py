@@ -1,12 +1,16 @@
+import json
 from fractions import Fraction
 from operator import ge, gt, le, lt
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from cuspwatch.errors import PreconditionError
 from cuspwatch.loglin import LogLin
+from cuspwatch.matrix import Mat
 from cuspwatch.scalars import QuadScalar, frac, frac_str, one_like, parse_frac, sign, zero_like
+from cuspwatch.wedge import WedgeVector
 
 F = Fraction
 
@@ -206,3 +210,43 @@ def test_hashing_of_exact_ordered_types():
         hash(LogLin(F(3, 4)))
     assert hash(QuadScalar.rational(F(3, 4), 5)) == hash(F(3, 4))
     assert QuadScalar.rational(F(3, 4), 5) in {F(3, 4)}
+
+
+# every from_json reads a rational entry through scalars._rational: an int
+# or a "p/q" string, never a binary float or a bool
+JSON_READERS = {
+    "Mat": lambda x: Mat.from_json([[x, "1"]])[0, 0],
+    "WedgeVector": lambda x: WedgeVector.from_json({"m": 2, "k": 1, "coeffs": [[[1], x]]})
+    .coeff((1,)),
+    "QuadScalar.a": lambda x: QuadScalar.from_json({"a": x, "b": "1", "d": 2}).a,
+    "QuadScalar.b": lambda x: QuadScalar.from_json({"a": "1", "b": x, "d": 2}).b,
+}
+
+
+@pytest.mark.parametrize("read", JSON_READERS.values(), ids=JSON_READERS)
+@pytest.mark.parametrize("entry", [0.1, 2.0, True, False, None, [1], F(1, 2)])
+def test_json_readers_refuse_floats_and_bools(read, entry):
+    with pytest.raises(PreconditionError, match='is not an integer or "p/q"'):
+        read(entry)
+
+
+@pytest.mark.parametrize("read", JSON_READERS.values(), ids=JSON_READERS)
+def test_json_readers_accept_ints_and_p_over_q(read):
+    assert read(3) == 3 and read(-5) == -5
+    assert read("-22/7") == F(-22, 7) and read("4") == 4
+
+
+def test_json_round_trips():
+    m = Mat([[F(1, 2), QuadScalar.of(F(-3, 4), 2, 5)], [F(-7), QuadScalar.rational(1, 5)]])
+    w = WedgeVector(4, 2, {(1, 2): F(3, 7), (3, 4): F(-1)})
+    x = QuadScalar.of(F(5, 3), F(-1, 6), 7)
+    for obj, cls in ((m, Mat), (w, WedgeVector), (x, QuadScalar)):
+        assert cls.from_json(json.loads(json.dumps(obj.to_json()))) == obj
+
+
+def test_the_fan_corpus_still_loads():
+    corpus = json.loads((Path(__file__).resolve().parents[1]
+                         / "perfbench" / "data" / "fan_corpus.json").read_text())
+    for e in corpus:
+        g = Mat.from_json(e["g"])
+        assert g.det() == 1 and g.to_json() == e["g"]
