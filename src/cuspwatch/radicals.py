@@ -26,7 +26,10 @@ primitive row v (w = H f for a hyperplane's primitive normal f), the
 conjugated wedge has one component per multiset A of size n over 1..n
 whose factors u_a are all nonzero: weight chi_A = sum_(a in A) e_a -
 (1, ..., 1) (-chi_A for a hyperplane) and norm prod |u_a| / |det G|
-(prod |w_a| / |det H|); see _closed_components. Planes are sized from the
+(prod |w_a| / |det H|); see _closed_components. The vectors u of many
+lines or hyperplanes are formed in one column-wise pass (_closed_vectors)
+over the columns of their vectors v or f (_closed_columns), which the
+witness search reads once per (n, type, height). Planes are sized from the
 integer minors of _conj_minors.
 
 Witnesses of every type come from one enumerator over the Schubert charts
@@ -44,7 +47,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, combinations_with_replacement, product
 from math import gcd, prod
-from operator import mul
+from operator import add, mul
 
 from .chars import Character, SubgroupSpec
 from .errors import DependentInput, PreconditionError
@@ -199,7 +202,8 @@ class RadicalWitness:
         _closed_components); planes bucket the integer minors of the
         conjugated wedge (see conj_ad_wedge), divided once per weight."""
         if self.j == 1 or self.j == self.n - 1:
-            return _closed_components(g, self)
+            sign, den, (u,) = _closed_vectors(g, self.j, _closed_columns((self,), self.n, self.j))
+            return _closed_components(_closed_table(self.n, sign, _support(u))[0], u, den)
         minors, den = _conj_minors(g, self)
         return _components(minors, self.n, den)
 
@@ -337,27 +341,51 @@ def _closed_table(n: int, sign: int, support: int) -> tuple:
     return tuple(out), frozenset(ch.coeffs for _, ch in out)
 
 
-def _closed_vector(g: Mat, witness: RadicalWitness) -> tuple:
-    """(u, sign, support) of _closed_components: u = G v and sign 1 for a
-    line, u = H f and sign -1 for a hyperplane, and support the bit mask of
-    u's nonzero entries, which with n and the sign fixes the characters
-    (_closed_table)."""
+def _closed_columns(witnesses, n: int, j: int) -> tuple:
+    """The n columns of the vectors of lines (j = 1: the primitive row v)
+    or hyperplanes (j = n - 1: the primitive normal f = ann_rows[0]):
+    column a holds entry a of each witness's vector, in order."""
+    vs = [w.rows[0] if j == 1 else w.ann_rows[0] for w in witnesses]
+    return tuple(tuple(v[a] for v in vs) for a in range(n))
+
+
+def _closed_vectors(g: Mat, j: int, columns) -> tuple:
+    """(sign, den, us) for the lines (j = 1) or hyperplanes (j = n - 1)
+    whose vectors have these columns (_closed_columns): us lists each u =
+    G v, with sign 1 and den = |det G|, or each u = H f, with sign -1 and
+    den = |det H| (see _conjugator and _cleared_dets), as a tuple, in order.
+
+    The pass is column-wise: coordinate i of every u is the sum over a of
+    M[i][a] times column a (M = G or H), one map of int operations per
+    nonzero entry of M, so no vector is formed on its own."""
     G, H, _, _, _ = _conjugator(g)
-    if witness.j == 1:
-        (u,), sign = _moved(G, witness.rows), 1
-    else:
-        (u,), sign = _moved(H, witness.ann_rows), -1
+    dets = _cleared_dets(g)
+    M, sign, den = (G, 1, dets[0]) if j == 1 else (H, -1, dets[1])
+    coords = []
+    for row in M:
+        acc = None
+        for c, col in zip(row, columns):
+            if c:
+                term = col if c == 1 else map(c.__mul__, col)
+                acc = term if acc is None else map(add, acc, term)
+        coords.append(acc)
+    return sign, den, list(zip(*coords))
+
+
+def _support(u) -> int:
+    """The bit mask of the nonzero entries of u, which with n and the sign
+    fixes a line's or hyperplane's characters (_closed_table)."""
     support = 0
     for a, x in enumerate(u):
         if x:
             support |= 1 << a
-    return u, sign, support
+    return support
 
 
-def _closed_components(g: Mat, witness: RadicalWitness, closed=None) -> list:
+def _closed_components(monomials, u, den) -> list:
     """components_at for a line (j = 1) or a hyperplane (j = n - 1), from
-    one integer vector and no minor; closed, when given, is
-    _closed_vector(g, witness) already read.
+    its vector u and den of _closed_vectors and the monomials of
+    _closed_table(n, sign, _support(u)), with no minor.
 
     Line V = Q v, v the primitive row, with u = G v (see _conjugator): the
     components are chi_A, with norm prod_(a in A) |u_a| / |det G|, for each
@@ -415,10 +443,7 @@ def _closed_components(g: Mat, witness: RadicalWitness, closed=None) -> list:
     forms (sort keys), and likewise for -chi_A. Sorting by sort key alone is
     then the order of _components, which only breaks ties.
     """
-    u, sign, support = _closed_vector(g, witness) if closed is None else closed
-    den = _cleared_dets(g)[sign < 0]
     u = list(map(abs, u))
-    monomials = _closed_table(witness.n, sign, support)[0]
     if den == 1:    # integer norms: Fraction skips its gcd
         return [(ch, Fraction(prod(map(u.__getitem__, A)))) for A, ch in monomials]
     return [(ch, Fraction(prod(map(u.__getitem__, A)), den)) for A, ch in monomials]
@@ -590,6 +615,13 @@ def _types(n: int, height: int, js) -> list:
 @lru_cache(maxsize=32)
 def _enumerated(n: int, j: int, height: int) -> tuple:
     return tuple(sorted(_candidate_subspaces(n, j, height), key=RadicalWitness.sort_key))
+
+
+@lru_cache(maxsize=32)
+def _enumerated_columns(n: int, j: int, height: int) -> tuple:
+    """_closed_columns of the lines or hyperplanes _enumerated(n, j, height),
+    built once per (n, j, height), by the first search that reads them."""
+    return _closed_columns(_enumerated(n, j, height), n, j)
 
 
 def enumerate_witnesses(n: int, height: int, js=None) -> list:

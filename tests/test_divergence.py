@@ -1,6 +1,9 @@
 import ast
+import json
+import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -34,6 +37,7 @@ from cuspwatch.lp import lp_feasible
 from cuspwatch.matrix import Mat
 from cuspwatch.radicals import cusp_profile, enumerate_witnesses, radical_from_subspace
 from cuspwatch.scalars import sign
+from test_bruhat import random_sl
 
 F = Fraction
 
@@ -540,21 +544,140 @@ def test_search_keeps_what_one_lp_per_witness_keeps_in_sl4(g4_lp_verdicts):
 
 
 def test_search_forms_each_closed_vector_once(monkeypatch):
-    # a line's G v and a hyperplane's H f are formed once per search: the
-    # cone verdict and a kept witness's components read the same vector
+    # the column pass forms every line's G v and every hyperplane's H f once
+    # per search: the cone verdict and a kept witness's components read the
+    # same vector, and no full-support vector reaches the table or the memo
     g = Mat.rationalize([[2, 1, 1], [1, 1, 0], [1, 1, 1]])
-    inner = radicals._moved
+    inner = radicals._closed_vectors
     formed = []
 
-    def counted(M, rows):
-        formed.append(rows)
-        return inner(M, rows)
+    def counted(g, j, columns):
+        formed.extend(zip(*columns))
+        return inner(g, j, columns)
 
-    monkeypatch.setattr(radicals, "_moved", counted)
+    monkeypatch.setattr(radicals, "_closed_vectors", counted)
+    monkeypatch.setattr(divergence, "_closed_vectors", counted)
+    table = divergence._closed_table
+    supports = []
+
+    def looked_up(n, sign, support):
+        supports.append(support)
+        return table(n, sign, support)
+
+    monkeypatch.setattr(divergence, "_closed_table", looked_up)
     ws = search_witnesses(g, A3, 2)
     assert 0 < len(ws) < len(enumerate_witnesses(3, 2))
-    assert sorted(formed) == sorted(rw.rows if rw.j == 1 else rw.ann_rows
+    assert sorted(formed) == sorted(rw.rows[0] if rw.j == 1 else rw.ann_rows[0]
                                     for rw in enumerate_witnesses(3, 2))
+    assert supports and 0b111 not in supports
+
+
+def _oracle_closed_vector(g, rw):
+    """(u, sign, support) of one line (u = G v, sign 1) or hyperplane
+    (u = H f, sign -1), formed on its own."""
+    G, H, _, _, _ = radicals._conjugator(g)
+    if rw.j == 1:
+        (u,), sign = radicals._moved(G, rw.rows), 1
+    else:
+        (u,), sign = radicals._moved(H, rw.ann_rows), -1
+    return u, sign, sum(1 << a for a, x in enumerate(u) if x)
+
+
+def _oracle_closed_components(g, rw, closed):
+    u, sign, support = closed
+    den = radicals._cleared_dets(g)[sign < 0]
+    return [(ch, F(prod(abs(u[a]) for a in A), den))
+            for A, ch in radicals._closed_table(rw.n, sign, support)[0]]
+
+
+def _oracle_search(g, A, height):
+    """The search one candidate at a time: a line's or hyperplane's vector
+    formed on its own, its cone decided from its _closed_table key (full
+    support included) and a kept one sized from that vector; planes sized
+    by components_at."""
+    n = g.nrows
+    out, verdicts = [], {}
+    for rw in enumerate_witnesses(n, height):
+        if rw.j == 1 or rw.j == n - 1:
+            closed = _oracle_closed_vector(g, rw)
+            kind = closed[1:]
+            if kind not in verdicts:
+                verdicts[kind] = divergence._cone_verdict(
+                    A, radicals._closed_table(n, *kind)[1])
+            comps = _oracle_closed_components(g, rw, closed) if verdicts[kind] else None
+        else:
+            comps = rw.components_at(g)
+            if not divergence._cone_verdict(A, frozenset(ch.coeffs for ch, _ in comps)):
+                comps = None
+        if comps is not None:
+            out.append(WitnessVector(rw.n, rw.dim, tuple(comps), rw.label))
+    return out
+
+
+@st.composite
+def search_problems(draw):
+    """(g, A, height): g in SL_n or a GL_n g with |det g| != 1, A the full
+    torus or a rank-1 subgroup, for SL2 (height <= 3), SL3 (height <= 2)
+    and SL4 (height 1, planes included)."""
+    n, height = draw(st.sampled_from([(2, 1), (2, 3), (3, 1), (3, 2), (4, 1)]))
+    g = random_sl(n, random.Random(draw(st.integers(0, 10 ** 6))), height=3, steps=6)
+    c = draw(st.sampled_from([F(1), F(2), F(-3), F(1, 2), F(-3, 2)]))
+    g = g * Mat([[c if a == b == 0 else F(int(a == b)) for b in range(n)] for a in range(n)])
+    if draw(st.booleans()):
+        A = SubgroupSpec.full_torus(n)
+    else:
+        head = draw(st.lists(st.integers(-3, 3), min_size=n - 1, max_size=n - 1)
+                    .filter(any))
+        A = SubgroupSpec(n, (tuple(head) + (-sum(head),),))
+    return g, A, height
+
+
+@settings(max_examples=30, deadline=None)
+@given(search_problems())
+@example((G4, SubgroupSpec.full_torus(4), 1))
+@example((Mat.rationalize([[2, 1, 0], [1, 1, 1], [0, 1, 4]]), SubgroupSpec(3, ((1, 2, -3),)), 2))
+def test_search_matches_the_per_candidate_oracle(problem):
+    # same witnesses, components and order (types ascending, so SL4 planes
+    # sit between lines and hyperplanes) as one vector per candidate
+    g, A, height = problem
+    assert repr(search_witnesses(g, A, height)) == repr(_oracle_search(g, A, height))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_full_support_lines_and_hyperplanes_shrink_nowhere(monkeypatch, n):
+    # the multiset {1, ..., n} gives the character 0 (for either sign), which
+    # restricts to zero on every subgroup: the cone is empty without an LP
+    monkeypatch.setattr(bordered, "solve_lp", _no_lp)
+    full = (1 << n) - 1
+    line = SubgroupSpec(n, ((1,) + (0,) * (n - 2) + (-1,),))
+    for sign in (1, -1):
+        key = radicals._closed_table(n, sign, full)[1]
+        assert (0,) * n in key
+        for A in (SubgroupSpec.full_torus(n), line):
+            assert divergence._cone_verdict(A, key) is False
+
+
+def test_fan_corpus_under_every_coordinate_permutation():
+    # the benchmark's fan problems, each conjugated by every permutation
+    # matrix P (which permutes the torus coordinates), keep the recorded
+    # verdict and the sizes of the witness family and of the fan
+    corpus = json.loads((Path(__file__).resolve().parents[1]
+                         / "perfbench" / "data" / "fan_corpus.json").read_text())
+    assert len(corpus) == 10
+    for entry in corpus:
+        g0 = Mat.from_json(entry["g"])
+        for perm in permutations(range(3)):
+            # (P g P^T)[i][j] = g[perm i][perm j] for P[i][perm i] = 1
+            g = Mat([[g0[perm[i], perm[j]] for j in range(3)] for i in range(3)])
+            ws = search_witnesses(g, A3, 2)
+            assert len(ws) == entry["witnesses"]
+            cert = build_certificate(g, A3, ws)
+            if entry["verdict"] == "certified":
+                assert cert is not None and len(cert.fan) == entry["cells"]
+            else:
+                assert cert is None and entry["cells"] == 0
+                ok, direction = check_certificate(g, A3, ws)
+                assert not ok and any(direction)
 
 
 def test_equal_subgroups_share_a_cone_memo_entry():

@@ -19,9 +19,11 @@ from cuspwatch.scalars import _cleared, _sup_norm
 from cuspwatch.radicals import (
     _candidate_subspaces,
     _closed_table,
-    _closed_vector,
+    _closed_vectors,
     _components,
     _conj_minors,
+    _enumerated_columns,
+    _support,
     active_radicals,
     conj_ad_wedge,
     coords_to_matrix,
@@ -648,15 +650,20 @@ def test_closed_form_components_match_the_minor_path(shape, unimodular, seed, da
 @given(st.sampled_from([(3, 2), (4, 1)]), st.integers(min_value=0, max_value=10 ** 6))
 def test_support_key_is_the_components_key(shape, seed):
     # the shrink-cone key of a line or hyperplane, read from the zero
-    # pattern of g v (g^-T f) alone, is the set of its characters under a
-    # rational SL g; in SL3 also those of the conjugated wedge's minors
+    # pattern of its u = G v (H f) in the search's column pass alone, is
+    # the set of its characters under a rational SL g; in SL3 also those of
+    # the conjugated wedge's minors
     n, height = shape
     g = random_sl(n, random.Random(seed), height=3, steps=6)
-    for w in enumerate_witnesses(n, height, js=[1, n - 1]):
-        key = _closed_table(n, *_closed_vector(g, w)[1:])[1]
-        assert key == frozenset(ch.coeffs for ch, _ in w.components_at(g))
-        if n == 3:
-            assert key == frozenset(ch.coeffs for ch, _ in _minor_components(g, w))
+    for j in (1, n - 1):
+        sign, _, us = _closed_vectors(g, j, _enumerated_columns(n, j, height))
+        ws = enumerate_witnesses(n, height, js=[j])
+        assert len(us) == len(ws)
+        for w, u in zip(ws, us):
+            key = _closed_table(n, sign, _support(u))[1]
+            assert key == frozenset(ch.coeffs for ch, _ in w.components_at(g))
+            if n == 3:
+                assert key == frozenset(ch.coeffs for ch, _ in _minor_components(g, w))
 
 
 def test_lines_and_hyperplanes_are_sized_without_minors(monkeypatch):
