@@ -17,8 +17,9 @@ through `solve_lp`. Each LP shape is built in one place: the Gordan point
 cone point (`_cone_point`, for Gordan's dual, ray reversibility and
 positive spanning), the separation face (`_face_lp`), the depth LP
 (`_depth_lp`, for the peak depth and, capped, intersection, the emptiness
-test of `invdim` and the local finiteness of `cover.enumerate_local`) and
-the lex-least point (`_lex_inf_min`).
+test of `invdim` and the box test `_meets_box`, which decides the local
+finiteness of `cover.enumerate_local`) and the lex-least point
+(`_lex_inf_min`). No other module writes an LP row or names an LP shape.
 """
 
 from __future__ import annotations
@@ -132,23 +133,18 @@ class BorderedSet:
         return [c for _, c in self.phi]
 
     @cached_property
-    def _negated_logs(self) -> tuple:
-        """The log terms of -C_i for each LogLin constant, None for a rational one."""
-        return tuple((-c).logs if isinstance(c, LogLin) else None for c in self.constants)
+    def _negated(self) -> tuple:
+        """-C_i for each i."""
+        return tuple(-c for c in self.constants)
 
     def _margins(self, x):
-        """The margins one at a time. A LogLin constant at a rational point
-        gives its margin from its negated log terms, with no LogLin
-        subtraction."""
+        """The margins one at a time, each -C_i plus a scalar: at a rational
+        point, a LogLin constant's log terms are kept as they are."""
         if len(x) != self.l:
             raise PreconditionError("point dimension mismatch")
         cut = self.gauge(_sup_norm(x))
-        for (f, c), logs in zip(self.phi, self._negated_logs):
-            q = _dot(f, x) - cut
-            if logs is None or isinstance(q, LogLin):
-                yield q - c
-            else:
-                yield LogLin._built(q - c.rat, logs)
+        for (f, _), c in zip(self.phi, self._negated):
+            yield c + (_dot(f, x) - cut)
 
     def margins(self, x) -> list:
         """phi_i(x) - C_i - gauge(|x|) for each i, exact scalars."""
@@ -244,8 +240,7 @@ def _face_lp(vectors, fix_coord: int, side: int, l: int):
     """
     k = len(vectors)
     zero = [Fraction(0)]
-    A_ub = [[Fraction(1)] + [sum(a * b for a, b in zip(u, v)) for v in vectors]
-            for u in vectors]
+    A_ub = [[Fraction(1)] + [_dot(u, v) for v in vectors] for u in vectors]
     A_ub += [zero + [-Fraction(i == j) for j in range(k)] for i in range(k)]
     for d in range(l):
         if d != fix_coord:
@@ -449,6 +444,15 @@ def _depth_lp(l: int, pairs, cap: bool):
     return solve_lp([Fraction(1)] + [Fraction(0)] * l, A_ub=A_ub, b_ub=b_ub)
 
 
+def _meets_box(l: int, pairs, R) -> bool:
+    """Whether the closed region {x : phi(x) >= c for each pair (phi, c)}
+    in R^l meets the closed box |x|_inf <= R: the capped depth LP over the
+    pairs and the box pairs (+-e_k, -R) reaches a slack >= 0."""
+    box = tuple((tuple(Fraction(sgn if i == k else 0) for i in range(l)), -R)
+                for k in range(l) for sgn in (1, -1))
+    return sign(_depth_lp(l, tuple(pairs) + box, cap=True).value) >= 0
+
+
 class _ContractionPlan:
     """Everything contract_step needs of one set that depends on neither the
     point nor the time, each part built on first use and then kept.
@@ -503,7 +507,7 @@ class _ContractionPlan:
     def faces(self) -> list:
         out = []
         for combo, B in _independent_subsets(self.peak[0], self.U.l):
-            gram = Mat([[sum(a * b for a, b in zip(r, s)) for s in B] for r in B])
+            gram = Mat([[_dot(r, s) for s in B] for r in B])
             out.append((combo, B, gram.inverse()))
         return out
 
@@ -529,7 +533,7 @@ class _ContractionPlan:
         """
         rows, rhs = self.peak
         l = len(p)
-        slack = [sum(r[d] * p[d] for d in range(l)) - b for r, b in zip(rows, rhs)]
+        slack = [_dot(r, p) - b for r, b in zip(rows, rhs)]
         if all(sign(v) >= 0 for v in slack):
             return tuple(p)
         for combo, B, gram_inv in self.faces:
@@ -538,7 +542,7 @@ class _ContractionPlan:
                 continue
             x = [p[d] + sum(mu[i] * B[i][d] for i in range(len(B))) for d in range(l)]
             if all(
-                sign(sum(r[d] * x[d] for d in range(l)) - b) >= 0
+                sign(_dot(r, x) - b) >= 0
                 for i, (r, b) in enumerate(zip(rows, rhs)) if i not in combo
             ):
                 return tuple(x)

@@ -33,7 +33,6 @@ from .errors import PreconditionError
 from .radicals import (
     active_radicals,
     cusp_profile,
-    default_digits,
     enumerate_witnesses,
     radical_from_subspace,
 )
@@ -161,10 +160,9 @@ def _run_radicals(argv) -> object:
     witnesses = enumerate_witnesses(g.nrows, args.height)
     if not witnesses:
         raise PreconditionError("no witnesses at this height bound")
-    table = cusp_profile(
-        g, A, _grid(args.grid, A.dim), witnesses, digits=args.digits
-    )
-    return args, table
+    grid = _grid(args.grid, A.dim)
+    args.digits = _digits(args)
+    return args, cusp_profile(g, A, grid, witnesses, digits=args.digits)
 
 
 def _run_bordered(argv) -> object:
@@ -331,6 +329,23 @@ _RUNNERS = {
 }
 
 
+def _digits(args) -> int:
+    """The decimal digits of rendered values: --digits when given, else the
+    environment variable CUSPWATCH_PRECISION, else 50."""
+    digits = getattr(args, "digits", None)
+    if digits is not None:
+        return digits
+    raw = os.environ.get("CUSPWATCH_PRECISION", "50")
+    try:
+        digits = int(raw)
+    except ValueError:
+        digits = 0
+    if digits < 1:
+        raise PreconditionError(
+            "CUSPWATCH_PRECISION must be a positive integer, got %r" % (raw,))
+    return digits
+
+
 def _emit(command: str, argv, args, result) -> None:
     """Render everything before writing, so a rejected input prints nothing."""
     if args.csv:
@@ -341,10 +356,7 @@ def _emit(command: str, argv, args, result) -> None:
     else:
         text = dumps(result) + "\n"
     if args.manifest:
-        digits = getattr(args, "digits", None)
-        if digits is None:
-            digits = default_digits()
-        manifest = run_manifest([command] + list(argv), __version__, digits)
+        manifest = run_manifest([command] + list(argv), __version__, _digits(args))
         text = dumps(manifest) + "\n" + text
     sys.stdout.write(text)
 

@@ -6,13 +6,14 @@ characters that actually appear and shifting by the exact log of the
 component norm produces a bordered region in the subgroup coordinates: the
 locus where the conjugated vector is small. This module builds those
 regions, enumerates the ones meeting a box (local finiteness, decided by
-bordered's capped depth LP; this module builds no LP), tests that
+`bordered`, which writes the box LP; this module builds no LP), tests that
 restriction to the subgroup keeps small character sets independent, and
 verifies candidate subcovers on grids.
 
 Membership and activity are computed along two independent routes (margin
 arithmetic of the bordered region vs. certified log-linear signs of the
-component norms) so they can cross-check each other in tests.
+component norms) so they can cross-check each other in tests. Both add a
+rational to a stored log norm; neither reads a LogLin's terms.
 """
 
 from __future__ import annotations
@@ -22,13 +23,13 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
-from .bordered import BorderedSet, Gauge, _depth_lp, epsilon_bound
+from .bordered import BorderedSet, Gauge, _meets_box, epsilon_bound
 from .chars import Character, SubgroupSpec, ambient_independent, box_points
 from .errors import PreconditionError
 from .loglin import LogLin
 from .matrix import Mat
 from .radicals import RadicalWitness, enumerate_witnesses
-from .scalars import _sup_norm, frac, frac_str, sign
+from .scalars import _sup_norm, frac, frac_str
 
 
 @dataclass(frozen=True)
@@ -67,8 +68,8 @@ class CoverElement:
 
     @cached_property
     def _log_norms(self) -> tuple:
-        """log(norm) of each component as LogLin's checked term tuple."""
-        return tuple(LogLin.log(nu).logs for nu in self.norms)
+        """log(norm) of each component, as a LogLin."""
+        return tuple(map(LogLin.log, self.norms))
 
     def contains(self, s, closed: bool = False) -> bool:
         """Gauged membership, via bordered-set margins plus ball conditions."""
@@ -76,9 +77,9 @@ class CoverElement:
         if len(s) != self.subgroup.dim:
             raise PreconditionError("coordinate length mismatch")
         top = self.C0 + self.gauge(_sup_norm(s))
-        for coeffs, logs in zip(self.restr, self._log_norms):
+        for coeffs, log_norm in zip(self.restr, self._log_norms):
             if not any(coeffs):
-                sign = LogLin._built(top, logs).sign()
+                sign = (log_norm + top).sign()
                 if sign > 0 or (sign == 0 and not closed):
                     return False
         if self.restricted is None:
@@ -96,9 +97,9 @@ class CoverElement:
         if len(s) != self.subgroup.dim:
             raise PreconditionError("coordinate length mismatch")
         top = self.C0 + self.gauge(_sup_norm(s))
-        for coeffs, logs in zip(self.restr, self._log_norms):
+        for coeffs, log_norm in zip(self.restr, self._log_norms):
             lin = top - sum(c * v for c, v in zip(coeffs, s))
-            sign = LogLin._built(lin, logs).sign()
+            sign = (log_norm + lin).sign()
             if sign > 0 or (sign == 0 and strict):
                 return False
         return True
@@ -165,26 +166,20 @@ def build_cover(g: Mat, A: SubgroupSpec, candidates, C0=0, gauge=None) -> list:
 def enumerate_local(g: Mat, A: SubgroupSpec, R, C0, H: int) -> list:
     """Witnesses of height <= H whose zero-gauge region meets the R-box.
 
-    Decided exactly by bordered's capped depth LP over the restricted
-    pairs and the box pairs (+-e_k, -R): the closed region meets the
-    closed box iff the best common slack is >= 0. Constant characters
-    survive exactly when their cut level is nonpositive. The output is
-    finite for every (R, H).
+    Decided exactly by bordered's box test over the restricted pairs
+    (`bordered._meets_box`). Constant characters survive exactly when
+    their cut level is nonpositive. The output is finite for every (R, H).
     """
     R = frac(R)
     if R < 0:
         raise PreconditionError("box radius must be nonnegative")
     C0 = frac(C0)
-    l = A.dim
-    box = tuple((tuple(Fraction(sgn if i == k else 0) for i in range(l)), -R)
-                for k in range(l) for sgn in (1, -1))
     out = []
     for witness in enumerate_witnesses(g.nrows, H):
         e = CoverElement(witness, A, C0, Gauge.zero(), *_element_data(g, A, witness))
         if any(LogLin(C0, ((nu, 1),)).sign() > 0 for _, nu in e.zero_psi):
             continue
-        phi = e.restricted.phi if e.restricted is not None else ()
-        if sign(_depth_lp(l, phi + box, cap=True).value) >= 0:
+        if _meets_box(A.dim, e.restricted.phi if e.restricted is not None else (), R):
             out.append(witness)
     return out
 

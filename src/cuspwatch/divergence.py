@@ -24,17 +24,12 @@ it does each piece of integer work once, and solves no LP:
   (check_certificate reads none).
 The witness search decides each shrink cone once per subgroup and
 character set, in a bounded memo kept across calls, by bordered's Gordan
-LP (`bordered.positively_nontrivial`); this module builds no LP. A line's
-or hyperplane's character set comes from the zero pattern of one integer
-vector u; the u of every line, and of every hyperplane, is formed in one
-column-wise pass per type, and a kept witness is sized from the same u.
-When u has no zero entry, the character 0 is a component, so the shrink
-cone is empty and the candidate is dropped before any table or memo is
-read.
+LP (`bordered.positively_nontrivial`); this module builds no LP.
 
-Witnesses come only from `radicals` (`RadicalWitness.components_at`, or
-its closed form for lines and hyperplanes): `radicals` alone conjugates a
-witness and sizes it, ray profiles included.
+Witnesses come only from `radicals`: `radicals` alone conjugates a witness
+and sizes it, ray profiles included. The search reads its candidates,
+their character keys and their sizing from one stream of `radicals`, and
+does not know how a witness of any type is sized.
 """
 
 from __future__ import annotations
@@ -42,19 +37,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, groupby, islice
+from itertools import combinations, islice
 from math import gcd
-from operator import attrgetter, mul
+from operator import mul
 
 from .bordered import positively_nontrivial
 from .chars import SubgroupSpec
 from .errors import PreconditionError
 from .lattice import positive_primitive
 from .matrix import Mat, _bareiss
-from .radicals import (
-    RadicalWitness, _closed_components, _closed_table, _closed_vectors,
-    _enumerated_columns, _log_size, _support, enumerate_witnesses,
-)
+from .radicals import RadicalWitness, _keyed, _log_size
 from .scalars import frac_str
 
 
@@ -404,48 +396,19 @@ def search_witnesses(g: Mat, A: SubgroupSpec, height: int) -> list:
     """Subspace witnesses of bounded height with a nonempty shrink cone,
     in the order of enumerate_witnesses.
 
-    The cone is decided once per subgroup and character set, across calls:
-    the characters of a given n come from a finite set, so a warm memo
-    solves no LP. components_at gives sum-zero coefficients, so equal
-    coefficient tuples are equal characters. A line's or hyperplane's
-    character set is fixed by n, its sign and the zero pattern of one
-    integer vector u = G v (or H f). The u of every line, and then of every
-    hyperplane, comes from one column-wise pass (radicals._closed_vectors)
-    over the candidates' vector columns, kept per (n, type, height). Its
-    support picks the verdict, read from the memo once per call, and a kept
-    witness is sized from the same u (radicals._closed_components, which
-    components_at calls too). A plane is sized once, and a kept plane
-    reuses its components.
-
-    Lemma: a line or hyperplane whose u has full support shrinks nowhere.
-    Proof: every u_a is nonzero, so the multiset A = {1, ..., n} gives the
-    component chi_A = sum_a e_a - (1, ..., 1) = 0 (-chi_A = 0 for a
-    hyperplane; see radicals._closed_components). The character 0
-    restricts to zero on every subgroup, and a direction shrinks the
-    witness only if every component's character is strictly negative on
-    it, so the shrink cone is empty. Such a candidate is dropped before any
-    table or memo is read.
+    The candidates, their character keys and their sizing come from
+    radicals' stream (radicals._keyed), which skips the lines and
+    hyperplanes that shrink nowhere. The cone is decided once per key in a
+    call, and once per subgroup and key across calls: the characters of a
+    given n come from a finite set, so a warm memo solves no LP. Only a
+    kept witness is sized.
     """
-    out = []
     n = g.nrows
-    for j, rws in groupby(enumerate_witnesses(n, height), attrgetter("j")):
-        if j == 1 or j == n - 1:
-            sign, den, us = _closed_vectors(g, j, _enumerated_columns(n, j, height))
-            kept = {}   # support -> its monomials when the cone is nonempty, else None
-            for rw, u in zip(rws, us):
-                if all(u):
-                    continue    # full support: the lemma
-                support = _support(u)
-                if support not in kept:
-                    monomials, key = _closed_table(n, sign, support)
-                    kept[support] = monomials if _cone_verdict(A, key) else None
-                monomials = kept[support]
-                if monomials is not None:
-                    comps = _closed_components(monomials, u, den)
-                    out.append(WitnessVector(n, rw.dim, tuple(comps), rw.label))
-        else:
-            for rw in rws:
-                comps = rw.components_at(g)
-                if _cone_verdict(A, frozenset(ch.coeffs for ch, _ in comps)):
-                    out.append(WitnessVector(n, rw.dim, tuple(comps), rw.label))
+    verdicts = {}   # key -> _cone_verdict(A, key)
+    out = []
+    for rw, key, size in _keyed(g, height):
+        if key not in verdicts:
+            verdicts[key] = _cone_verdict(A, key)
+        if verdicts[key]:
+            out.append(WitnessVector(n, rw.dim, tuple(size()), rw.label))
     return out

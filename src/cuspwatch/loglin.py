@@ -20,6 +20,10 @@ order:
 Comparisons (`_cmp`, from which `scalars._Ordered` reads the order) and
 decimal rendering all route through that sign computation, which keeps
 every downstream decision exact.
+
+Only this module reads a value's term tuples (`rat`, `logs`) or wraps them
+unchecked (`LogLin._built`). Other modules shift a stored value by a
+rational, `v + q`, which keeps v's checked terms as they are.
 """
 
 from __future__ import annotations
@@ -163,6 +167,8 @@ class LogLin(_Ordered):
         return None
 
     def __add__(self, other):
+        if isinstance(other, (int, Fraction)):    # a rational: the terms stay
+            return LogLin._built(self.rat + other if self.rat else _fraction(other), self.logs)
         o = self._coerced(other)
         if o is None:
             return NotImplemented

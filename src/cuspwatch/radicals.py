@@ -28,9 +28,11 @@ whose factors u_a are all nonzero: weight chi_A = sum_(a in A) e_a -
 (1, ..., 1) (-chi_A for a hyperplane) and norm prod |u_a| / |det G|
 (prod |w_a| / |det H|); see _closed_components. The vectors u of many
 lines or hyperplanes are formed in one column-wise pass (_closed_vectors)
-over the columns of their vectors v or f (_closed_columns), which the
-witness search reads once per (n, type, height). Planes are sized from the
-integer minors of _conj_minors.
+over the columns of their vectors v or f (_closed_columns). Planes are
+sized from the integer minors of _conj_minors.
+
+This module alone sizes a witness: the witness search reads one stream,
+_keyed, of the enumerated candidates with their character keys and sizing.
 
 Witnesses of every type come from one enumerator over the Schubert charts
 of the Grassmannian (_charts), the charts on which Schmidt (Ann. of Math.
@@ -41,13 +43,12 @@ chart once, with no second Plucker pass, height filter or dedup.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from itertools import combinations, combinations_with_replacement, product
+from functools import cached_property, lru_cache, partial
+from itertools import combinations, combinations_with_replacement, groupby, product
 from math import gcd, prod
-from operator import add, mul
+from operator import add, attrgetter, mul
 
 from .chars import Character, SubgroupSpec
 from .errors import DependentInput, PreconditionError
@@ -202,7 +203,7 @@ class RadicalWitness:
         _closed_components); planes bucket the integer minors of the
         conjugated wedge (see conj_ad_wedge), divided once per weight."""
         if self.j == 1 or self.j == self.n - 1:
-            sign, den, (u,) = _closed_vectors(g, self.j, _closed_columns((self,), self.n, self.j))
+            sign, den, (u,) = _closed_vectors(g, self.j, _closed_columns((self,), self.j))
             return _closed_components(_closed_table(self.n, sign, _support(u))[0], u, den)
         minors, den = _conj_minors(g, self)
         return _components(minors, self.n, den)
@@ -341,12 +342,11 @@ def _closed_table(n: int, sign: int, support: int) -> tuple:
     return tuple(out), frozenset(ch.coeffs for _, ch in out)
 
 
-def _closed_columns(witnesses, n: int, j: int) -> tuple:
+def _closed_columns(witnesses, j: int) -> tuple:
     """The n columns of the vectors of lines (j = 1: the primitive row v)
-    or hyperplanes (j = n - 1: the primitive normal f = ann_rows[0]):
-    column a holds entry a of each witness's vector, in order."""
-    vs = [w.rows[0] if j == 1 else w.ann_rows[0] for w in witnesses]
-    return tuple(tuple(v[a] for v in vs) for a in range(n))
+    or hyperplanes (j = n - 1: the primitive normal f = ann_rows[0]), at
+    least one: column a holds entry a of each witness's vector, in order."""
+    return tuple(zip(*(w.rows[0] if j == 1 else w.ann_rows[0] for w in witnesses)))
 
 
 def _closed_vectors(g: Mat, j: int, columns) -> tuple:
@@ -556,7 +556,7 @@ def _check_type(n: int, j: int, height: int) -> None:
     if not (j in (1, n - 1) or (n, j) == (4, 2)):
         raise PreconditionError(
             "witnesses are enumerated for j=1, j=n-1 and (n,j)=(4,2): planes of"
-            " larger n would enumerate, but sizing them takes a search hours")
+            " larger n would enumerate, but a search would take hours to size them")
     count = _chart_count(n, j, height)
     if count > _MAX_CHARTS:
         raise PreconditionError(
@@ -617,13 +617,6 @@ def _enumerated(n: int, j: int, height: int) -> tuple:
     return tuple(sorted(_candidate_subspaces(n, j, height), key=RadicalWitness.sort_key))
 
 
-@lru_cache(maxsize=32)
-def _enumerated_columns(n: int, j: int, height: int) -> tuple:
-    """_closed_columns of the lines or hyperplanes _enumerated(n, j, height),
-    built once per (n, j, height), by the first search that reads them."""
-    return _closed_columns(_enumerated(n, j, height), n, j)
-
-
 def enumerate_witnesses(n: int, height: int, js=None) -> list:
     """Every subspace witness with primitive Plucker height <= height.
 
@@ -636,6 +629,40 @@ def enumerate_witnesses(n: int, height: int, js=None) -> list:
     for j in types:
         _check_type(n, j, height)
     return [w for j in types for w in _enumerated(n, j, height)]
+
+
+def _keyed(g: Mat, height: int):
+    """(witness, key, size) for each witness of enumerate_witnesses(n,
+    height) in order, n = g.nrows, except the lines and hyperplanes that
+    shrink nowhere (below): key is the frozenset of the coefficient tuples
+    of its characters under g, on which its shrink cone depends alone, and
+    size() returns its components_at(g).
+
+    The u of every line, and then of every hyperplane, comes from one
+    column-wise pass (_closed_vectors); its zero pattern picks the key
+    (_closed_table), and size() reads the same u. A plane is sized once.
+
+    Lemma: a line or hyperplane whose u has full support shrinks nowhere.
+    Proof: every u_a is nonzero, so the multiset A = {1, ..., n} gives the
+    component chi_A = sum_a e_a - (1, ..., 1) = 0 (-chi_A = 0 for a
+    hyperplane; see _closed_components). The character 0 restricts to zero
+    on every subgroup, and a direction shrinks the witness only if every
+    component's character is strictly negative on it, so the shrink cone
+    is empty. Such a candidate is skipped before any table is read.
+    """
+    n = g.nrows
+    for j, ws in groupby(enumerate_witnesses(n, height), attrgetter("j")):
+        if j == 1 or j == n - 1:
+            ws = list(ws)
+            sign, den, us = _closed_vectors(g, j, _closed_columns(ws, j))
+            for w, u in zip(ws, us):
+                if not all(u):     # else full support: the lemma
+                    monomials, key = _closed_table(n, sign, _support(u))
+                    yield w, key, partial(_closed_components, monomials, u, den)
+        else:
+            for w in ws:
+                comps = w.components_at(g)
+                yield w, frozenset(ch.coeffs for ch, _ in comps), comps.copy
 
 
 def active_radicals(g: Mat, eps, height: int, js=None, method: str = "brute") -> list:
@@ -698,18 +725,6 @@ def active_radicals(g: Mat, eps, height: int, js=None, method: str = "brute") ->
     return out
 
 
-def default_digits() -> int:
-    raw = os.environ.get("CUSPWATCH_PRECISION", "50")
-    try:
-        digits = int(raw)
-    except ValueError:
-        digits = 0
-    if digits < 1:
-        raise PreconditionError(
-            "CUSPWATCH_PRECISION must be a positive integer, got %r" % (raw,))
-    return digits
-
-
 @dataclass(frozen=True)
 class ProfileTable:
     """Exact sampled depth profile: per grid point the least witness value."""
@@ -756,12 +771,13 @@ def _log_size(rows, s) -> LogLin:
 
 
 def cusp_profile(g: Mat, subgroup: SubgroupSpec, grid_points, witnesses,
-                 digits: int | None = None) -> ProfileTable:
+                 digits: int = 50) -> ProfileTable:
     """Exact log-depth profile over rational grid points.
 
     At a point s the value is the minimum over witnesses of the maximum over
     present weights of  lambda(direction(s)) + log(component norm), an exact
-    LogLin quantity; ties and comparisons are certified.
+    LogLin quantity; ties and comparisons are certified. digits sets the
+    decimal places the table renders.
     """
     _validate_sl(g)
     witnesses = list(witnesses)
@@ -772,8 +788,6 @@ def cusp_profile(g: Mat, subgroup: SubgroupSpec, grid_points, witnesses,
         raise PreconditionError("need at least one grid point")
     if any(len(p) != subgroup.dim for p in pts):
         raise PreconditionError("coordinate length mismatch")
-    if digits is None:
-        digits = default_digits()
 
     prepared = []
     for wit in witnesses:

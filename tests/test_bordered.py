@@ -6,7 +6,7 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cuspwatch import bordered
 from cuspwatch.bordered import (
@@ -430,6 +430,11 @@ def _sets_with_points(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(_sets_with_points())
+@example((BorderedSet(2, (((1, 0), LogLin(0, ((F(2), F(1)),))), ((0, -1), F(1, 2))),
+                      Gauge.linear(F(1, 4))),
+          (F(3), LogLin(0, ((F(2), F(-1)),)))))
+@example((BorderedSet(1, (((2,), LogLin(F(-1, 3), ((F(3), F(1, 2)),))),), Gauge.zero()),
+          (F(0),)))
 def test_membership_reads_margin_signs(case):
     U, x = case
     cut = U.gauge(max(abs(v) for v in x))

@@ -544,9 +544,9 @@ def test_search_keeps_what_one_lp_per_witness_keeps_in_sl4(g4_lp_verdicts):
 
 
 def test_search_forms_each_closed_vector_once(monkeypatch):
-    # the column pass forms every line's G v and every hyperplane's H f once
-    # per search: the cone verdict and a kept witness's components read the
-    # same vector, and no full-support vector reaches the table or the memo
+    # radicals' stream forms every line's G v and every hyperplane's H f
+    # once per search: the cone verdict and a kept witness's components
+    # read the same vector, and no full-support vector reaches the table
     g = Mat.rationalize([[2, 1, 1], [1, 1, 0], [1, 1, 1]])
     inner = radicals._closed_vectors
     formed = []
@@ -556,15 +556,14 @@ def test_search_forms_each_closed_vector_once(monkeypatch):
         return inner(g, j, columns)
 
     monkeypatch.setattr(radicals, "_closed_vectors", counted)
-    monkeypatch.setattr(divergence, "_closed_vectors", counted)
-    table = divergence._closed_table
+    table = radicals._closed_table
     supports = []
 
     def looked_up(n, sign, support):
         supports.append(support)
         return table(n, sign, support)
 
-    monkeypatch.setattr(divergence, "_closed_table", looked_up)
+    monkeypatch.setattr(radicals, "_closed_table", looked_up)
     ws = search_witnesses(g, A3, 2)
     assert 0 < len(ws) < len(enumerate_witnesses(3, 2))
     assert sorted(formed) == sorted(rw.rows[0] if rw.j == 1 else rw.ann_rows[0]

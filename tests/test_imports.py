@@ -8,7 +8,14 @@ expression of the module reads. It also keeps `matrix._pivot`, the one
 fraction-free row operation, inside `matrix` and `lp`: every other module
 eliminates through `matrix._bareiss` or `matrix._gauss_jordan`, so a new
 private pivot loop fails here. Likewise `bordered` is the one module that
-builds an LP, so no other module outside `lp` itself imports `lp`.
+builds an LP, so no other module outside `lp` itself imports `lp`, and no
+module but `bordered` names its depth LP.
+
+Three more formats have one owner each. Only `loglin` reads a LogLin's
+term tuples (`.rat`, `.logs`) or wraps them unchecked (`LogLin._built`);
+other modules add rationals to LogLin values. Only `radicals` sizes a
+witness: `divergence` names none of the closed-form sizing routines and
+reads candidates, keys and sizes from one stream of `radicals`.
 """
 
 import ast
@@ -75,12 +82,21 @@ def test_no_unread_module_level_imports():
     assert found == []
 
 
-def _pivot_references(tree):
+def _references(tree, names):
+    """Each node that names one of names: a name, an attribute or an import."""
     for node in ast.walk(tree):
-        if (isinstance(node, ast.Name) and node.id == "_pivot"
-                or isinstance(node, ast.Attribute) and node.attr == "_pivot"
-                or isinstance(node, ast.alias) and node.name == "_pivot"):
+        if (isinstance(node, ast.Name) and node.id in names
+                or isinstance(node, ast.Attribute) and node.attr in names
+                or isinstance(node, ast.alias) and node.name in names):
             yield node
+
+
+def _users(find):
+    """The file names of the package's modules in which find(tree) finds a node."""
+    return sorted(
+        path.name for path in PACKAGE.rglob("*.py")
+        if any(find(ast.parse(path.read_text(), str(path))))
+    )
 
 
 def test_pivot_detector_sees_every_form():
@@ -90,15 +106,54 @@ def test_pivot_detector_sees_every_form():
         "def fn(a):\n"
         "    return matrix._pivot(a, 0, 0, 1)\n"
     )
-    assert len(list(_pivot_references(ast.parse(src)))) == 2
+    assert len(list(_references(ast.parse(src), {"_pivot"}))) == 2
 
 
 def test_only_matrix_and_lp_use_the_pivot_step():
-    users = sorted(
-        path.name for path in PACKAGE.rglob("*.py")
-        if any(_pivot_references(ast.parse(path.read_text(), str(path))))
+    assert _users(lambda tree: _references(tree, {"_pivot"})) == ["lp.py", "matrix.py"]
+
+
+def test_only_bordered_names_the_depth_lp():
+    assert _users(lambda tree: _references(tree, {"_depth_lp"})) == ["bordered.py"]
+
+
+_SIZING = {"_closed_vectors", "_closed_table", "_closed_components", "_support",
+           "_enumerated_columns"}
+
+
+def test_divergence_leaves_witness_sizing_to_radicals():
+    tree = ast.parse((PACKAGE / "divergence.py").read_text())
+    assert [node.lineno for node in _references(tree, _SIZING)] == []
+    imported = sorted(alias.name for node in ast.walk(tree)
+                      if isinstance(node, ast.ImportFrom) and node.module == "radicals"
+                      for alias in node.names)
+    assert imported == ["RadicalWitness", "_keyed", "_log_size"]
+
+
+def _loglin_terms(tree):
+    """Each read of a .rat or .logs attribute, and each LogLin._built."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and (
+                node.attr in ("rat", "logs")
+                or node.attr == "_built"
+                and isinstance(node.value, ast.Name) and node.value.id == "LogLin"):
+            yield node
+
+
+def test_loglin_terms_detector_sees_every_form():
+    src = (
+        "from .loglin import LogLin\n"
+        "from .wedge import WedgeVector\n"
+        "def fn(v, q):\n"
+        "    a, b = v.logs, (-v).rat\n"
+        "    w = WedgeVector._built(1, 1, {})\n"
+        "    return LogLin._built(q - b, a), v + q\n"
     )
-    assert users == ["lp.py", "matrix.py"]
+    assert len(list(_loglin_terms(ast.parse(src)))) == 3
+
+
+def test_only_loglin_reads_loglin_terms():
+    assert _users(_loglin_terms) == ["loglin.py"]
 
 
 def _lp_imports(tree):
@@ -124,8 +179,4 @@ def test_lp_detector_sees_every_form():
 
 
 def test_only_bordered_imports_the_lp_module():
-    users = sorted(
-        path.name for path in PACKAGE.rglob("*.py")
-        if any(_lp_imports(ast.parse(path.read_text(), str(path))))
-    )
-    assert users == ["bordered.py"]
+    assert _users(_lp_imports) == ["bordered.py"]

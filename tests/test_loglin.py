@@ -210,6 +210,20 @@ values = st.builds(LogLin, rat, st.lists(st.tuples(dependent, expo), max_size=3)
 
 
 @settings(max_examples=80, deadline=None)
+@given(st.builds(LogLin, st.one_of(st.just(F(0)), rat),
+                 st.lists(st.tuples(dependent, expo), max_size=3)),
+       st.one_of(st.sampled_from([0, F(0)]), st.integers(-5, 5), rat))
+def test_adding_a_rational_keeps_the_terms(v, q):
+    # the rational fast path of __add__ (taking q as the rational part when
+    # v's is 0) agrees with adding LogLin(q), from either side
+    want = v + LogLin(q)
+    for got in (v + q, q + v):
+        assert type(got) is LogLin and type(got.rat) is F
+        assert got == want and repr(got) == repr(want)
+        assert got.to_json() == want.to_json()
+
+
+@settings(max_examples=80, deadline=None)
 @given(values, values, st.fractions(min_value=-5, max_value=5, max_denominator=6))
 def test_built_values_match_checked_rebuild(a, b, c):
     built = [a + b, a - b, -a, c - a, a * c, c * a, a + c]
