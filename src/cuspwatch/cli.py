@@ -382,10 +382,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         # argparse already printed its message (help exits 0, errors 2)
         return 0 if not e.code else 2
-    except PreconditionError as e:
-        sys.stderr.write("error: %s\n" % e)
-        return 2
-    except ValueError as e:
+    except ValueError as e:     # a PreconditionError is a ValueError
         sys.stderr.write("error: %s\n" % e)
         return 2
     except Exception as e:   # pragma: no cover - internal failure path

@@ -28,8 +28,9 @@ whose factors u_a are all nonzero: weight chi_A = sum_(a in A) e_a -
 (1, ..., 1) (-chi_A for a hyperplane) and norm prod |u_a| / |det G|
 (prod |w_a| / |det H|); see _closed_components. The vectors u of many
 lines or hyperplanes are formed in one column-wise pass (_closed_vectors)
-over the columns of their vectors v or f (_closed_columns). Planes are
-sized from the integer minors of _conj_minors.
+over the columns of their vectors v or f (_closed_columns), which each
+type's enumeration record keeps. Planes are sized from the integer minors
+of _conj_minors.
 
 This module alone sizes a witness: the witness search reads one stream,
 _keyed, of the enumerated candidates with their character keys and sizing.
@@ -38,7 +39,9 @@ Witnesses of every type come from one enumerator over the Schubert charts
 of the Grassmannian (_charts), the charts on which Schmidt (Ann. of Math.
 1967) counts rational subspaces by height. A chart meets one subspace and
 carries its primitive Plucker vector, so each witness is built from its
-chart once, with no second Plucker pass, height filter or dedup.
+chart once, with no second Plucker pass, height filter or dedup. Each type
+is enumerated into one record (_enumerated): its sorted witnesses and, for
+lines and hyperplanes, the columns of their vectors.
 """
 
 from __future__ import annotations
@@ -46,9 +49,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
-from itertools import combinations, combinations_with_replacement, groupby, product
+from itertools import combinations, combinations_with_replacement, product
 from math import gcd, prod
-from operator import add, attrgetter, mul
+from operator import add, mul
+from typing import NamedTuple
 
 from .chars import Character, SubgroupSpec
 from .errors import DependentInput, PreconditionError
@@ -257,16 +261,28 @@ def standard_radical(n: int, j: int) -> RadicalWitness:
     return radical_from_subspace(rows, n)
 
 
+class _Conjugator(NamedTuple):
+    G: list
+    H: list
+    d_g: int
+    d: int
+    det_G: int
+    abs_det_G: int
+    abs_det_H: int
+
+
 @lru_cache(maxsize=32)
-def _conjugator(g: Mat) -> tuple:
-    """(G, H, d_g, d, det_G): g and g^-T as integer rows G and H, with
-    g = G / d_g, g^-T = H / d_H, d = d_g * d_H and det_G = det G.
+def _conjugator(g: Mat) -> _Conjugator:
+    """g and g^-T as integer rows G and H, with g = G / d_g, g^-T = H / d_H
+    and d = d_g * d_H; det_G = det G, and |det G|, |det H| size lines and
+    hyperplanes (see _closed_vectors).
 
     matrix._bareiss on the integer rows [G | I] leaves them at D [I | G^-1],
     D = +-det G, so the right block is D G^-1 = +-adj(G). Then g^-T =
     d_g (D G^-1)^T / D, and H clears it with the least d_H, as
     scalars._cleared would: d_H = |D| / k for k the gcd of D and every
-    entry of d_g D G^-1.
+    entry of d_g D G^-1. As H = d_H g^-T and g = G / d_g, det H = d_H^n
+    d_g^n / det G = d^n / det G.
     """
     if not g.is_square():
         raise PreconditionError("inverse of non-square matrix")
@@ -279,7 +295,8 @@ def _conjugator(g: Mat) -> tuple:
     k = gcd(D, d_g * gcd(*(x for row in a for x in row[n:])))
     s = d_g if D > 0 else -d_g
     H = [[s * row[n + i] // k for row in a] for i in range(n)]
-    return G, H, d_g, d_g * (abs(D) // k), -D if negated else D
+    d = d_g * (abs(D) // k)
+    return _Conjugator(G, H, d_g, d, -D if negated else D, abs(D), d ** n // abs(D))
 
 
 def _moved(M, rows) -> list:
@@ -310,17 +327,9 @@ def _conj_minors(g: Mat, witness: RadicalWitness) -> tuple:
     _conjugator) over d; its coordinates are integers over d, so the
     k x k minors are integers over d^k.
     """
-    G, H, _, d, _ = _conjugator(g)
-    minors = _ad_minors(_moved(G, witness.rows), _moved(H, witness.ann_rows), witness.n)
-    return minors, d ** witness.dim
-
-
-def _cleared_dets(g: Mat) -> tuple:
-    """|det G| and |det H| for the integer rows of _conjugator: H = d_H g^-T
-    and g = G / d_g, so det H = d_H^n d_g^n / det G = d^n / det G."""
-    _, _, _, d, det_G = _conjugator(g)
-    det_G = abs(det_G)
-    return det_G, d ** g.nrows // det_G
+    conj = _conjugator(g)
+    minors = _ad_minors(_moved(conj.G, witness.rows), _moved(conj.H, witness.ann_rows), witness.n)
+    return minors, conj.d ** witness.dim
 
 
 @lru_cache(maxsize=256)
@@ -353,14 +362,13 @@ def _closed_vectors(g: Mat, j: int, columns) -> tuple:
     """(sign, den, us) for the lines (j = 1) or hyperplanes (j = n - 1)
     whose vectors have these columns (_closed_columns): us lists each u =
     G v, with sign 1 and den = |det G|, or each u = H f, with sign -1 and
-    den = |det H| (see _conjugator and _cleared_dets), as a tuple, in order.
+    den = |det H| (see _conjugator), as a tuple, in order.
 
     The pass is column-wise: coordinate i of every u is the sum over a of
     M[i][a] times column a (M = G or H), one map of int operations per
     nonzero entry of M, so no vector is formed on its own."""
-    G, H, _, _, _ = _conjugator(g)
-    dets = _cleared_dets(g)
-    M, sign, den = (G, 1, dets[0]) if j == 1 else (H, -1, dets[1])
+    conj = _conjugator(g)
+    M, sign, den = (conj.G, 1, conj.abs_det_G) if j == 1 else (conj.H, -1, conj.abs_det_H)
     coords = []
     for row in M:
         acc = None
@@ -470,13 +478,13 @@ class ActiveRadical:
     norm: Fraction
 
 
-def _validate_sl(g: Mat) -> tuple:
+def _validate_sl(g: Mat) -> _Conjugator:
     """_conjugator(g), whose det G = d_g^n says whether det g is exactly 1."""
     try:
         conj = _conjugator(g)
     except PreconditionError:    # g is not square, or singular
         conj = None
-    if conj is None or conj[4] != conj[2] ** g.nrows:
+    if conj is None or conj.det_G != conj.d_g ** g.nrows:
         raise PreconditionError("need a matrix with determinant exactly 1")
     return conj
 
@@ -549,32 +557,6 @@ def _subspace(n: int, j: int, p: dict) -> list:
     return [list(v) for v in K.kernel_basis()]
 
 
-def _check_type(n: int, j: int, height: int) -> None:
-    """Refuse a type that is not enumerated, or that needs more than
-    _MAX_CHARTS charts. Planes (2 <= j <= n - 2) are enumerated for n = 4
-    only: the charts serve any n, but sizing SL5 planes takes hours."""
-    if not (j in (1, n - 1) or (n, j) == (4, 2)):
-        raise PreconditionError(
-            "witnesses are enumerated for j=1, j=n-1 and (n,j)=(4,2): planes of"
-            " larger n would enumerate, but a search would take hours to size them")
-    count = _chart_count(n, j, height)
-    if count > _MAX_CHARTS:
-        raise PreconditionError(
-            "height %d needs %d charts for j=%d, above the bound %d"
-            % (height, count, j, _MAX_CHARTS))
-
-
-def _candidate_subspaces(n: int, j: int, height: int):
-    """The witness of each j-subspace of Q^n with height <= height, once
-    each, from its chart (see _charts): the chart's p is the primitive
-    Plucker vector, and its kernel presentation is saturated once."""
-    _check_type(n, j, height)
-    for p in _charts(n, j, height):
-        B, F = saturation_pair(_subspace(n, j, p))
-        p_std = WedgeVector._built(n, j, {idx: Fraction(x) for idx, x in p.items()})
-        yield RadicalWitness(n, j, tuple(map(tuple, B)), tuple(map(tuple, F)), p_std)
-
-
 def _reduction_candidates(g: Mat, j: int):
     """Candidate subspaces from a reduced basis of the column lattice.
 
@@ -612,9 +594,47 @@ def _types(n: int, height: int, js) -> list:
     return types
 
 
+class _Enumeration(NamedTuple):
+    """One witness type: its witnesses sorted by sort_key, and the columns
+    of their vectors (_closed_columns) for a nonempty line or hyperplane
+    type, else None."""
+    witnesses: tuple
+    columns: tuple | None
+
+
 @lru_cache(maxsize=32)
-def _enumerated(n: int, j: int, height: int) -> tuple:
-    return tuple(sorted(_candidate_subspaces(n, j, height), key=RadicalWitness.sort_key))
+def _enumerated(n: int, j: int, height: int) -> _Enumeration:
+    """The record of the j-subspaces of Q^n with height <= height, each
+    built from its chart once (see _charts): the chart's p is the
+    primitive Plucker vector, and its kernel presentation is saturated
+    once. The type is not checked here (see _records)."""
+    ws = []
+    for p in _charts(n, j, height):
+        B, F = saturation_pair(_subspace(n, j, p))
+        p_std = WedgeVector._built(n, j, {idx: Fraction(x) for idx, x in p.items()})
+        ws.append(RadicalWitness(n, j, tuple(map(tuple, B)), tuple(map(tuple, F)), p_std))
+    ws.sort(key=RadicalWitness.sort_key)
+    return _Enumeration(tuple(ws), _closed_columns(ws, j) if ws and j in (1, n - 1) else None)
+
+
+def _records(n: int, height: int, js) -> list:
+    """The _enumerated record of each type of js (see _types). Every type
+    is checked once, before any chart is built: planes (2 <= j <= n - 2)
+    are enumerated for n = 4 only, since the charts serve any n but sizing
+    SL5 planes takes hours, and no type may try more than _MAX_CHARTS
+    charts."""
+    types = _types(n, height, js)
+    for j in types:
+        if not (j in (1, n - 1) or (n, j) == (4, 2)):
+            raise PreconditionError(
+                "witnesses are enumerated for j=1, j=n-1 and (n,j)=(4,2): planes of"
+                " larger n would enumerate, but a search would take hours to size them")
+        count = _chart_count(n, j, height)
+        if count > _MAX_CHARTS:
+            raise PreconditionError(
+                "height %d needs %d charts for j=%d, above the bound %d"
+                % (height, count, j, _MAX_CHARTS))
+    return [_enumerated(n, j, height) for j in types]
 
 
 def enumerate_witnesses(n: int, height: int, js=None) -> list:
@@ -625,10 +645,7 @@ def enumerate_witnesses(n: int, height: int, js=None) -> list:
     each type is enumerated once per (n, j, height); each call returns a new
     list, so a caller may change it freely.
     """
-    types = _types(n, height, js)
-    for j in types:
-        _check_type(n, j, height)
-    return [w for j in types for w in _enumerated(n, j, height)]
+    return [w for rec in _records(n, height, js) for w in rec.witnesses]
 
 
 def _keyed(g: Mat, height: int):
@@ -638,9 +655,11 @@ def _keyed(g: Mat, height: int):
     of its characters under g, on which its shrink cone depends alone, and
     size() returns its components_at(g).
 
-    The u of every line, and then of every hyperplane, comes from one
-    column-wise pass (_closed_vectors); its zero pattern picks the key
-    (_closed_table), and size() reads the same u. A plane is sized once.
+    The types are walked in order, each from its record (_records). The
+    u of every line, and then of every hyperplane, comes from one
+    column-wise pass (_closed_vectors) over the columns the record keeps;
+    its zero pattern picks the key (_closed_table), and size() reads the
+    same u. A plane is sized once.
 
     Lemma: a line or hyperplane whose u has full support shrinks nowhere.
     Proof: every u_a is nonzero, so the multiset A = {1, ..., n} gives the
@@ -651,18 +670,17 @@ def _keyed(g: Mat, height: int):
     is empty. Such a candidate is skipped before any table is read.
     """
     n = g.nrows
-    for j, ws in groupby(enumerate_witnesses(n, height), attrgetter("j")):
-        if j == 1 or j == n - 1:
-            ws = list(ws)
-            sign, den, us = _closed_vectors(g, j, _closed_columns(ws, j))
+    for ws, columns in _records(n, height, None):
+        if columns is None:     # planes, or an empty type
+            for w in ws:
+                comps = w.components_at(g)
+                yield w, frozenset(ch.coeffs for ch, _ in comps), comps.copy
+        else:
+            sign, den, us = _closed_vectors(g, ws[0].j, columns)
             for w, u in zip(ws, us):
                 if not all(u):     # else full support: the lemma
                     monomials, key = _closed_table(n, sign, _support(u))
                     yield w, key, partial(_closed_components, monomials, u, den)
-        else:
-            for w in ws:
-                comps = w.components_at(g)
-                yield w, frozenset(ch.coeffs for ch, _ in comps), comps.copy
 
 
 def active_radicals(g: Mat, eps, height: int, js=None, method: str = "brute") -> list:
@@ -698,7 +716,8 @@ def active_radicals(g: Mat, eps, height: int, js=None, method: str = "brute") ->
     p_std, so they are +-p_std, and Lambda^j(g) maps that wedge to the
     wedge of the rows g b = G b / d_g.
     """
-    G, H, d_g, d, _ = _validate_sl(g)
+    conj = _validate_sl(g)
+    G, H, d_g, d = conj.G, conj.H, conj.d_g, conj.d
     eps = Fraction(eps)
     if eps <= 0:
         raise PreconditionError("need eps > 0")

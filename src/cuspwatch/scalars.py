@@ -4,7 +4,8 @@ Rational scalars are plain ``fractions.Fraction`` values; the stdlib type
 already guarantees the normalized p/q invariants (gcd(p, q) = 1, q > 0), so
 we do not wrap it. This module adds the quadratic field Q(sqrt(d)) for a
 fixed square-free d, the "p/q" string codec used by all JSON surfaces and
-its one reader of a JSON entry (`_rational`), the one exact sign dispatch
+its one reader of a JSON entry (`_rational`; `_integer` reads a
+whole-number field through it), the one exact sign dispatch
 over the package's scalar types (`sign`, `zero_like`, `one_like`), the one
 order read from a sign (`_Ordered`, shared by `QuadScalar` and
 `loglin.LogLin`), the one routine that clears rational rows of
@@ -81,6 +82,15 @@ def _rational(x) -> Fraction:
         raise PreconditionError("JSON entry %s is not an integer or \"p/q\""
                                 % json.dumps(x, default=repr))
     return frac(x)
+
+
+def _integer(x) -> int:
+    """A parsed JSON integer field (a dimension, a degree, a radicand):
+    _rational's entry, refused unless it is a whole number."""
+    q = _rational(x)
+    if q.denominator != 1:
+        raise PreconditionError("JSON entry %s is not an integer" % json.dumps(x))
+    return q.numerator
 
 
 def parse_frac(s: str) -> Fraction:
@@ -286,4 +296,4 @@ class QuadScalar(_Ordered):
 
     @staticmethod
     def from_json(obj: dict) -> "QuadScalar":
-        return QuadScalar.of(_rational(obj["a"]), _rational(obj["b"]), int(obj["d"]))
+        return QuadScalar.of(_rational(obj["a"]), _rational(obj["b"]), _integer(obj["d"]))

@@ -29,7 +29,7 @@ from fractions import Fraction
 from .errors import DependentInput, NoUniqueLeadingTuple, PreconditionError
 from .lattice import primitive_int_vector
 from .matrix import Mat
-from .scalars import _cleared, _rational, _sup_norm, frac_str
+from .scalars import _cleared, _integer, _rational, _sup_norm, frac_str
 
 
 class WedgeVector:
@@ -151,7 +151,7 @@ class WedgeVector:
     @staticmethod
     def from_json(obj: dict) -> "WedgeVector":
         coeffs = {tuple(i): _rational(c) for i, c in obj["coeffs"]}
-        return WedgeVector(int(obj["m"]), int(obj["k"]), coeffs)
+        return WedgeVector(_integer(obj["m"]), _integer(obj["k"]), coeffs)
 
 
 def _shuffle(a: dict, b: dict) -> dict:

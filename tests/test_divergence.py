@@ -574,17 +574,18 @@ def test_search_forms_each_closed_vector_once(monkeypatch):
 def _oracle_closed_vector(g, rw):
     """(u, sign, support) of one line (u = G v, sign 1) or hyperplane
     (u = H f, sign -1), formed on its own."""
-    G, H, _, _, _ = radicals._conjugator(g)
+    conj = radicals._conjugator(g)
     if rw.j == 1:
-        (u,), sign = radicals._moved(G, rw.rows), 1
+        (u,), sign = radicals._moved(conj.G, rw.rows), 1
     else:
-        (u,), sign = radicals._moved(H, rw.ann_rows), -1
+        (u,), sign = radicals._moved(conj.H, rw.ann_rows), -1
     return u, sign, sum(1 << a for a, x in enumerate(u) if x)
 
 
 def _oracle_closed_components(g, rw, closed):
     u, sign, support = closed
-    den = radicals._cleared_dets(g)[sign < 0]
+    conj = radicals._conjugator(g)
+    den = conj.abs_det_G if sign > 0 else conj.abs_det_H
     return [(ch, F(prod(abs(u[a]) for a in A), den))
             for A, ch in radicals._closed_table(rw.n, sign, support)[0]]
 

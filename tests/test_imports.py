@@ -2,14 +2,15 @@
 
 An import whose name the module body never reads is dead code that still
 costs an import and suggests a dependency that is not there. This test
-parses every module of the package, except the `__init__.py` files whose
-imports are re-exports, and fails on a module-level import binding that no
-expression of the module reads. It also keeps `matrix._pivot`, the one
-fraction-free row operation, inside `matrix` and `lp`: every other module
-eliminates through `matrix._bareiss` or `matrix._gauss_jordan`, so a new
-private pivot loop fails here. Likewise `bordered` is the one module that
-builds an LP, so no other module outside `lp` itself imports `lp`, and no
-module but `bordered` names its depth LP.
+parses every module of the package, except `__init__.py`, whose imports
+load the modules for callers and re-export nothing (see
+`tests/test_package_surface.py`), and fails on a module-level import
+binding that no expression of the module reads. It also keeps
+`matrix._pivot`, the one fraction-free row operation, inside `matrix` and
+`lp`: every other module eliminates through `matrix._bareiss` or
+`matrix._gauss_jordan`, so a new private pivot loop fails here. Likewise
+`bordered` is the one module that builds an LP, so no other module outside
+`lp` itself imports `lp`, and no module but `bordered` names its depth LP.
 
 Three more formats have one owner each. Only `loglin` reads a LogLin's
 term tuples (`.rat`, `.logs`) or wraps them unchecked (`LogLin._built`);
@@ -118,7 +119,7 @@ def test_only_bordered_names_the_depth_lp():
 
 
 _SIZING = {"_closed_vectors", "_closed_table", "_closed_components", "_support",
-           "_enumerated_columns"}
+           "_closed_columns", "_enumerated"}
 
 
 def test_divergence_leaves_witness_sizing_to_radicals():

@@ -17,7 +17,6 @@ from cuspwatch.loglin import LogLin
 from cuspwatch.matrix import Mat
 from cuspwatch.scalars import _cleared, _sup_norm
 from cuspwatch.radicals import (
-    _candidate_subspaces,
     _closed_columns,
     _closed_table,
     _closed_vectors,
@@ -161,7 +160,7 @@ def test_sl4_planes_are_the_primitive_points_of_the_plucker_quadric(height):
         if math.gcd(*w) == 1 and next(c for c in w if c) > 0
         and w[0] * w[5] - w[1] * w[4] + w[2] * w[3] == 0
     }
-    ws = list(_candidate_subspaces(4, 2, height))
+    ws = radicals._enumerated(4, 2, height).witnesses
     assert all(plucker(w.rows) == w.p_std for w in ws)
     got = [tuple(plucker(w.rows).coeffs.get(t, 0) for t in combinations(range(1, 5), 2))
            for w in ws]
@@ -181,7 +180,7 @@ def test_candidate_subspaces_reject_unsupported_types():
     with pytest.raises(PreconditionError,
                        match=r"\(n,j\)=\(4,2\): planes of larger n would enumerate,"
                              r" but a search would take hours to size them$"):
-        next(_candidate_subspaces(5, 2, 1))
+        enumerate_witnesses(5, 1, js=[2])
 
 
 def test_sl5_plane_charts_are_the_decomposable_primitive_points():
@@ -332,7 +331,7 @@ def _reference_active(g, eps, height, method):
     found = {}
     for j in range(1, n):
         if method == "brute":
-            cands = (w.rows for w in _candidate_subspaces(n, j, height))
+            cands = (w.rows for w in radicals._enumerated(n, j, height).witnesses)
         else:
             cands = _reference_reduction_candidates(g, j)
         for rows in cands:
@@ -373,9 +372,9 @@ def _prefilter_bound(g, witness):
     and so is its norm max |w_a|^n / det H. For planes it is only a lower
     bound.
     """
-    G, _, d_g, _, _ = radicals._conjugator(g)
-    top = _sup_norm(_int_minors(radicals._moved(G, witness.rows)).values())
-    return Fraction(top, d_g ** witness.j) ** witness.n
+    conj = radicals._conjugator(g)
+    top = _sup_norm(_int_minors(radicals._moved(conj.G, witness.rows)).values())
+    return Fraction(top, conj.d_g ** witness.j) ** witness.n
 
 
 @settings(max_examples=2, deadline=None)
@@ -701,14 +700,15 @@ def invertible(draw, dims=range(2, 7)):
 @given(invertible())
 def test_conjugator_matches_the_fraction_inverse(g):
     # one fraction-free pass over [G | I] gives what g.inverse() cleared of
-    # denominators and g.det() give, including the least d_H
+    # denominators and g.det() give, including the least d_H, and |det G|
+    # and |det H|
     n = g.nrows
-    G, H, d_g, d, det_G = radicals._conjugator(g)
-    assert (G, d_g) == _cleared(g.rows)
+    conj = radicals._conjugator(g)
+    assert (conj.G, conj.d_g) == _cleared(g.rows)
     ref_H, d_h = _cleared(g.inverse().transpose().rows)
-    assert (H, d) == (ref_H, d_g * d_h)
-    assert det_G == g.det() * d_g ** n
-    assert radicals._cleared_dets(g) == (abs(Mat(G).det()), abs(Mat(H).det()))
+    assert (conj.H, conj.d) == (ref_H, conj.d_g * d_h)
+    assert conj.det_G == g.det() * conj.d_g ** n
+    assert (conj.abs_det_G, conj.abs_det_H) == (abs(Mat(conj.G).det()), abs(Mat(conj.H).det()))
 
 
 def test_conjugator_signs_and_bad_input():
@@ -716,8 +716,8 @@ def test_conjugator_signs_and_bad_input():
     # singular or non-square g keep their errors, and active_radicals
     # names the determinant for each
     swap = Mat.rationalize([[0, 1], [1, 0]])
-    assert radicals._conjugator(swap)[4] == -1
-    assert radicals._conjugator(Mat.rationalize([[0, 2], ["1/2", 0]]))[4] == -4   # 2^2 det g
+    assert radicals._conjugator(swap).det_G == -1
+    assert radicals._conjugator(Mat.rationalize([[0, 2], ["1/2", 0]])).det_G == -4   # 2^2 det g
     with pytest.raises(PreconditionError, match="singular matrix"):
         radicals._conjugator(Mat.rationalize([[1, 2], [2, 4]]))
     with pytest.raises(PreconditionError, match="non-square"):

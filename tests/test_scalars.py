@@ -222,12 +222,29 @@ JSON_READERS = {
     "QuadScalar.b": lambda x: QuadScalar.from_json({"a": "1", "b": x, "d": 2}).b,
 }
 
+# the integer fields go through the same reader and must be whole: a float
+# is never truncated (d = 3.9 is not sqrt(3)) and a bool is not 0 or 1
+JSON_INT_READERS = {
+    "QuadScalar.d": lambda x: QuadScalar.from_json({"a": "1", "b": "1", "d": x}).d,
+    "WedgeVector.m": lambda x: WedgeVector.from_json({"m": x, "k": 1, "coeffs": []}).m,
+    "WedgeVector.k": lambda x: WedgeVector.from_json({"m": 9, "k": x, "coeffs": []}).k,
+}
 
-@pytest.mark.parametrize("read", JSON_READERS.values(), ids=JSON_READERS)
+
+@pytest.mark.parametrize("read", [*JSON_READERS.values(), *JSON_INT_READERS.values()],
+                         ids=[*JSON_READERS, *JSON_INT_READERS])
 @pytest.mark.parametrize("entry", [0.1, 2.0, True, False, None, [1], F(1, 2)])
 def test_json_readers_refuse_floats_and_bools(read, entry):
     with pytest.raises(PreconditionError, match='is not an integer or "p/q"'):
         read(entry)
+
+
+@pytest.mark.parametrize("read", JSON_INT_READERS.values(), ids=JSON_INT_READERS)
+def test_json_integer_fields_refuse_p_over_q_and_accept_integers(read):
+    with pytest.raises(PreconditionError, match='JSON entry "5/2" is not an integer$'):
+        read("5/2")
+    # "7", not "4": a radicand d must be square-free
+    assert read(3) == 3 and read("7") == 7
 
 
 @pytest.mark.parametrize("read", JSON_READERS.values(), ids=JSON_READERS)
