@@ -17,6 +17,7 @@ Run with --height 200 --smax 10 to reproduce the full-size table
 """
 
 import argparse
+import sys
 import time
 from fractions import Fraction
 
@@ -24,15 +25,6 @@ from cuspwatch.chars import SubgroupSpec
 from cuspwatch.loglin import LogLin
 from cuspwatch.matrix import Mat
 from cuspwatch.radicals import cusp_profile, enumerate_witnesses, radical_from_subspace
-
-
-def _line_of(key):
-    # witness sort keys are (degree, standard-projection items); fold the
-    # items back into the primitive integer vector spanning the line
-    vec = [Fraction(0), Fraction(0)]
-    for (i,), c in key[1]:
-        vec[i - 1] = c
-    return tuple(int(x) for x in vec)
 
 
 def main():
@@ -65,13 +57,14 @@ def main():
           % (len(wits), args.height, len(grid), dt))
     print("%8s  %18s  %s" % ("s", "profile", "minimizing line"))
     violations = 0
-    for (p, text), raw, key in zip(prof.rendered(), prof.values, prof.argmin):
+    for (p, text), raw, w in zip(prof.rendered(), prof.values, prof.argmin):
         ok = (raw - floor).sign() >= 0
         violations += not ok
-        print("%8s  %18s  %s%s" % (p[0], text, _line_of(key),
-                                   "" if ok else "  BELOW FLOOR"))
+        line = tuple(int(w.p_std.coeff((i,))) for i in (1, 2))    # primitive, first nonzero > 0
+        print("%8s  %18s  %s%s" % (p[0], text, line, "" if ok else "  BELOW FLOOR"))
     print("floor -2*log(113) = %s" % floor.to_decimal(args.digits))
-    assert violations == 0, "%d profile values fell below the floor" % violations
+    if violations:
+        sys.exit("%d profile values fell below the floor" % violations)
     print("floor certified on all %d points" % len(grid))
 
     # the deep line alone: it crosses the floor once s > 2*log(113)

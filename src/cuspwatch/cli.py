@@ -331,18 +331,18 @@ _RUNNERS = {
 
 def _digits(args) -> int:
     """The decimal digits of rendered values: --digits when given, else the
-    environment variable CUSPWATCH_PRECISION, else 50."""
+    environment variable CUSPWATCH_PRECISION, else 50; either must be
+    positive."""
     digits = getattr(args, "digits", None)
-    if digits is not None:
-        return digits
-    raw = os.environ.get("CUSPWATCH_PRECISION", "50")
-    try:
-        digits = int(raw)
-    except ValueError:
-        digits = 0
+    source, raw = "--digits", digits
+    if digits is None:
+        source, raw = "CUSPWATCH_PRECISION", os.environ.get("CUSPWATCH_PRECISION", "50")
+        try:
+            digits = int(raw)
+        except ValueError:
+            digits = 0
     if digits < 1:
-        raise PreconditionError(
-            "CUSPWATCH_PRECISION must be a positive integer, got %r" % (raw,))
+        raise PreconditionError("%s must be a positive integer, got %r" % (source, raw))
     return digits
 
 

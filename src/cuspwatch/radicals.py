@@ -35,13 +35,16 @@ of _conj_minors.
 This module alone sizes a witness: the witness search reads one stream,
 _keyed, of the enumerated candidates with their character keys and sizing.
 
-Witnesses of every type come from one enumerator over the Schubert charts
-of the Grassmannian (_charts), the charts on which Schmidt (Ann. of Math.
-1967) counts rational subspaces by height. A chart meets one subspace and
-carries its primitive Plucker vector, so each witness is built from its
-chart once, with no second Plucker pass, height filter or dedup. Each type
-is enumerated into one record (_enumerated): its sorted witnesses and, for
-lines and hyperplanes, the columns of their vectors.
+A witness is its subspace: RadicalWitness stores the primitive Plucker
+vector alone, and derives both saturated bases from it one way, however
+the witness was built. Witnesses of every type come from one enumerator
+over the Schubert charts of the Grassmannian (_charts), the charts on which
+Schmidt (Ann. of Math. 1967) counts rational subspaces by height. A chart
+meets one subspace and carries its primitive Plucker vector, so each
+witness is built from its chart once, with no second Plucker pass, height
+filter or dedup; radical_from_subspace builds one from spanning rows. Each
+type is enumerated into one record (_enumerated): its sorted witnesses and,
+for lines and hyperplanes, the columns of their vectors.
 """
 
 from __future__ import annotations
@@ -55,11 +58,11 @@ from operator import add, mul
 from typing import NamedTuple
 
 from .chars import Character, SubgroupSpec
-from .errors import DependentInput, PreconditionError
+from .errors import PreconditionError
 from .lattice import saturation_pair, lll_reduce
 from .loglin import LogLin
 from .matrix import Mat, _bareiss
-from .scalars import _cleared, _sup_norm, frac_str
+from .scalars import _cleared, _sup_norm, frac, frac_str
 from .wedge import WedgeVector, _int_minors, _shuffle, plucker
 
 
@@ -178,13 +181,24 @@ def weight_components(w: WedgeVector, n: int) -> list:
 
 @dataclass(frozen=True)
 class RadicalWitness:
-    """Exact wedge data of the nilpotent space attached to a subspace."""
+    """Exact wedge data of the nilpotent space attached to a subspace V.
+
+    The record is V's primitive Plucker vector p_std, so equality and
+    hashing compare subspaces. The saturated Z-bases of V (rows, in Hermite
+    form) and of its annihilator (ann_rows) are derived from it one way, by
+    saturating its kernel presentation (_subspace), once per witness."""
 
     n: int
     j: int
-    rows: tuple        # saturated Z-basis of V as Hermite-form rows
-    ann_rows: tuple    # saturated Z-basis of the annihilator
     p_std: WedgeVector
+
+    @cached_property
+    def _bases(self) -> tuple:
+        B, F = saturation_pair(_subspace(self.n, self.j, self.p_std.coeffs))
+        return tuple(map(tuple, B)), tuple(map(tuple, F))
+
+    rows = property(lambda self: self._bases[0])        # saturated Z-basis of V
+    ann_rows = property(lambda self: self._bases[1])    # ... of the annihilator
 
     @property
     def dim(self) -> int:
@@ -206,6 +220,7 @@ class RadicalWitness:
         character. Lines and hyperplanes read them from a closed form (see
         _closed_components); planes bucket the integer minors of the
         conjugated wedge (see conj_ad_wedge), divided once per weight."""
+        _check_size(g, self)
         if self.j == 1 or self.j == self.n - 1:
             sign, den, (u,) = _closed_vectors(g, self.j, _closed_columns((self,), self.j))
             return _closed_components(_closed_table(self.n, sign, _support(u))[0], u, den)
@@ -238,20 +253,16 @@ class RadicalWitness:
 
 
 def radical_from_subspace(rows, n: int | None = None) -> RadicalWitness:
-    rows = [list(r) for r in rows]
+    """The witness of the span of rows; plucker refuses dependent rows."""
+    rows = [list(map(frac, r)) for r in rows]
     if not rows:
         raise PreconditionError("no spanning rows")
     if n is None:
         n = len(rows[0])
-    R = Mat.rationalize(rows)
-    j = R.rank()
-    if j != len(rows):
-        raise DependentInput("spanning rows are dependent")
-    if not 1 <= j <= n - 1:
+    p_std = plucker(rows, n)
+    if not 1 <= len(rows) <= n - 1:
         raise PreconditionError("need a proper nonzero subspace")
-    B, F = saturation_pair(R.rows)
-    p_std = plucker([list(map(Fraction, r)) for r in B], n)
-    return RadicalWitness(n, j, tuple(map(tuple, B)), tuple(map(tuple, F)), p_std)
+    return RadicalWitness(n, len(rows), p_std)
 
 
 def standard_radical(n: int, j: int) -> RadicalWitness:
@@ -320,6 +331,13 @@ def _ad_minors(gbs, fgs, n: int) -> dict:
     return _int_minors(vecs)
 
 
+def _check_size(g: Mat, witness: RadicalWitness) -> None:
+    """Refuse a conjugator whose size is not the witness's n."""
+    if g.nrows != witness.n:
+        raise PreconditionError("a witness in Q^%d needs a %d x %d matrix, got %d rows"
+                                % (witness.n, witness.n, witness.n, g.nrows))
+
+
 def _conj_minors(g: Mat, witness: RadicalWitness) -> tuple:
     """(minors, den): the conjugated wedge is {I: minors[I] / den}.
 
@@ -327,6 +345,7 @@ def _conj_minors(g: Mat, witness: RadicalWitness) -> tuple:
     _conjugator) over d; its coordinates are integers over d, so the
     k x k minors are integers over d^k.
     """
+    _check_size(g, witness)
     conj = _conjugator(g)
     minors = _ad_minors(_moved(conj.G, witness.rows), _moved(conj.H, witness.ann_rows), witness.n)
     return minors, conj.d ** witness.dim
@@ -502,8 +521,22 @@ def _pivot_sets(n: int, j: int):
 
 
 def _chart_count(n: int, j: int, height: int) -> int:
-    """The number of charts _charts(n, j, height) tries."""
-    return sum(height * (2 * height + 1) ** len(free) for _, free in _pivot_sets(n, j))
+    """The number of charts _charts(n, j, height) tries, in closed form.
+
+    Each pivot set I gives height * q^f(I) charts, q = 2 height + 1 and
+    f(I) the free entries of I (_pivot_sets). The sum of q^f(I) over the
+    pivot sets is the Gaussian binomial [n choose j]_q, a polynomial
+    identity in q: over a field of q elements it counts the j-subspaces
+    Schubert cell by Schubert cell. So the count is height [n choose j]_q,
+    formed as height [n choose i]_q for i = 1..j, each step an exact
+    division; height 0 tries none."""
+    if not height:
+        return 0
+    q = 2 * height + 1
+    count = height
+    for i in range(j):
+        count = count * (q ** (n - i) - 1) // (q ** (i + 1) - 1)
+    return count
 
 
 def _charts(n: int, j: int, height: int):
@@ -605,14 +638,12 @@ class _Enumeration(NamedTuple):
 @lru_cache(maxsize=32)
 def _enumerated(n: int, j: int, height: int) -> _Enumeration:
     """The record of the j-subspaces of Q^n with height <= height, each
-    built from its chart once (see _charts): the chart's p is the
-    primitive Plucker vector, and its kernel presentation is saturated
-    once. The type is not checked here (see _records)."""
-    ws = []
-    for p in _charts(n, j, height):
-        B, F = saturation_pair(_subspace(n, j, p))
-        p_std = WedgeVector._built(n, j, {idx: Fraction(x) for idx, x in p.items()})
-        ws.append(RadicalWitness(n, j, tuple(map(tuple, B)), tuple(map(tuple, F)), p_std))
+    built from its chart once (see _charts): the chart's p is the witness's
+    primitive Plucker vector. Only the columns of a line or hyperplane type
+    read bases, so only those are saturated here; a plane's are derived
+    when it is first sized. The type is not checked here (see _records)."""
+    ws = [RadicalWitness(n, j, WedgeVector._built(n, j, {i: Fraction(x) for i, x in p.items()}))
+          for p in _charts(n, j, height)]
     ws.sort(key=RadicalWitness.sort_key)
     return _Enumeration(tuple(ws), _closed_columns(ws, j) if ws and j in (1, n - 1) else None)
 
@@ -750,7 +781,7 @@ class ProfileTable:
 
     points: tuple
     values: tuple          # LogLin entries
-    argmin: tuple          # sort keys of the minimizing witnesses
+    argmin: tuple          # the minimizing witness at each point
     digits: int
 
     def rendered(self) -> list:
@@ -808,23 +839,19 @@ def cusp_profile(g: Mat, subgroup: SubgroupSpec, grid_points, witnesses,
     if any(len(p) != subgroup.dim for p in pts):
         raise PreconditionError("coordinate length mismatch")
 
-    prepared = []
-    for wit in witnesses:
-        if isinstance(wit, ActiveRadical):
-            wit = wit.witness
-        rows = [(subgroup.restrict(ch), nu) for ch, nu in wit.components_at(g)]
-        prepared.append((wit.sort_key(), rows))
+    prepared = [(wit, [(subgroup.restrict(ch), nu) for ch, nu in wit.components_at(g)])
+                for wit in witnesses]
 
     values, mins = [], []
     for s in pts:
         best = None
-        best_key = None
-        for key, rows in prepared:
+        best_wit = None
+        for wit, rows in prepared:
             val = _log_size(rows, s)
             if best is None or val < best:
                 best = val
-                best_key = key
+                best_wit = wit
         values.append(best)
-        mins.append(best_key)
+        mins.append(best_wit)
     return ProfileTable(points=tuple(pts), values=tuple(values),
                         argmin=tuple(mins), digits=digits)

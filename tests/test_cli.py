@@ -417,6 +417,11 @@ def test_negative_height_is_an_input_error(capsys, argv):
     # a grid step that is not positive, a negative grid radius
     ("radicals", "profile", "--matrix", DIAG2, "--grid=1:0", "--manifest"),
     ("radicals", "profile", "--matrix", DIAG2, "--grid=-1:1", "--manifest"),
+    # a --digits that is not positive, refused as CUSPWATCH_PRECISION is
+    ("radicals", "search", "--matrix", DIAG2, "--eps", "1/10", "--height", "1",
+     "--digits", "0", "--manifest"),
+    ("radicals", "search", "--matrix", DIAG2, "--eps", "1/10", "--height", "1",
+     "--digits=-3", "--manifest"),
 ])
 def test_rejected_input_prints_no_manifest(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -1,8 +1,10 @@
-"""Decision paths in the package raise named errors, never `assert`.
+"""Decision paths in the package and the scripts raise named errors or
+exit, never `assert`.
 
 `python -O` strips `assert` statements, so a check written as one would
 silently stop deciding anything. This test parses every module of the
-package and fails on an `assert` statement or a `raise AssertionError`.
+package and every script and fails on an `assert` statement or a
+`raise AssertionError`.
 """
 
 import ast
@@ -11,6 +13,7 @@ from pathlib import Path
 import cuspwatch
 
 PACKAGE = Path(cuspwatch.__file__).parent
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def _assert_sites(tree):
@@ -30,10 +33,11 @@ def test_detector_sees_every_form():
 
 def test_no_assert_on_decision_paths():
     modules = sorted(PACKAGE.rglob("*.py"))
-    assert modules
+    scripts = sorted(SCRIPTS.glob("*.py"))
+    assert modules and scripts
     found = [
-        "%s:%d: %s" % (path.relative_to(PACKAGE), line, what)
-        for path in modules
+        "%s:%d: %s" % (path.relative_to(path.parents[1]), line, what)
+        for path in modules + scripts
         for line, what in _assert_sites(ast.parse(path.read_text(), str(path)))
     ]
     assert found == []

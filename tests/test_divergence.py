@@ -54,6 +54,12 @@ def test_witness_from_radical_components():
     assert [(c.canonical(), nu) for c, nu in w.components] == [((1, -1), F(4))]
 
 
+def test_check_certificate_refuses_a_witness_of_another_size():
+    g3 = random_sl(3, random.Random(0), 3)
+    with pytest.raises(PreconditionError, match=r"in Q\^2 needs a 2 x 2 matrix, got 3 rows"):
+        check_certificate(g3, SubgroupSpec.full_torus(3), [UP])
+
+
 def test_certificate_both_coordinate_lines():
     ok, uncovered = check_certificate(I2, A2, [UP, LO])
     assert ok and uncovered is None

@@ -100,6 +100,45 @@ def test_radical_from_subspace_rejects_dependent():
         radical_from_subspace([[1, 2, 0], [2, 4, 0]], 3)
 
 
+def test_a_witness_is_its_subspace_whatever_rows_span_it():
+    # equality and hashing compare subspaces, and the bases are derived from
+    # the Plucker vector alone: every unimodular respan of an enumerated
+    # plane's rows gives the enumerated witness, bases and all
+    for w in enumerate_witnesses(4, 1, js=[2]):
+        r0, r1 = w.rows
+        for a, b in ((r0, r1), (r1, r0)):
+            for k in (0, 1, -2, 3):
+                v = radical_from_subspace([[x + k * y for x, y in zip(a, b)], b], 4)
+                assert v == w and hash(v) == hash(w)
+                assert (v.rows, v.ann_rows) == (w.rows, w.ann_rows)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_reduction_radicals_are_the_enumerated_witnesses(seed):
+    g = random_sl(4, random.Random(seed), 3)
+    brute = {w.p_std: w for w in enumerate_witnesses(4, 2)}
+    found = active_radicals(g, 10, 2, method="reduction")
+    assert found
+    for a in found:
+        w = brute[a.witness.p_std]
+        assert a.witness == w and hash(a.witness) == hash(w)
+        assert (a.witness.rows, a.witness.ann_rows) == (w.rows, w.ann_rows)
+
+
+@pytest.mark.parametrize("n, w", [
+    (3, standard_radical(2, 1)),
+    (3, standard_radical(4, 2)),
+    (2, standard_radical(3, 1)),
+    (2, standard_radical(3, 2)),
+    (4, radical_from_subspace([[1, 2, 0]], 3)),
+])
+def test_a_witness_is_sized_only_at_its_own_size(n, w):
+    g = random_sl(n, random.Random(n), 3)
+    for size in (w.components_at, lambda g: conj_ad_wedge(g, w)):
+        with pytest.raises(PreconditionError, match="witness in Q\\^%d needs" % w.n):
+            size(g)
+
+
 def test_conj_ad_wedge_identity_fixes_p_ad():
     w = standard_radical(3, 1)
     assert conj_ad_wedge(Mat.identity(3), w) == w.p_ad
@@ -212,6 +251,15 @@ def test_sl5_chart_counts_are_symmetric_under_duality():
 def test_enumeration_refuses_improper_types(j):
     with pytest.raises(PreconditionError):
         enumerate_witnesses(3, 1, js=[j])
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_chart_count_is_the_walk_over_the_pivot_sets(n):
+    for j in range(1, n):
+        for height in range(7):
+            walk = sum(height * (2 * height + 1) ** len(free)
+                       for _, free in radicals._pivot_sets(n, j))
+            assert radicals._chart_count(n, j, height) == walk
 
 
 def test_chart_bound_admits_the_shear_profile_and_refuses_an_explosion():
@@ -502,18 +550,24 @@ def _counted_saturations(monkeypatch):
 
 
 def test_one_saturation_per_candidate(monkeypatch):
-    # a witness is built from its chart: one saturation_pair each, no Plucker
+    # a witness is built from its chart with no Plucker pass, and its bases
+    # are saturated once, when first read: at enumeration for the 80 lines
+    # and hyperplanes, whose columns read them, and later for the planes
     def boom(*args, **kwargs):
         raise AssertionError("a Plucker vector was taken")
 
     calls = _counted_saturations(monkeypatch)
     monkeypatch.setattr(radicals, "plucker", boom)
     radicals._enumerated.cache_clear()
-    assert len(enumerate_witnesses(4, 1)) == 202
+    ws = enumerate_witnesses(4, 1)
+    assert len(ws) == 202
+    assert len(calls) == 80
+    assert len({w.rows for w in ws}) == 202
     assert len(calls) == 202
     calls.clear()
-    assert len(enumerate_witnesses(4, 1)) == 202
-    assert calls == []      # a repeated call reads the memo
+    again = enumerate_witnesses(4, 1)
+    assert [w.rows for w in again] == [w.rows for w in ws]
+    assert calls == []      # a repeated call reads the memo and the kept bases
     radicals._enumerated.cache_clear()
     g = Mat.rationalize([[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 3, 1], [0, 0, 2, 1]])
     active_radicals(g, F(2), 1, js=[1])
@@ -542,7 +596,7 @@ def test_every_type_is_refused_before_any_chart_is_built(monkeypatch, n, height,
     def boom(*args, **kwargs):
         raise AssertionError("a chart was built")
 
-    monkeypatch.setattr(radicals, "saturation_pair", boom)
+    monkeypatch.setattr(radicals, "_charts", boom)
     radicals._enumerated.cache_clear()
     with pytest.raises(PreconditionError):
         enumerate_witnesses(n, height, js)
