@@ -14,6 +14,18 @@ Membership and activity are computed along two independent routes (margin
 arithmetic of the bordered region vs. certified log-linear signs of the
 component norms) so they can cross-check each other in tests. Both add a
 rational to a stored log norm; neither reads a LogLin's terms.
+
+Both read only the deciding components of an element
+(radicals._deciding_components). For a line, the component of a multiset A
+of size n has character chi_A = (1/n) sum_(a in A) chi_(a^n) and log norm
+(1/n) sum_(a in A) log nu_(a^n), over the pure multisets a^n = {a, ..., a}.
+A component's margin at a point is affine in (character, log norm), with a
+shift (C0 and the gauge value) common to all, so chi_A's margin is the
+average of the pure margins: positive (or nonnegative) whenever they all
+are. The n pure components therefore decide activity and membership alone,
+and a hyperplane likewise. The rule that drops a component checks this
+identity exactly on the stored characters and norms, so it serves any
+witness type; a plane seldom meets it and keeps every component.
 """
 
 from __future__ import annotations
@@ -28,7 +40,7 @@ from .chars import Character, SubgroupSpec, ambient_independent, box_points
 from .errors import PreconditionError
 from .loglin import LogLin
 from .matrix import Mat
-from .radicals import RadicalWitness, enumerate_witnesses
+from .radicals import RadicalWitness, _deciding_components, enumerate_witnesses
 from .scalars import _sup_norm, frac, frac_str
 
 
@@ -43,6 +55,14 @@ class CoverElement:
     sit in a bordered region, so it is kept aside and checked as a
     norm-ball condition. Both parts derive from the stored fields on first use, so a
     `dataclasses.replace` copy never keeps a stale region.
+
+    The stored and printed fields (psi, norms, restr, zero_psi, restricted,
+    to_json) keep every component. Activity and membership read only the
+    deciding subset: a component whose character and log norm are the
+    average, with weights c_a / n summing to one, of present pure
+    components' (for a line, chi_A with c_a the multiplicity of a in A) has
+    the average of their margins at every point, so it fails only where one
+    of them fails, and is dropped. The subset is found once, on first use.
     """
 
     witness: RadicalWitness
@@ -67,24 +87,32 @@ class CoverElement:
         return BorderedSet(self.subgroup.dim, pairs, self.gauge) if pairs else None
 
     @cached_property
-    def _log_norms(self) -> tuple:
-        """log(norm) of each component, as a LogLin."""
-        return tuple(map(LogLin.log, self.norms))
+    def _deciding(self) -> tuple:
+        """(pairs, balls, region) over the deciding components alone (see
+        radicals._deciding_components): pairs holds (restricted coefficients,
+        log norm) of each, balls the log norms of those restricting to zero,
+        and region is the BorderedSet over the others at (C0, gauge), or
+        None. Computed on first use, from the stored fields."""
+        keep = _deciding_components(tuple(-p for p in self.psi), self.norms)
+        pairs = tuple((self.restr[k], LogLin.log(self.norms[k])) for k in keep)
+        balls = tuple(log_norm for coeffs, log_norm in pairs if not any(coeffs))
+        phi = tuple((coeffs, log_norm + self.C0) for coeffs, log_norm in pairs if any(coeffs))
+        return pairs, balls, BorderedSet(self.subgroup.dim, phi, self.gauge) if phi else None
 
     def contains(self, s, closed: bool = False) -> bool:
-        """Gauged membership, via bordered-set margins plus ball conditions."""
+        """Gauged membership, via bordered-set margins plus ball conditions,
+        read on the deciding components."""
         s = tuple(frac(v) for v in s)
         if len(s) != self.subgroup.dim:
             raise PreconditionError("coordinate length mismatch")
-        top = self.C0 + self.gauge(_sup_norm(s))
-        for coeffs, log_norm in zip(self.restr, self._log_norms):
-            if not any(coeffs):
+        _, balls, region = self._deciding
+        if balls:
+            top = self.C0 + self.gauge(_sup_norm(s))
+            for log_norm in balls:
                 sign = (log_norm + top).sign()
                 if sign > 0 or (sign == 0 and not closed):
                     return False
-        if self.restricted is None:
-            return True
-        return self.restricted.contains(s, closed=closed)
+        return region is None or region.contains(s, closed=closed)
 
     def is_active(self, s, strict: bool = True) -> bool:
         """Smallness of the conjugated vector at s, via component signs.
@@ -92,12 +120,13 @@ class CoverElement:
         Active means every weight component of the conjugated wedge at the
         point exp(D(s))*g stays at or under exp(-C0 - gauge(|s|)): the sign
         of  psi-restriction(s) shortfall plus log norm  decides each one.
+        The deciding components alone are read.
         """
         s = tuple(frac(v) for v in s)
         if len(s) != self.subgroup.dim:
             raise PreconditionError("coordinate length mismatch")
         top = self.C0 + self.gauge(_sup_norm(s))
-        for coeffs, log_norm in zip(self.restr, self._log_norms):
+        for coeffs, log_norm in self._deciding[0]:
             lin = top - sum(c * v for c, v in zip(coeffs, s))
             sign = (log_norm + lin).sign()
             if sign > 0 or (sign == 0 and strict):
@@ -168,7 +197,9 @@ def enumerate_local(g: Mat, A: SubgroupSpec, R, C0, H: int) -> list:
 
     Decided exactly by bordered's box test over the restricted pairs
     (`bordered._meets_box`). Constant characters survive exactly when
-    their cut level is nonpositive. The output is finite for every (R, H).
+    their cut level is nonpositive. Both read the deciding components
+    alone, which cut out the same closed region. The output is finite for
+    every (R, H).
     """
     R = frac(R)
     if R < 0:
@@ -176,10 +207,11 @@ def enumerate_local(g: Mat, A: SubgroupSpec, R, C0, H: int) -> list:
     C0 = frac(C0)
     out = []
     for witness in enumerate_witnesses(g.nrows, H):
-        e = CoverElement(witness, A, C0, Gauge.zero(), *_element_data(g, A, witness))
-        if any(LogLin(C0, ((nu, 1),)).sign() > 0 for _, nu in e.zero_psi):
+        _, balls, region = CoverElement(witness, A, C0, Gauge.zero(),
+                                        *_element_data(g, A, witness))._deciding
+        if any((log_norm + C0).sign() > 0 for log_norm in balls):
             continue
-        if _meets_box(A.dim, e.restricted.phi if e.restricted is not None else (), R):
+        if _meets_box(A.dim, region.phi if region is not None else (), R):
             out.append(witness)
     return out
 

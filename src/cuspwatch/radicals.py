@@ -476,6 +476,58 @@ def _closed_components(monomials, u, den) -> list:
     return [(ch, Fraction(prod(map(u.__getitem__, A)), den)) for A, ch in monomials]
 
 
+def _deciding_components(chars, norms) -> tuple:
+    """Indices, in order, of the components (chars[k], norms[k]) of a
+    witness that decide every reading of it by its largest component: its
+    log size, its activity and its region's membership.
+
+    Component k is dropped when it is an average of present pure
+    components. With n the length of its character chi and, for a sign
+    sigma in {1, -1}, the counts c_a = 1 + sigma * (chi_a - sum(chi) / n),
+    that is: every c_a is a nonnegative integer, at least two are nonzero,
+    the pure character sigma * (n e_a - (1, ..., 1)) is present for each a
+    with c_a > 0, at norm nu_a, and norms[k]^n = prod_a nu_a^c_a exactly.
+    The rule reads the characters and norms alone, so it holds for any
+    witness type and for any norms a caller stores.
+
+    Proof. The counts sum to n, and sum_a c_a sigma (n e_a - 1) = n sigma
+    (c - 1), which is n chi on trace-zero directions; with the norm
+    identity, (chi, log norms[k]) = sum_a (c_a / n) (chi_a', log nu_a) for
+    the pure characters chi_a'. A reading of a component at a point is
+    lambda(chi) + log nu plus a shift common to all components (a cut C0,
+    a gauge value), affine in (chi, log nu), so component k reads the
+    average of its pure components with weights c_a / n >= 0 summing to
+    one: never more than their maximum, and below a level (strictly or
+    not) whenever they all are. A pure character has one nonzero count for
+    its own sign, and a negative count or again one nonzero count for the
+    other, so pure components are kept and the kept ones decide alone.
+
+    A line's component chi_A (see _closed_components) has sigma = 1, c_a
+    the multiplicity of a in A and norm prod |u_a| / |det G|, whose n-th
+    power is prod_a (|u_a|^n / |det G|)^c_a: only its pure components
+    (A = {a, ..., a}, u_a nonzero) are kept. A hyperplane is the same with
+    sigma = -1. For a plane the norm identity rarely holds, and every
+    component is then kept.
+    """
+    index = {ch: k for k, ch in enumerate(chars)}
+    kept = []
+    for k, (ch, nu) in enumerate(zip(chars, norms)):
+        n, total = ch.n, sum(ch.coeffs)
+        for sigma in (1, -1):
+            counts = [n + sigma * (n * x - total) for x in ch.coeffs]   # n * c_a
+            if any(c < 0 or c % n for c in counts):
+                continue
+            counts = [c // n for c in counts]
+            pure = [(index.get(Character(tuple(sigma * (n * (a == b) - 1) for b in range(n)))), c)
+                    for a, c in enumerate(counts) if c]
+            if (len(pure) > 1 and all(i is not None for i, _ in pure)
+                    and nu ** n == prod(norms[i] ** c for i, c in pure)):
+                break
+        else:
+            kept.append(k)
+    return tuple(kept)
+
+
 def conj_ad_wedge(g: Mat, witness: RadicalWitness) -> WedgeVector:
     """Wedge of the conjugated integral basis; the norm carrier.
 
@@ -826,8 +878,9 @@ def cusp_profile(g: Mat, subgroup: SubgroupSpec, grid_points, witnesses,
 
     At a point s the value is the minimum over witnesses of the maximum over
     present weights of  lambda(direction(s)) + log(component norm), an exact
-    LogLin quantity; ties and comparisons are certified. digits sets the
-    decimal places the table renders.
+    LogLin quantity; ties and comparisons are certified. The maximum is read
+    over the deciding components alone (_deciding_components), which attain
+    it. digits sets the decimal places the table renders.
     """
     _validate_sl(g)
     witnesses = list(witnesses)
@@ -839,8 +892,11 @@ def cusp_profile(g: Mat, subgroup: SubgroupSpec, grid_points, witnesses,
     if any(len(p) != subgroup.dim for p in pts):
         raise PreconditionError("coordinate length mismatch")
 
-    prepared = [(wit, [(subgroup.restrict(ch), nu) for ch, nu in wit.components_at(g)])
-                for wit in witnesses]
+    prepared = []
+    for wit in witnesses:
+        chars, norms = zip(*wit.components_at(g))
+        prepared.append((wit, [(subgroup.restrict(chars[k]), norms[k])
+                               for k in _deciding_components(chars, norms)]))
 
     values, mins = [], []
     for s in pts:

@@ -145,6 +145,16 @@ def test_epsilon_bound_frozen():
     assert epsilon_bound([(2, 0), (0, 1)]) == F(1, 2)
 
 
+def test_epsilon_bound_refuses_too_many_subsets(monkeypatch):
+    # 30 distinct functionals in R^3 have 30 + 435 + 4060 subsets of size <= 3
+    calls = []
+    monkeypatch.setattr(bordered, "solve_lp", lambda *a, **k: calls.append(1))
+    system = [(1, k, k * k) for k in range(30)]
+    with pytest.raises(PreconditionError, match="4525 subsets .* cap of %d" % bordered._MAX_SUBSETS):
+        epsilon_bound(system)
+    assert calls == []
+
+
 def test_epsilon_bound_scaling_down():
     # shrinking a functional shrinks how far the dead cone sits from zero
     assert epsilon_bound([(F(1, 3), 0), (0, 1)]) == F(1, 6)

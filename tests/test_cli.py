@@ -236,6 +236,17 @@ def test_cover_build_zero_gauge_bytes(capsys):
     assert code == 0 and out == COVER_BUILD_GAUGE0
 
 
+def test_cover_build_refuses_an_exploding_gauge_fit(capsys, monkeypatch):
+    # the default gauge pools 92 restricted functionals in R^3, 129,858
+    # subsets of at most 3: refused after the sizing, before any LP
+    calls = []
+    monkeypatch.setattr(bordered, "solve_lp", lambda *a, **k: calls.append(1))
+    code, out, err = run(capsys, "cover", "build", "--matrix",
+                         "[[1,0,0,2],[0,1,0,0],[0,0,1,0],[0,0,0,1]]", "--height", "1")
+    assert code == 2 and out == "" and calls == []
+    assert "129858 subsets" in err and "cap of %d" % bordered._MAX_SUBSETS in err
+
+
 def test_diverge_commands(capsys):
     code, out, _ = run(capsys, "diverge", "check", "--matrix", I2,
                        "--subspace", "[[1,0]]", "--subspace", "[[0,1]]")

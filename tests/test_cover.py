@@ -16,7 +16,7 @@ from cuspwatch.errors import PreconditionError
 from cuspwatch.loglin import LogLin
 from cuspwatch.lp import lp_feasible
 from cuspwatch.matrix import Mat
-from cuspwatch.radicals import enumerate_witnesses, radical_from_subspace
+from cuspwatch.radicals import _deciding_components, enumerate_witnesses, radical_from_subspace
 
 F = Fraction
 
@@ -290,6 +290,120 @@ _BALL_EDGE = (replace(build_cover(I2, A2, [MIX], gauge=Gauge.zero())[0],
 @given(_elements_with_points())
 @example(_BALL_EDGE)
 def test_component_signs_match_the_checked_construction(case):
+    e, s = case
+    for flag in (True, False):
+        assert e.is_active(s, strict=flag) == _ref_is_active(e, s, flag)
+        assert e.contains(s, closed=flag) == _ref_contains(e, s, flag)
+
+
+# ------------------------------------------ the deciding components
+#
+# Activity and membership read only the components that are not an average
+# of present pure ones (radicals._deciding_components); the references
+# above read every component.
+
+def _kept(e):
+    return _deciding_components(tuple(-p for p in e.psi), e.norms)
+
+
+def _is_pure(ch):
+    # +-(n e_a - (1, ..., 1)), in its sum-zero canonical form
+    n = ch.n
+    return sorted(map(abs, ch.canonical())) == [1] * (n - 1) + [n - 1]
+
+
+def test_full_support_lines_and_hyperplanes_keep_their_pure_components():
+    # the two covers of acceptance 07
+    els2 = build_cover(Mat.rationalize([[2, 0], [0, "1/2"]]), A2, enumerate_witnesses(2, 3), C0=-2)
+    els3 = build_cover(_G3, SubgroupSpec.full_torus(3), enumerate_witnesses(3, 1), C0=-2)
+    full = 0
+    for e in els3:
+        if len(e.psi) == 10:    # every multiset of size 3 over 3 entries
+            full += 1
+            assert [e.psi[k].canonical() for k in _kept(e)] == [
+                p.canonical() for p in e.psi if _is_pure(p)]
+            assert len(_kept(e)) == 3 and len(e._deciding[0]) == 3
+    assert full > 0
+    mixed = [e for e in els2 if len(e.psi) == 3]
+    assert mixed and all(len(_kept(e)) == 2 for e in mixed)
+    # the stored and printed fields still hold every component
+    assert all(len(e.norms) == len(e.restr) == len(e.psi) == len(e.to_json()["d"])
+               for e in els2 + els3)
+
+
+def test_norms_off_the_geometric_mean_keep_every_component():
+    g = Mat.rationalize([[2, 0], [0, "1/2"]])
+    mix = build_cover(g, A2, [MIX])[0]
+    assert mix.norms == (F(1, 4), F(1), F(4)) and _kept(mix) == (0, 2)
+    off = replace(mix, norms=(F(1, 4), F(2), F(4)))    # 2^2 != (1/4) * 4
+    assert _kept(off) == (0, 1, 2) and len(off._deciding[0]) == 3
+    assert not off.is_active((F(0),), strict=False)
+
+
+def test_sl4_plane_elements_decide_as_the_reference():
+    g = Mat.rationalize([[1, 1, 0, 0], [0, 1, "1/2", 0], [0, 0, 1, -1], [0, 0, 0, 1]])
+    planes = [radical_from_subspace(rows, 4) for rows in (
+        [[1, 0, 0, 0], [0, 1, 0, 0]], [[1, 1, 0, 0], [0, 0, 1, 1]], [[1, 0, 1, 0], [0, 1, 0, -1]])]
+    A = SubgroupSpec.full_torus(4)
+    coords = [F(k, 2) for k in range(-3, 4)]
+    for e in build_cover(g, A, planes, C0=F(-1, 2), gauge=Gauge.linear(F(1, 8))):
+        for s in [(a, b, -a) for a in coords for b in coords[::2]]:
+            for flag in (True, False):
+                assert e.is_active(s, strict=flag) == _ref_is_active(e, s, flag)
+                assert e.contains(s, closed=flag) == _ref_contains(e, s, flag)
+
+
+def _shear_word(draw, n):
+    """A random g in SL_n(Q): a word of rational shears."""
+    g = Mat.identity(n)
+    for _ in range(draw(st.integers(0, 4))):
+        i, j = draw(st.permutations(range(n)))[:2]
+        E = [[F(int(a == b)) for b in range(n)] for a in range(n)]
+        E[i][j] = F(draw(st.integers(-3, 3)), draw(st.sampled_from([1, 1, 2])))
+        g = g * Mat(E)
+    return g
+
+
+def _subgroup(draw, n):
+    """A subgroup of rank 1 to n - 1: torus directions at drawn positions,
+    each plus small multiples of the directions at no drawn position, so
+    the rows stay independent."""
+    torus = SubgroupSpec.full_torus(n).basis
+    rank = draw(st.integers(1, n - 1))
+    pos = sorted(draw(st.permutations(range(n - 1)))[:rank])
+    rest = [c for c in range(n - 1) if c not in pos]
+    rows = []
+    for p in pos:
+        m = {c: draw(st.integers(-2, 2)) for c in rest}
+        rows.append(tuple(torus[p][k] + sum(m[c] * torus[c][k] for c in rest) for k in range(n)))
+    return SubgroupSpec(n, tuple(rows))
+
+
+@st.composite
+def _line_elements_with_points(draw):
+    """A line or hyperplane element of SL2-SL4 at a random g and subgroup,
+    gauge on or off, a drawn C0, and a point, sometimes on the boundary of
+    one component of norm 1 (its margin exactly zero), pure or averaged."""
+    n = draw(st.sampled_from([2, 3, 4]))
+    g = _shear_word(draw, n)
+    A = _subgroup(draw, n)
+    witness = draw(st.sampled_from(enumerate_witnesses(n, 1, js=sorted({1, n - 1}))))
+    gauge = draw(st.sampled_from([Gauge.zero(), Gauge.linear(F(1, 4)), Gauge.linear(F(3, 2))]))
+    C0 = draw(st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    e = build_cover(g, A, [witness], C0=C0, gauge=gauge)[0]
+    coord = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    s = draw(st.tuples(*[coord] * A.dim))
+    ones = [k for k, nu in enumerate(e.norms) if nu == 1]
+    if ones and draw(st.booleans()):
+        k = draw(st.sampled_from(ones))
+        C0 = sum(c * v for c, v in zip(e.restr[k], s)) - gauge(max(map(abs, s)))
+        e = replace(e, C0=C0)
+    return e, s
+
+
+@settings(max_examples=100, deadline=None)
+@given(_line_elements_with_points())
+def test_deciding_components_decide_as_every_component(case):
     e, s = case
     for flag in (True, False):
         assert e.is_active(s, strict=flag) == _ref_is_active(e, s, flag)
