@@ -49,7 +49,7 @@ commands:
             profile --matrix JSON --grid R:STEP [--subgroup JSON] [--height H]
   bordered  check --what nontrivial|bounded|invdim|ktrivial|intersect ...
   cover     build|local|goodres|verify ...
-  diverge   check|search ...
+  diverge   check|search ...  (search: for n >= 5 lines and hyperplanes only)
   sl4       verify-periodicity | grplus --alpha a1,a2,a3,a4
             | xmember --basis JSON | demo --alpha a1,a2,a3,a4 [--tamper]
 
@@ -276,7 +276,9 @@ def _run_cover(argv) -> object:
 
 def _run_diverge(argv) -> object:
     p = _parser("diverge")
-    p.add_argument("action", choices=["check", "search"])
+    p.add_argument("action", choices=["check", "search"],
+                   help="search: witnesses of bounded height with a nonempty shrink cone;"
+                        " for n >= 5 it searches lines and hyperplanes, and leaves planes out")
     p.add_argument("--matrix", required=True)
     p.add_argument("--subgroup")
     p.add_argument("--subspace", action="append", default=[])

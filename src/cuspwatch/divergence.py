@@ -22,14 +22,18 @@ it does each piece of integer work once, and solves no LP:
   >= 2 the sum of the rays in its closure, computed only for the
   uncovered face returned or for the cells of a certificate that is read
   (check_certificate reads none).
-The witness search decides each shrink cone once per subgroup and
-character set, in a bounded memo kept across calls, by bordered's Gordan
-LP (`bordered.positively_nontrivial`); this module builds no LP.
+The witness search decides each shrink cone from the witness's Plucker
+support alone: the j-subsets R with W_R != 0 for W = Lambda^j(g) p_V, whose
+pure weights n e_R - j (1, ..., 1) cut out the cone (radicals._keyed has
+the proof). It decides once per subgroup and support, in a bounded memo
+kept across calls, by bordered's Gordan LP (`bordered.positively_nontrivial`);
+this module builds no LP.
 
 Witnesses come only from `radicals`: `radicals` alone conjugates a witness
 and sizes it, ray profiles included. The search reads its candidates,
-their character keys and their sizing from one stream of `radicals`, and
-does not know how a witness of any type is sized.
+their supports and their sizing from one stream of `radicals`, and does
+not know how a witness of any type is sized; it sizes only the witnesses
+it keeps.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from .chars import SubgroupSpec
 from .errors import PreconditionError
 from .lattice import positive_primitive
 from .matrix import Mat, _bareiss
-from .radicals import RadicalWitness, _keyed, _log_size
+from .radicals import RadicalWitness, _keyed, _log_size, _pure_weights
 from .scalars import frac_str
 
 
@@ -384,31 +388,38 @@ def ray_profile(w, A: SubgroupSpec, direction, times) -> list:
 
 
 @lru_cache(maxsize=256)
-def _cone_verdict(A: SubgroupSpec, coeffs: frozenset) -> bool:
-    """cone_nonempty for the shrink cone of any witness whose characters
-    have exactly these coefficient tuples: the cone depends on nothing else,
-    and its rows are the distinct negated primitive forms."""
-    forms = {A.primitive_form(c) for c in coeffs}
-    return None not in forms and cone_nonempty(sorted(tuple(-x for x in h) for h in forms))
+def _cone_verdict(A: SubgroupSpec, key: tuple) -> bool:
+    """cone_nonempty for the shrink cone on A of any witness whose Plucker
+    support is key (radicals._keyed): the cone depends on nothing else. By
+    the rule proved there, its rows are the distinct negated primitive
+    restrictions of the pure weights n e_R - j (1, ..., 1), R in the
+    support; a subgroup of another n is refused. With no LP, the cone is
+    empty when a form restricts to zero, or when the support is balanced
+    (sum_R e_R constant): then the pure weights sum to 0, and multipliers
+    all one prove the cone empty."""
+    weights = _pure_weights(key)
+    forms = {A.primitive_form(c) for c in weights}
+    return (None not in forms and any(map(sum, zip(*weights)))
+            and cone_nonempty(sorted(tuple(-x for x in h) for h in forms)))
 
 
 def search_witnesses(g: Mat, A: SubgroupSpec, height: int) -> list:
     """Subspace witnesses of bounded height with a nonempty shrink cone,
-    in the order of enumerate_witnesses.
+    in the order of enumerate_witnesses. For n >= 5 only lines and
+    hyperplanes are searched, since planes of larger n are not sized yet.
 
-    The candidates, their character keys and their sizing come from
-    radicals' stream (radicals._keyed), which skips the lines and
+    The candidates, their keys (Plucker supports) and their sizing come
+    from radicals' stream (radicals._keyed), which skips the lines and
     hyperplanes that shrink nowhere. The cone is decided once per key in a
-    call, and once per subgroup and key across calls: the characters of a
+    call, and once per subgroup and key across calls: the supports of a
     given n come from a finite set, so a warm memo solves no LP. Only a
-    kept witness is sized.
+    kept witness is sized, a plane included.
     """
-    n = g.nrows
     verdicts = {}   # key -> _cone_verdict(A, key)
     out = []
     for rw, key, size in _keyed(g, height):
         if key not in verdicts:
             verdicts[key] = _cone_verdict(A, key)
         if verdicts[key]:
-            out.append(WitnessVector(n, rw.dim, tuple(size()), rw.label))
+            out.append(WitnessVector(rw.n, rw.dim, tuple(size()), rw.label))
     return out

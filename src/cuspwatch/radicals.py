@@ -33,7 +33,8 @@ type's enumeration record keeps. Planes are sized from the integer minors
 of _conj_minors.
 
 This module alone sizes a witness: the witness search reads one stream,
-_keyed, of the enumerated candidates with their character keys and sizing.
+_keyed, of the enumerated candidates with their Plucker supports, which
+decide their shrink cones, and their sizing.
 
 A witness is its subspace: RadicalWitness stores the primitive Plucker
 vector alone, and derives both saturated bases from it one way, however
@@ -223,7 +224,7 @@ class RadicalWitness:
         _check_size(g, self)
         if self.j == 1 or self.j == self.n - 1:
             sign, den, (u,) = _closed_vectors(g, self.j, _closed_columns((self,), self.j))
-            return _closed_components(_closed_table(self.n, sign, _support(u))[0], u, den)
+            return _closed_components((self.n, self.j, _support(u if sign > 0 else u[::-1])), u, den)
         minors, den = _conj_minors(g, self)
         return _components(minors, self.n, den)
 
@@ -352,14 +353,16 @@ def _conj_minors(g: Mat, witness: RadicalWitness) -> tuple:
 
 
 @lru_cache(maxsize=256)
-def _closed_table(n: int, sign: int, support: int) -> tuple:
-    """(monomials, key) of a line (sign 1) or hyperplane (sign -1) whose
-    vector u has its nonzero entries at the bits of support: monomials
-    lists (A, sign * chi_A) for each multiset A of size n over those
-    entries (0-based), sorted by the characters' sort keys, which are
-    pairwise distinct, and key is the frozenset of their coefficient
-    tuples (see _closed_components)."""
-    idx = [a for a in range(n) if support >> a & 1]
+def _closed_table(key) -> tuple:
+    """The monomials of a line (j = 1, sign 1) or hyperplane (j = n - 1,
+    sign -1) with the support key (n, j, mask) of _keyed: (A, sign *
+    chi_A) for each multiset A of size n over the entries a (0-based) with
+    u_a != 0, which are the bits a of mask for a line and n - 1 - a for a
+    hyperplane, sorted by the characters' sort keys, which are pairwise
+    distinct (see _closed_components)."""
+    n, j, mask = key
+    sign = 1 if j == 1 else -1
+    idx = [a for a in range(n) if mask >> (a if j == 1 else n - 1 - a) & 1]
     out = []
     for A in combinations_with_replacement(idx, n):
         coeffs = [-sign] * n
@@ -367,7 +370,7 @@ def _closed_table(n: int, sign: int, support: int) -> tuple:
             coeffs[a] += sign
         out.append((A, Character(tuple(coeffs))))
     out.sort(key=lambda t: t[1].sort_key())
-    return tuple(out), frozenset(ch.coeffs for _, ch in out)
+    return tuple(out)
 
 
 def _closed_columns(witnesses, j: int) -> tuple:
@@ -400,8 +403,8 @@ def _closed_vectors(g: Mat, j: int, columns) -> tuple:
 
 
 def _support(u) -> int:
-    """The bit mask of the nonzero entries of u, which with n and the sign
-    fixes a line's or hyperplane's characters (_closed_table)."""
+    """The bit mask of the nonzero entries of u: with W in lexicographic
+    order, the mask of a support key (_keyed)."""
     support = 0
     for a, x in enumerate(u):
         if x:
@@ -409,19 +412,18 @@ def _support(u) -> int:
     return support
 
 
-def _closed_components(monomials, u, den) -> list:
+def _closed_components(key, u, den) -> list:
     """components_at for a line (j = 1) or a hyperplane (j = n - 1), from
-    its vector u and den of _closed_vectors and the monomials of
-    _closed_table(n, sign, _support(u)), with no minor.
+    its support key (_keyed), its vector u and den of _closed_vectors and
+    the monomials of _closed_table(key), with no minor.
 
     Line V = Q v, v the primitive row, with u = G v (see _conjugator): the
     components are chi_A, with norm prod_(a in A) |u_a| / |det G|, for each
     multiset A of size n over 1..n with every u_a nonzero. A hyperplane,
     with w = H f for its primitive normal f = ann_rows[0], has -chi_A with
     norm prod |w_a| / |det H|. For n = 2 both forms apply and agree. The
-    characters depend on n, the sign and the zero pattern of u alone, so
-    they come from the table _closed_table, whose key the witness search
-    reads too.
+    characters depend on n, the sign and the zero pattern of u alone, that
+    is on the support key, so they come from the table _closed_table.
 
     Proof for a line. The conjugated basis is g v f_k^T g^-1 = u y_k^T / d
     with y_k = H f_k and d = d_g d_H, over the saturated annihilator rows
@@ -470,6 +472,7 @@ def _closed_components(monomials, u, den) -> list:
     forms (sort keys), and likewise for -chi_A. Sorting by sort key alone is
     then the order of _components, which only breaks ties.
     """
+    monomials = _closed_table(key)
     u = list(map(abs, u))
     if den == 1:    # integer norms: Fraction skips its gcd
         return [(ch, Fraction(prod(map(u.__getitem__, A)))) for A, ch in monomials]
@@ -700,15 +703,22 @@ def _enumerated(n: int, j: int, height: int) -> _Enumeration:
     return _Enumeration(tuple(ws), _closed_columns(ws, j) if ws and j in (1, n - 1) else None)
 
 
+def _sized(n: int, j: int) -> bool:
+    """The plane guard: is the j-subspace type of Q^n one that may be
+    enumerated, and so searched? Lines and hyperplanes are, for any n, and
+    planes (2 <= j <= n - 2) for n = 4 only: the charts serve any n, but
+    sizing an SL5 plane from the minors of its conjugated wedge takes about
+    a second, and a search would take hours."""
+    return j in (1, n - 1) or (n, j) == (4, 2)
+
+
 def _records(n: int, height: int, js) -> list:
     """The _enumerated record of each type of js (see _types). Every type
-    is checked once, before any chart is built: planes (2 <= j <= n - 2)
-    are enumerated for n = 4 only, since the charts serve any n but sizing
-    SL5 planes takes hours, and no type may try more than _MAX_CHARTS
-    charts."""
+    is checked once, before any chart is built: it must pass the plane
+    guard (_sized), and no type may try more than _MAX_CHARTS charts."""
     types = _types(n, height, js)
     for j in types:
-        if not (j in (1, n - 1) or (n, j) == (4, 2)):
+        if not _sized(n, j):
             raise PreconditionError(
                 "witnesses are enumerated for j=1, j=n-1 and (n,j)=(4,2): planes of"
                 " larger n would enumerate, but a search would take hours to size them")
@@ -731,39 +741,75 @@ def enumerate_witnesses(n: int, height: int, js=None) -> list:
     return [w for rec in _records(n, height, js) for w in rec.witnesses]
 
 
+def _pure_weights(support) -> list:
+    """The coefficients of n e_R - j (1, ..., 1) for each j-subset R of a
+    support (n, j, mask) of _keyed, in order: the pure weights, which cut
+    out the shrink cone."""
+    n, j, mask = support
+    return [tuple(n * (i in R) - j for i in range(1, n + 1))
+            for k, R in enumerate(combinations(range(1, n + 1), j)) if mask >> k & 1]
+
+
 def _keyed(g: Mat, height: int):
-    """(witness, key, size) for each witness of enumerate_witnesses(n,
-    height) in order, n = g.nrows, except the lines and hyperplanes that
-    shrink nowhere (below): key is the frozenset of the coefficient tuples
-    of its characters under g, on which its shrink cone depends alone, and
-    size() returns its components_at(g).
+    """(witness, key, size) for each witness of height <= height of the
+    types the plane guard admits (_sized), n = g.nrows, in the order of
+    enumerate_witnesses, except the lines and hyperplanes of balanced
+    support (below). The key is V's support: the j-subsets R of 1..n with
+    W_R != 0, for W = Lambda^j(g) p_V, as (n, j, mask), with bit k of mask
+    for the k-th j-subset in lexicographic order (see _pure_weights).
+    size() returns components_at(g). For n >= 5 the stream holds lines and
+    hyperplanes only, until planes of larger n are sized without minors.
+
+    The rule. The shrink cone of V's witness at g, on any subgroup, is the
+    set of trace-zero y in it with y_R = sum_(r in R) y_r < 0 for every R
+    in the support. Proof:
+    - The top exterior power of Hom(Q^n / V, V) is (Lambda^j V)^(x n) (x)
+      det^(-j), naturally in V. So each coefficient of the conjugated wedge
+      is a form of degree n in W, times a factor that depends only on det g.
+      The diagonal torus acts on both sides, so each monomial
+      prod_i W_(R_i) of the form at an index of weight chi has weight
+      sum_i e_(R_i) - j (1, ..., 1) = chi.
+    - The only monomial of weight n e_R - j (1, ..., 1) is W_R^n: each R_i
+      lies in R and has j elements, so R_i = R. The subspace span(e_r : r
+      in R) at g = 1 has W = +-e_R and a wedge with the one coefficient +-1,
+      at the index {E_ab : a in R, b not in R}, of that weight. So that
+      index's form is +-W_R^n, and V has a component of weight n e_R - j
+      (1, ..., 1) exactly when W_R != 0: the pure weights.
+    - Any other weight present is that of a monomial with every W_(R_i) !=
+      0, so it is (1 / n) sum_i (n e_(R_i) - j (1, ..., 1)), an average of
+      pure weights. A direction shrinks the witness when every weight
+      present is negative on it, and a pure weight takes the value n y_R on
+      a trace-zero y. So the pure weights alone cut out the cone, which
+      divergence._cone_verdict decides from the key.
+    In lexicographic order, W is +-u = G v for a line, +-u = H f reversed
+    for a hyperplane (Lambda^(n-1)(g) is det g times g^-T on the
+    complements of the coordinates, up to signs), and for a plane the j x j
+    minors of the integer rows G b up to the factor d_g^j (see
+    active_radicals).
+
+    A balanced support, one with sum_R e_R constant, shrinks nowhere: its
+    pure weights sum to 0. A line or hyperplane is balanced exactly when
+    its u has full support, and is skipped before any key is formed.
 
     The types are walked in order, each from its record (_records). The
     u of every line, and then of every hyperplane, comes from one
-    column-wise pass (_closed_vectors) over the columns the record keeps;
-    its zero pattern picks the key (_closed_table), and size() reads the
-    same u. A plane is sized once.
-
-    Lemma: a line or hyperplane whose u has full support shrinks nowhere.
-    Proof: every u_a is nonzero, so the multiset A = {1, ..., n} gives the
-    component chi_A = sum_a e_a - (1, ..., 1) = 0 (-chi_A = 0 for a
-    hyperplane; see _closed_components). The character 0 restricts to zero
-    on every subgroup, and a direction shrinks the witness only if every
-    component's character is strictly negative on it, so the shrink cone
-    is empty. Such a candidate is skipped before any table is read.
+    column-wise pass (_closed_vectors) over the columns the record keeps,
+    and size() reads the same u. A plane is sized only when size() is
+    called, so a search sizes only the planes it keeps.
     """
     n = g.nrows
-    for ws, columns in _records(n, height, None):
+    for ws, columns in _records(n, height, [j for j in range(1, n) if _sized(n, j)]):
         if columns is None:     # planes, or an empty type
             for w in ws:
-                comps = w.components_at(g)
-                yield w, frozenset(ch.coeffs for ch, _ in comps), comps.copy
+                W = _int_minors(_moved(_conjugator(g).G, w.rows))
+                key = n, w.j, _support([W.get(R, 0) for R in combinations(range(1, n + 1), w.j)])
+                yield w, key, partial(w.components_at, g)
         else:
             sign, den, us = _closed_vectors(g, ws[0].j, columns)
             for w, u in zip(ws, us):
-                if not all(u):     # else full support: the lemma
-                    monomials, key = _closed_table(n, sign, _support(u))
-                    yield w, key, partial(_closed_components, monomials, u, den)
+                if not all(u):     # else balanced
+                    key = n, w.j, _support(u if sign > 0 else u[::-1])
+                    yield w, key, partial(_closed_components, key, u, den)
 
 
 def active_radicals(g: Mat, eps, height: int, js=None, method: str = "brute") -> list:

@@ -59,6 +59,7 @@ from cuspwatch.sl4q import (
     verify_periodicity,
 )
 from cuspwatch.wedge import WedgeVector, apply_wedge_matrix
+from test_bruhat import random_sl
 
 F = Fraction
 
@@ -572,3 +573,27 @@ def test_sl4_full_torus_divergence_fans(verdict):
         bad.append("ran %.1fs, cap 15s" % dt)
     verdict("acceptance 11: SL4 full-torus divergence fans", bad,
              "80 and 54 witnesses, both uncovered, %.1fs" % dt)
+
+
+# ------------------------------------------------------------------ 12
+
+
+def test_sl5_and_sl6_full_torus_searches(verdict):
+    # n >= 5 searches lines and hyperplanes, each decided from its Plucker
+    # support; enumeration included, the three searches take about 1.5 s
+    bad = []
+    t0 = time.monotonic()
+    detail = []
+    for n, height, expected in ((5, 1, 182), (5, 2, 1582), (6, 1, 608)):
+        g = random_sl(n, random.Random(0), height=2, steps=4)
+        ws = search_witnesses(g, SubgroupSpec.full_torus(n), height)
+        if len(ws) != expected:
+            bad.append("SL%d height %d: %d witnesses, expected %d" % (n, height, len(ws), expected))
+        if {w.degree for w in ws} != {n - 1}:
+            bad.append("SL%d height %d: a witness is not a line or hyperplane" % (n, height))
+        detail.append("SL%d h%d: %d" % (n, height, len(ws)))
+    dt = time.monotonic() - t0
+    if dt >= 10.0:
+        bad.append("ran %.1fs, cap 10s" % dt)
+    verdict("acceptance 12: SL5 and SL6 full-torus searches", bad,
+             "%s, %.1fs" % (", ".join(detail), dt))

@@ -1,9 +1,14 @@
+import contextlib
+import hashlib
+import io
 import json
+import random
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cuspwatch import bordered, divergence
 from cuspwatch.chars import SubgroupSpec
@@ -12,6 +17,7 @@ from cuspwatch.errors import InternalError
 from cuspwatch.lp import LPResult
 from cuspwatch.matrix import Mat
 from cuspwatch.radicals import radical_from_subspace
+from test_bruhat import random_sl
 
 I2 = '[["1","0"],["0","1"]]'
 DIAG2 = '[["2","0"],["0","1/2"]]'
@@ -322,6 +328,36 @@ def test_diverge_search_with_determinant_two_bytes(capsys):
     assert code == 0 and out == DIVERGE_SEARCH_DET2
 
 
+# `diverge search --height 1` on two SL4 matrices: the search decides and
+# sizes planes here, and on no other pinned output. Each pin is (matrix,
+# bytes, sha256, witnesses kept, planes kept)
+SL4_SEARCH_PINS = [
+    ("[[2,1,0,0],[1,1,0,0],[0,0,3,1],[0,0,2,1]]", 27817,
+     "60097b92132876f99ee8fe80907335ad4cc52db185c5369c684171d5c898f526", 54, 22),
+    ("[[1,1,0,0],[0,1,1,0],[0,0,1,1],[0,0,0,1]]", 55063,
+     "043005b7c352f4d69a56638f95c0f4b324c54e7b2170fe0329d4f4a10076de43", 116, 57),
+]
+
+
+@pytest.mark.parametrize("matrix, size, digest, kept, planes", SL4_SEARCH_PINS)
+def test_diverge_search_sl4_plane_bytes(capsys, matrix, size, digest, kept, planes):
+    code, out, _ = run(capsys, "diverge", "search", "--matrix", matrix, "--height", "1")
+    assert code == 0
+    assert len(out.encode()) == size and hashlib.sha256(out.encode()).hexdigest() == digest
+    ws = json.loads(out)
+    assert len(ws) == kept and sum(w["degree"] == 4 for w in ws) == planes
+
+
+def test_diverge_search_on_sl5_leaves_planes_out(capsys):
+    # n >= 5 searches lines and hyperplanes (degree j (n - j) = 4) only
+    g = random_sl(5, random.Random(0), height=2, steps=4)
+    code, out, err = run(capsys, "diverge", "search", "--matrix", json.dumps(g.to_json()),
+                         "--height", "1")
+    assert code == 0 and err == ""
+    ws = json.loads(out)
+    assert len(ws) == 182 and {w["degree"] for w in ws} == {4}
+
+
 def test_diverge_check_builds_the_fan_once(capsys, monkeypatch):
     inner = bordered.solve_lp
     calls = []
@@ -500,3 +536,103 @@ def test_goodres_reads_l_zero(capsys):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err == "error: goodres needs --subgroup, --psi and --l\n"
+
+
+# ---------------------------------------------------------------- fuzz
+
+_ENTRY = st.sampled_from(["0", "1", "-1", "2", "-2", "1/2", "-3/2", "3"])
+
+
+def _rows(count, dim):
+    return st.lists(st.lists(_ENTRY, min_size=dim, max_size=dim),
+                    min_size=count, max_size=count).map(json.dumps)
+
+
+def _entries(count):
+    return st.lists(_ENTRY, min_size=count, max_size=count).map(json.dumps)
+
+
+def _trace_zero(count, n):
+    """count integer rows of length n summing to zero: subgroup directions,
+    dependent at times."""
+    head = st.lists(st.integers(-2, 2), min_size=n - 1, max_size=n - 1)
+    return st.lists(head.map(lambda h: h + [-sum(h)]),
+                    min_size=count, max_size=count).map(json.dumps)
+
+
+@st.composite
+def _matrix(draw, n):
+    """A JSON n x n matrix: a determinant-one word in shears, which every
+    subcommand accepts, or small entries, mostly refused."""
+    if draw(st.booleans()):
+        g = random_sl(n, random.Random(draw(st.integers(0, 10 ** 6))), height=2, steps=3)
+        return json.dumps(g.to_json())
+    return draw(_rows(n, n))
+
+
+@st.composite
+def _argv(draw):
+    """One call of a subcommand on small inputs: n <= 3, height <= 1,
+    radius <= 1 and grid step >= 1/2; the inputs are mostly well formed, so
+    most calls reach their computation."""
+    n = draw(st.sampled_from([1, 2, 2, 3, 3]))
+    k = draw(st.integers(1, max(1, n - 1)))     # subgroup rank
+    height = draw(st.sampled_from(["0", "1", "1"]))
+    radius = draw(st.sampled_from(["0", "1/2", "1"]))
+    step = draw(st.sampled_from(["1/2", "1"]))
+    maybe = lambda *flag: draw(st.sampled_from([[], list(flag)]))    # noqa: E731
+    subgroup = maybe("--subgroup", draw(_trace_zero(k, n)))
+    l = k if subgroup else max(1, n - 1)        # the subgroup's dimension
+    command, action = draw(st.sampled_from([
+        ("bruhat", "factor"), ("radicals", "search"), ("radicals", "profile"),
+        ("bordered", "check"), ("cover", "build"), ("cover", "local"),
+        ("cover", "goodres"), ("cover", "verify"), ("diverge", "check"),
+        ("diverge", "search"), ("sl4", "verify-periodicity"), ("sl4", "grplus"),
+        ("sl4", "xmember"), ("sl4", "demo"),
+    ]))
+    argv = [command, action]
+    if command in ("bruhat", "radicals", "cover", "diverge") and action != "goodres":
+        argv += ["--matrix", draw(_matrix(n))]
+    if command in ("radicals", "cover", "diverge") and action != "goodres":
+        argv += ["--height", height] + subgroup
+    if command == "radicals":
+        argv += (["--eps", draw(st.sampled_from(["1/2", "2", "0"])),
+                  "--mode", draw(st.sampled_from(["brute", "reduction"]))]
+                 if action == "search" else
+                 ["--grid", "%s:%s" % (radius, step)] + maybe("--digits", "5"))
+    elif command == "bordered":
+        what = draw(st.sampled_from(["nontrivial", "bounded", "invdim", "ktrivial", "intersect"]))
+        m = draw(st.integers(1, 3))
+        argv += ["--what", what, "--phi", draw(_rows(m, 2)), "--points", draw(_rows(k, 2)),
+                 "--k", str(draw(st.integers(0, 2)))]
+        argv += maybe("--c", draw(_entries(m)))
+        argv += maybe("--gauge", draw(_ENTRY)) + maybe("--phi2", draw(_rows(2, 2)))
+    elif command == "cover":
+        argv += ["--radius", radius, "--delta", step, "--c0", draw(_ENTRY)]
+        argv += maybe("--gauge", draw(_ENTRY))
+        if action == "goodres":
+            argv += ["--subgroup", draw(_trace_zero(k, n)), "--psi", draw(_rows(k, n)),
+                     "--l", str(draw(st.integers(0, 2)))]
+        if action == "verify":
+            m = draw(st.integers(1, 3))
+            argv += ["--core-phi", draw(_rows(m, l)), "--core-c", draw(_entries(m))]
+    elif command == "diverge" and action == "check":
+        argv += ["--subspace", draw(_rows(1, n))] + maybe("--subspace", draw(_rows(k, n)))
+    elif command == "sl4":
+        alpha = sorted(draw(st.sets(st.integers(-4, 2), min_size=3, max_size=3)))
+        alpha = ",".join(map(str, alpha + [-sum(alpha)]))     # increasing, mostly
+        argv += {"grplus": ["--alpha", alpha], "demo": ["--alpha", alpha] + maybe("--tamper"),
+                 "xmember": ["--basis", draw(_rows(2, 4))]}.get(action, [])
+    return argv + maybe("--manifest")
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argv())
+def test_every_subcommand_on_small_inputs_exits_0_or_2(argv):
+    # the size bounds keep every call short: the whole test takes seconds
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), (code, err.getvalue())
+    assert "internal error" not in err.getvalue()
+    assert code == 0 or out.getvalue() == ""

@@ -2,8 +2,9 @@ import ast
 import json
 import random
 from fractions import Fraction
-from itertools import combinations, permutations, product
-from math import prod
+from functools import lru_cache
+from itertools import combinations, combinations_with_replacement, permutations, product
+from math import comb, prod
 from pathlib import Path
 
 import pytest
@@ -35,9 +36,11 @@ from cuspwatch.lattice import int_kernel, positive_primitive
 from cuspwatch.loglin import LogLin
 from cuspwatch.lp import lp_feasible
 from cuspwatch.matrix import Mat
-from cuspwatch.radicals import cusp_profile, enumerate_witnesses, radical_from_subspace
+from cuspwatch.radicals import (cusp_profile, enumerate_witnesses, radical_from_subspace,
+                                standard_radical)
 from cuspwatch.scalars import sign
 from test_bruhat import random_sl
+from test_radicals import _minor_support
 
 F = Fraction
 
@@ -502,30 +505,37 @@ G4 = Mat.rationalize([[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 3, 1], [0, 0, 2, 1]])
 
 @pytest.fixture(scope="module")
 def g4_lp_verdicts():
-    """Each witness of enumerate_witnesses(4, 1) at G4, sized, with the
-    verdict of its own shrink-cone LP on the SL4 full torus. The cold SL4
-    LPs take seconds, so the two tests that compare with them share one run."""
+    """Each witness of enumerate_witnesses(4, 1) at G4, as enumerated and
+    sized, with the verdict of its own shrink-cone LP on the SL4 full torus.
+    The cold SL4 LPs take seconds, so the two tests that compare with them
+    share one run."""
     T4 = SubgroupSpec.full_torus(4)
     out = []
     for rw in enumerate_witnesses(4, 1):
         w = WitnessVector.from_radical(G4, rw)
-        out.append((w, cone_nonempty(ray_shrink_set(G4, w, T4))))
+        out.append((rw, w, cone_nonempty(ray_shrink_set(G4, w, T4))))
     return out
 
 
+def _plucker_support(g, rw):
+    """The key (n, j, mask) of rw at g: bit k for the k-th j-subset R in
+    lexicographic order when W_R != 0, W from the rows g b (_minor_support)."""
+    support = _minor_support(g, rw)
+    return rw.n, rw.j, sum(1 << k for k, R in enumerate(combinations(range(1, rw.n + 1), rw.j))
+                           if R in support)
+
+
 def test_cone_memo_matches_the_lp(g4_lp_verdicts):
-    # each memoized verdict is the LP's on the witness's restricted rows
+    # each memoized verdict, read from the Plucker support alone, is the
+    # LP's on the restricted rows of all the witness's characters
     for g in SL3_CONE_GS:
         for rw in enumerate_witnesses(g.nrows, 2):
-            comps = rw.components_at(g)
-            rows = [A3.restrict(-ch) for ch, _ in comps]
-            key = frozenset(ch.coeffs for ch, _ in comps)
+            rows = [A3.restrict(-ch) for ch, _ in rw.components_at(g)]
             lp = _sign_point(rows, (1,) * len(rows)) is not None
-            assert divergence._cone_verdict(A3, key) == lp
+            assert divergence._cone_verdict(A3, _plucker_support(g, rw)) == lp
     T4 = SubgroupSpec.full_torus(4)
-    for w, lp in g4_lp_verdicts:
-        key = frozenset(ch.coeffs for ch, _ in w.components)
-        assert divergence._cone_verdict(T4, key) == lp
+    for rw, _, lp in g4_lp_verdicts:
+        assert divergence._cone_verdict(T4, _plucker_support(G4, rw)) == lp
 
 
 def test_warm_cone_memo_solves_no_lp(monkeypatch):
@@ -539,14 +549,14 @@ def test_warm_cone_memo_solves_no_lp(monkeypatch):
 
 
 def test_search_keeps_what_one_lp_per_witness_keeps_in_sl4(g4_lp_verdicts):
-    # SL4 lines, hyperplanes and planes: the support-keyed lines and
-    # hyperplanes, and the planes' reused components, give the witnesses
-    # (components included) that sizing each one and solving its LP gives
-    # (the fixture's verdicts are _one_lp_per_witness(G4, T4, 1))
+    # SL4 lines, hyperplanes and planes: deciding each from its Plucker
+    # support and sizing the kept ones gives the witnesses (components
+    # included) that sizing each one and solving its LP gives (the
+    # fixture's verdicts are _one_lp_per_witness(G4, T4, 1))
     T4 = SubgroupSpec.full_torus(4)
     ws = search_witnesses(G4, T4, 1)
     assert {w.degree for w in ws} == {3, 4}
-    assert list(map(repr, ws)) == [repr(w) for w, lp in g4_lp_verdicts if lp]
+    assert list(map(repr, ws)) == [repr(w) for _, w, lp in g4_lp_verdicts if lp]
 
 
 def test_search_forms_each_closed_vector_once(monkeypatch):
@@ -565,9 +575,9 @@ def test_search_forms_each_closed_vector_once(monkeypatch):
     table = radicals._closed_table
     supports = []
 
-    def looked_up(n, sign, support):
-        supports.append(support)
-        return table(n, sign, support)
+    def looked_up(key):
+        supports.append(key[2])
+        return table(key)
 
     monkeypatch.setattr(radicals, "_closed_table", looked_up)
     ws = search_witnesses(g, A3, 2)
@@ -577,45 +587,46 @@ def test_search_forms_each_closed_vector_once(monkeypatch):
     assert supports and 0b111 not in supports
 
 
-def _oracle_closed_vector(g, rw):
-    """(u, sign, support) of one line (u = G v, sign 1) or hyperplane
-    (u = H f, sign -1), formed on its own."""
+def _oracle_closed_components(g, rw):
+    """The components of one line (u = G v, sign 1) or hyperplane (u = H f,
+    sign -1), its vector formed on its own: sign * chi_A with norm
+    prod |u_a| / |det G| (|det H|) for each multiset A of size n over the
+    a with u_a != 0, sorted by character."""
     conj = radicals._conjugator(g)
     if rw.j == 1:
-        (u,), sign = radicals._moved(conj.G, rw.rows), 1
+        (u,), sign, den = radicals._moved(conj.G, rw.rows), 1, conj.abs_det_G
     else:
-        (u,), sign = radicals._moved(conj.H, rw.ann_rows), -1
-    return u, sign, sum(1 << a for a, x in enumerate(u) if x)
+        (u,), sign, den = radicals._moved(conj.H, rw.ann_rows), -1, conj.abs_det_H
+    comps = []
+    for A in combinations_with_replacement([a for a in range(rw.n) if u[a]], rw.n):
+        coeffs = [-sign] * rw.n
+        for a in A:
+            coeffs[a] += sign
+        comps.append((Character(tuple(coeffs)), F(prod(abs(u[a]) for a in A), den)))
+    return sorted(comps, key=lambda c: c[0].sort_key())
 
 
-def _oracle_closed_components(g, rw, closed):
-    u, sign, support = closed
-    conj = radicals._conjugator(g)
-    den = conj.abs_det_G if sign > 0 else conj.abs_det_H
-    return [(ch, F(prod(abs(u[a]) for a in A), den))
-            for A, ch in radicals._closed_table(rw.n, sign, support)[0]]
+@lru_cache(maxsize=None)
+def _full_character_verdict(A, coeffs):
+    """The shrink cone's LP on the distinct negated primitive restrictions
+    of every character with these coefficient tuples."""
+    forms = {A.primitive_form(c) for c in coeffs}
+    return None not in forms and cone_nonempty(sorted(tuple(-x for x in h) for h in forms))
 
 
 def _oracle_search(g, A, height):
-    """The search one candidate at a time: a line's or hyperplane's vector
-    formed on its own, its cone decided from its _closed_table key (full
-    support included) and a kept one sized from that vector; planes sized
-    by components_at."""
+    """The search one candidate at a time, sizing every candidate first:
+    a line's or hyperplane's vector formed on its own and sized from that
+    vector, a plane sized by components_at, and the cone decided by the LP
+    on all its characters (full support included), not by the support."""
     n = g.nrows
-    out, verdicts = [], {}
+    out = []
     for rw in enumerate_witnesses(n, height):
         if rw.j == 1 or rw.j == n - 1:
-            closed = _oracle_closed_vector(g, rw)
-            kind = closed[1:]
-            if kind not in verdicts:
-                verdicts[kind] = divergence._cone_verdict(
-                    A, radicals._closed_table(n, *kind)[1])
-            comps = _oracle_closed_components(g, rw, closed) if verdicts[kind] else None
+            comps = _oracle_closed_components(g, rw)
         else:
             comps = rw.components_at(g)
-            if not divergence._cone_verdict(A, frozenset(ch.coeffs for ch, _ in comps)):
-                comps = None
-        if comps is not None:
+        if _full_character_verdict(A, frozenset(ch.coeffs for ch, _ in comps)):
             out.append(WitnessVector(rw.n, rw.dim, tuple(comps), rw.label))
     return out
 
@@ -651,16 +662,19 @@ def test_search_matches_the_per_candidate_oracle(problem):
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_full_support_lines_and_hyperplanes_shrink_nowhere(monkeypatch, n):
-    # the multiset {1, ..., n} gives the character 0 (for either sign), which
-    # restricts to zero on every subgroup: the cone is empty without an LP
+    # a balanced support, sum_R e_R constant, shrinks nowhere, and is
+    # decided without an LP: for every type j, the full support (which a
+    # line or hyperplane has when its u has full support), and for planes
+    # a support that pairs each R with its complement
     monkeypatch.setattr(bordered, "solve_lp", _no_lp)
-    full = (1 << n) - 1
     line = SubgroupSpec(n, ((1,) + (0,) * (n - 2) + (-1,),))
-    for sign in (1, -1):
-        key = radicals._closed_table(n, sign, full)[1]
-        assert (0,) * n in key
+    supports = [(n, j, (1 << comb(n, j)) - 1) for j in range(1, n)]
+    if n % 2 == 0 and n > 2:
+        # {1, ..., n / 2} first and its complement last in lexicographic order
+        supports.append((n, n // 2, 1 | 1 << comb(n, n // 2) - 1))
+    for support in supports:
         for A in (SubgroupSpec.full_torus(n), line):
-            assert divergence._cone_verdict(A, key) is False
+            assert divergence._cone_verdict(A, support) is False
 
 
 def test_fan_corpus_under_every_coordinate_permutation():
@@ -686,11 +700,44 @@ def test_fan_corpus_under_every_coordinate_permutation():
                 assert not ok and any(direction)
 
 
+def test_a_subgroup_of_another_n_is_refused():
+    # the search, the check and the build refuse a subgroup whose n is not
+    # g's, in both directions, rather than reading supports against it
+    g3 = SL3_CONE_GS[1]
+    T4 = SubgroupSpec.full_torus(4)
+    ws3 = search_witnesses(g3, A3, 2)
+    for g, A, ws in ((g3, T4, ws3), (G4, A3, [standard_radical(4, 1)])):
+        with pytest.raises(PreconditionError):
+            search_witnesses(g, A, 2)
+        with pytest.raises(PreconditionError):
+            check_certificate(g, A, ws)
+        with pytest.raises(PreconditionError):
+            build_certificate(g, A, ws)
+
+
+def test_search_sizes_only_the_planes_it_keeps(monkeypatch):
+    # a plane is sized after its verdict, and only when it is kept: during
+    # an SL4 search the components_at calls are the kept planes, out of 122
+    T4 = SubgroupSpec.full_torus(4)
+    inner = radicals.RadicalWitness.components_at
+    sized = []
+
+    def counted(self, g):
+        sized.append(self.j)
+        return inner(self, g)
+
+    monkeypatch.setattr(radicals.RadicalWitness, "components_at", counted)
+    for g in (G4, random_sl(4, random.Random(2), height=3, steps=6)):
+        sized.clear()
+        kept = sum(w.degree == 4 for w in search_witnesses(g, T4, 1))
+        assert 0 < kept < 122 and sized == [2] * kept
+
+
 def test_equal_subgroups_share_a_cone_memo_entry():
     a = SubgroupSpec.full_torus(3)
     b = SubgroupSpec(3, (("1", "-1", 0), (0, F(2, 2), -1)))
     assert a is not b and a == b and hash(a) == hash(b)
-    key = frozenset({(1, -1, 0), (0, 1, -1)})
+    key = (3, 1, 0b011)    # the lines with u_1, u_2 != 0 = u_3
     divergence._cone_verdict.cache_clear()
     assert divergence._cone_verdict(a, key) is divergence._cone_verdict(b, key)
     info = divergence._cone_verdict.cache_info()

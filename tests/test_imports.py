@@ -15,8 +15,10 @@ binding that no expression of the module reads. It also keeps
 Three more formats have one owner each. Only `loglin` reads a LogLin's
 term tuples (`.rat`, `.logs`) or wraps them unchecked (`LogLin._built`);
 other modules add rationals to LogLin values. Only `radicals` sizes a
-witness: `divergence` names none of the closed-form sizing routines and
-reads candidates, keys and sizes from one stream of `radicals`.
+witness: `divergence` names none of the closed-form sizing routines, forms
+no minor, and reads candidates, Plucker supports and sizes from one stream
+of `radicals`, whose supports it reads as pure weights through
+`radicals._pure_weights`.
 """
 
 import ast
@@ -119,7 +121,7 @@ def test_only_bordered_names_the_depth_lp():
 
 
 _SIZING = {"_closed_vectors", "_closed_table", "_closed_components", "_support",
-           "_closed_columns", "_enumerated"}
+           "_closed_columns", "_enumerated", "_int_minors", "_moved", "_conj_minors"}
 
 
 def test_divergence_leaves_witness_sizing_to_radicals():
@@ -128,7 +130,7 @@ def test_divergence_leaves_witness_sizing_to_radicals():
     imported = sorted(alias.name for node in ast.walk(tree)
                       if isinstance(node, ast.ImportFrom) and node.module == "radicals"
                       for alias in node.names)
-    assert imported == ["RadicalWitness", "_keyed", "_log_size"]
+    assert imported == ["RadicalWitness", "_keyed", "_log_size", "_pure_weights"]
 
 
 def _loglin_terms(tree):

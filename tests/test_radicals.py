@@ -3,7 +3,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from unittest.mock import patch
 
 import pytest
@@ -18,11 +18,9 @@ from cuspwatch.matrix import Mat
 from cuspwatch.scalars import _cleared, _sup_norm
 from cuspwatch.radicals import (
     _closed_columns,
-    _closed_table,
     _closed_vectors,
     _components,
     _conj_minors,
-    _support,
     active_radicals,
     conj_ad_wedge,
     coords_to_matrix,
@@ -701,24 +699,67 @@ def test_closed_form_components_match_the_minor_path(shape, unimodular, seed, da
         assert repr(w.components_at(g)) == repr(_minor_components(g, w))
 
 
+def _pure(n, j, R):
+    """The coefficients of n e_R - j (1, ..., 1), R a 1-based j-subset."""
+    return tuple(n * (i in R) - j for i in range(1, n + 1))
+
+
+def _minor_support(g, w):
+    """The j-subsets R with W_R != 0, W the minors of the rows g b formed as
+    rational vectors (the Plucker vector of gV, up to a scalar)."""
+    gbs = [[sum(g[i, k] * b[k] for k in range(w.n)) for i in range(w.n)] for b in w.rows]
+    return {R for R, c in wedge.wedge_of_vectors(gbs, w.n).coeffs.items() if c}
+
+
 @settings(max_examples=12, deadline=None)
 @given(st.sampled_from([(3, 2), (4, 1)]), st.integers(min_value=0, max_value=10 ** 6))
 def test_support_key_is_the_components_key(shape, seed):
-    # the shrink-cone key of a line or hyperplane, read from the zero
-    # pattern of its u = G v (H f) in the search's column pass alone, is
-    # the set of its characters under a rational SL g; in SL3 also those of
-    # the conjugated wedge's minors
+    # the support the search reads for each candidate of radicals' stream
+    # (the zero pattern of a line's G v or a hyperplane's H f in the column
+    # pass, a plane's minors of G b) is the set of R whose pure character
+    # n e_R - j (1, ..., 1) the candidate's components carry, and size()
+    # gives components_at; in SL3 the characters are also those of the
+    # conjugated wedge's minors. The stream leaves out exactly the lines and
+    # hyperplanes whose u has full support
     n, height = shape
     g = random_sl(n, random.Random(seed), height=3, steps=6)
-    for j in (1, n - 1):
-        ws = enumerate_witnesses(n, height, js=[j])
-        sign, _, us = _closed_vectors(g, j, _closed_columns(ws, j))
-        assert len(us) == len(ws)
-        for w, u in zip(ws, us):
-            key = _closed_table(n, sign, _support(u))[1]
-            assert key == frozenset(ch.coeffs for ch, _ in w.components_at(g))
-            if n == 3:
-                assert key == frozenset(ch.coeffs for ch, _ in _minor_components(g, w))
+    streamed = []
+    for w, support, size in radicals._keyed(g, height):
+        comps = w.components_at(g)
+        coeffs = {ch.coeffs for ch, _ in comps}
+        assert support[:2] == (n, w.j)
+        assert radicals._pure_weights(support) == [
+            _pure(n, w.j, R) for R in combinations(range(1, n + 1), w.j)
+            if _pure(n, w.j, R) in coeffs]
+        assert repr(size()) == repr(comps)
+        if n == 3:
+            assert coeffs == {ch.coeffs for ch, _ in _minor_components(g, w)}
+        streamed.append(w)
+    full = [w for w in enumerate_witnesses(n, height)
+            if w.j in (1, n - 1) and len(_minor_support(g, w)) == n]
+    assert sorted(streamed + full, key=lambda w: w.sort_key()) == enumerate_witnesses(n, height)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.sampled_from([(3, 2), (4, 1)]), st.booleans(), st.integers(min_value=0, max_value=10 ** 6))
+def test_pure_weights_are_the_plucker_support(shape, unimodular, seed):
+    # the rule behind the search's cone verdict, on SL3 lines and
+    # hyperplanes and on SL4 lines, hyperplanes and planes, under a g in SL_n
+    # or with |det g| != 1: components_at(g) carries n e_R - j (1, ..., 1)
+    # for exactly the R with W_R != 0, and every other character it carries
+    # is (1 / n) sum_i (n e_(R_i) - j (1, ..., 1)) for n such pure weights
+    n, height = shape
+    rng = random.Random(seed)
+    g = random_sl(n, rng, height=3, steps=6) if unimodular else _random_gl(n, rng)
+    for w in enumerate_witnesses(n, height):
+        j, support = w.j, _minor_support(g, w)
+        coeffs = {ch.coeffs for ch, _ in w.components_at(g)}
+        assert {R for R in combinations(range(1, n + 1), j) if _pure(n, j, R) in coeffs} == support
+        averages = set()
+        for Rs in combinations_with_replacement(sorted(support), n):
+            counts = Counter(i for R in Rs for i in R)
+            averages.add(tuple(counts[i] - j for i in range(1, n + 1)))
+        assert coeffs <= averages
 
 
 def test_lines_and_hyperplanes_are_sized_without_minors(monkeypatch):
